@@ -16,7 +16,8 @@ from . import model as mdl
 from . import oracle, solver, tasks
 from .expansion import alpha_expansion
 from .hst import RHst
-from .model import InvalidInputError, PnPottsSpec, validate_diversity_axioms
+from .model import (InvalidInputError, PnPottsSpec, SolverError,
+                    validate_diversity_axioms)
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -48,8 +49,8 @@ def _solve_model(model, k, seed):
 def _write_report(report, model, path, include_timings):
     # the reported energy is always re-verified before writing
     recheck = model.evaluate_energy(report.labeling)
-    if abs(recheck - report.energy) > 1e-9:
-        raise RuntimeError("reported energy does not match its labeling")
+    if not abs(recheck - report.energy) <= 1e-9:
+        raise SolverError("reported energy does not match its labeling")
     with open(path, "w") as f:
         json.dump(report.to_json(include_timings=include_timings), f,
                   indent=2, sort_keys=True)
@@ -299,7 +300,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SolverError as e:            # a failed runtime self-check
+        return _fail("solver failure: %s" % e, EXIT_SOLVER)
 
 
 if __name__ == "__main__":

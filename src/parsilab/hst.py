@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .model import InvalidInputError, LabelMetric
+from .model import InvalidInputError, LabelMetric, require_finite
 
 ROOT = 0
 
@@ -29,6 +29,7 @@ class RHst:
         self.child_edge = tuple(float(e) for e in child_edge)
         self.leaf_label = tuple(None if l is None else int(l) for l in leaf_label)
         self.r = float(r)
+        require_finite(self.child_edge + (self.r,), "edge lengths and r")
         self.children = [[] for _ in self.parents]
         for v, p in enumerate(self.parents):
             if p >= 0:
@@ -38,6 +39,7 @@ class RHst:
             if err is not None:
                 raise InvalidInputError("not an r-HST: %s" % err)
         self._metric = None
+        self._diameters = {}              # sorted label tuple -> diameter
         self._leaf_of_label = {}
         for v, l in enumerate(self.leaf_label):
             if l is not None:
@@ -133,13 +135,25 @@ class RHst:
         return self.node_distance(u, v)
 
     def metric(self):
-        """The full tree metric as a LabelMetric (cached)."""
+        """The full tree metric as a LabelMetric (cached).
+
+        Every leaf pair climbs to its common ancestor as in node_distance,
+        adding the same edge lengths in the same order, but all pairs of a
+        chunk climb together as arrays.
+        """
         if self._metric is None:
             h = self.num_labels
+            parents = np.asarray(self.parents)
+            edge = np.asarray(self.child_edge)
+            depth = np.array([self.depth(v) for v in range(self.num_nodes)])
+            leaf = np.array([self._leaf_of_label[l] for l in range(h)])
             m = np.zeros((h, h))
-            for i in range(h):
-                for j in range(i + 1, h):
-                    m[i, j] = m[j, i] = self.tree_metric(i, j)
+            rows, cols = np.triu_indices(h, 1)
+            for start in range(0, rows.size, _PAIR_CHUNK):
+                i = rows[start:start + _PAIR_CHUNK]
+                j = cols[start:start + _PAIR_CHUNK]
+                m[i, j] = m[j, i] = _climb(leaf[i], leaf[j], parents, edge,
+                                           depth)
             self._metric = LabelMetric(m, validate=False)
         return self._metric
 
@@ -157,13 +171,17 @@ class RHst:
         return tuple(sorted(out))
 
     def hierarchical_pn_potts(self, subset):
-        """Diameter diversity of a label subset under the tree metric."""
-        subset = sorted(set(int(l) for l in subset))
-        if not subset:
+        """Diameter diversity of a label subset under the tree metric
+        (memoised per subset)."""
+        key = tuple(sorted(set(int(l) for l in subset)))
+        if not key:
             raise InvalidInputError("empty label subset")
-        m = self.metric().matrix
-        idx = np.asarray(subset, dtype=int)
-        return float(m[np.ix_(idx, idx)].max())
+        value = self._diameters.get(key)
+        if value is None:
+            idx = np.asarray(key, dtype=int)
+            value = float(self.metric().matrix[np.ix_(idx, idx)].max())
+            self._diameters[key] = value
+        return value
 
     # -- serialization ---------------------------------------------------------
 
@@ -190,6 +208,32 @@ class RHst:
     def load(cls, path):
         with open(path) as f:
             return cls.from_json(json.load(f))
+
+
+_PAIR_CHUNK = 1 << 18
+
+
+def _climb(u, v, parents, edge, depth):
+    """node_distance for node arrays u and v, pair by pair."""
+    dist = np.zeros(u.shape[0])
+    du, dv = depth[u], depth[v]
+    for a, b, da, db in ((u, v, du, dv), (v, u, dv, du)):
+        while True:                         # the deeper node climbs first
+            up = da > db
+            if not up.any():
+                break
+            dist[up] += edge[parents[a[up]]]
+            a[up] = parents[a[up]]
+            da[up] -= 1
+    while True:                             # then both climb in lockstep
+        apart = u != v
+        if not apart.any():
+            break
+        pu, pv = parents[u[apart]], parents[v[apart]]
+        dist[apart] += edge[pu]
+        dist[apart] += edge[pv]
+        u[apart], v[apart] = pu, pv
+    return dist
 
 
 def tree_metric(tree, label_i, label_j):
@@ -240,15 +284,13 @@ def _frt_decompose(dist, rng):
         radius = beta * 2.0 ** (level - 1)
         next_clusters = []
         for parent_node, pts in clusters:
-            assigned = np.full(pts.shape[0], -1)
-            for center in order:
-                free = assigned < 0
-                hit = free & (dist[center, pts] <= radius)
-                assigned[hit] = center
-            for center in order:
-                sub = pts[assigned == center]
-                if sub.size == 0:
-                    continue
+            # each point joins the first center in order within radius;
+            # every point is within radius of itself, so all are assigned
+            rank = (dist[np.ix_(order, pts)] <= radius).argmax(axis=0)
+            by_rank = np.argsort(rank, kind="stable")
+            groups = np.flatnonzero(np.diff(rank[by_rank])) + 1
+            for members in np.split(by_rank, groups):
+                sub = pts[members]
                 node = len(parents)
                 parents.append(parent_node)
                 if level > 0:

@@ -6,6 +6,8 @@ floating-point dust cannot stall the augmenting loop.  Arc order is
 fixed by insertion, which makes the solver deterministic.
 """
 
+import numpy as np
+
 FLOW_TOL = 1e-11
 
 SOURCE = -1
@@ -29,49 +31,52 @@ class FlowNetwork:
         self._head = [[], []]          # adjacency (arc indices); 0=source, 1=sink
         self._to = []
         self._cap = []
+        self._nodes = 0                # user nodes, internal ids 2..nodes+1
         self._res = None               # residual capacities after a solve
         self._flow_value = None
         self._reachable = None
+        self._solved_size = None       # (nodes, arc slots) the solve covers
 
     def add_node(self):
         self._head.append([])
-        self._invalidate()
-        return len(self._head) - 3     # user ids start at 0
+        self._nodes += 1
+        return self._nodes - 1
 
     def add_nodes(self, count):
-        return [self.add_node() for _ in range(count)]
+        first = self._nodes
+        self._head.extend([] for _ in range(count))
+        self._nodes += count
+        return list(range(first, first + count))
 
     @property
     def num_nodes(self):
-        return len(self._head) - 2
-
-    def _invalidate(self):
-        self._res = None
-        self._flow_value = None
-        self._reachable = None
+        return self._nodes
 
     def _internal(self, v):
+        if 0 <= v < self._nodes:
+            return v + 2
         if v == SOURCE:
             return 0
         if v == SINK:
             return 1
-        if not 0 <= v < self.num_nodes:
-            raise ValueError("unknown node id %r" % v)
-        return v + 2
+        raise ValueError("unknown node id %r" % v)
 
     def _push_arc(self, u, v, cf, cb):
-        self._to.append(v)
-        self._cap.append(cf)
-        self._head[u].append(len(self._to) - 1)
-        self._to.append(u)
-        self._cap.append(cb)
-        self._head[v].append(len(self._to) - 1)
-        self._invalidate()
+        # a solve stays valid only while the graph keeps the size it was
+        # solved at, so growing the graph needs no invalidation here
+        to = self._to
+        a = len(to)
+        to += (v, u)
+        self._cap += (cf, cb)
+        self._head[u].append(a)
+        self._head[v].append(a + 1)
 
     def add_arc(self, u, v, cap_forward, cap_backward=0.0):
         if cap_forward < 0 or cap_backward < 0:
             raise ValueError("arc capacities must be non-negative")
-        self._push_arc(self._internal(u), self._internal(v),
+        n = self._nodes                # inline _internal for user nodes
+        self._push_arc(u + 2 if 0 <= u < n else self._internal(u),
+                       v + 2 if 0 <= v < n else self._internal(v),
                        float(cap_forward), float(cap_backward))
 
     def add_terminal_arc(self, v, cap_from_source, cap_to_sink):
@@ -89,36 +94,38 @@ class FlowNetwork:
 
     # -- Dinic ------------------------------------------------------------
 
+    def _solved(self):
+        return (self._flow_value is not None
+                and self._solved_size == (self._nodes, len(self._to)))
+
     def compute_max_flow(self):
-        if self._flow_value is not None:
+        if self._solved():
             return self._flow_value
         to = self._to
         head = self._head
         res = list(self._cap)
         n = len(head)
         total = 0.0
-        level = [0] * n
-        it = [0] * n
 
         while True:
-            # BFS layering on the residual graph
-            for i in range(n):
-                level[i] = -1
+            # BFS layering on the residual graph.  It stops once the sink
+            # has its layer: the nodes still unlayered would be dead ends,
+            # which the DFS skips exactly as it skips unlayered nodes.
+            level = [-1] * n
             level[0] = 0
             queue = [0]
-            qi = 0
-            while qi < len(queue):
-                u = queue[qi]
-                qi += 1
+            for u in queue:
+                next_level = level[u] + 1
                 for a in head[u]:
                     v = to[a]
-                    if res[a] > FLOW_TOL and level[v] < 0:
-                        level[v] = level[u] + 1
+                    if level[v] < 0 and res[a] > FLOW_TOL:
+                        level[v] = next_level
                         queue.append(v)
+                if level[1] >= 0:
+                    break
             if level[1] < 0:
                 break
-            for i in range(n):
-                it[i] = 0
+            it = [0] * n
             # blocking flow via iterative DFS with current-arc pointers
             while True:
                 path = []
@@ -126,12 +133,12 @@ class FlowNetwork:
                 while u != 1:
                     advanced = False
                     arcs = head[u]
+                    next_level = level[u] + 1
                     while it[u] < len(arcs):
                         a = arcs[it[u]]
-                        v = to[a]
-                        if res[a] > FLOW_TOL and level[v] == level[u] + 1:
+                        if res[a] > FLOW_TOL and level[to[a]] == next_level:
                             path.append(a)
-                            u = v
+                            u = to[a]
                             advanced = True
                             break
                         it[u] += 1
@@ -152,12 +159,14 @@ class FlowNetwork:
 
         self._res = res
         self._flow_value = total
+        self._reachable = None
+        self._solved_size = (self._nodes, len(self._to))
         return total
 
     # -- post-solve queries -------------------------------------------------
 
     def _require_solved(self):
-        if self._flow_value is None:
+        if not self._solved():
             raise StateError("compute_max_flow has not been run")
 
     def _residual_reachable(self):
@@ -183,9 +192,12 @@ class FlowNetwork:
         """True if v lies on the source side of the minimum cut."""
         return self._residual_reachable()[self._internal(v)]
 
+    def source_side_mask(self):
+        """Boolean array over the nodes: True on the source side of the cut."""
+        return np.array(self._residual_reachable()[2:], dtype=bool)
+
     def source_side_nodes(self):
-        reach = self._residual_reachable()
-        return [v for v in range(self.num_nodes) if reach[v + 2]]
+        return np.flatnonzero(self.source_side_mask()).tolist()
 
     def cut_capacity(self):
         """Capacity of the cut induced by min_cut_side (strong-duality check)."""

@@ -5,9 +5,12 @@ energy functional.  Everything here is immutable after construction and
 evaluation is deterministic.
 """
 
+import functools
 import json
+import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 AXIOM_TOL = 1e-9
 
@@ -17,6 +20,16 @@ MAX_TABLE_LABELS = 20
 
 class InvalidInputError(ValueError):
     pass
+
+
+class SolverError(RuntimeError):
+    """A solver result failed one of its runtime self-checks."""
+
+
+def require_finite(values, what):
+    """Raise InvalidInputError unless every entry of values is finite."""
+    if not np.isfinite(values).all():
+        raise InvalidInputError("%s must be finite" % what)
 
 
 class LabelSet:
@@ -68,6 +81,8 @@ class LabelMetric:
     def check(self, tol=AXIOM_TOL):
         """Return a description of the first violated metric axiom, or None."""
         m = self.matrix
+        if not np.isfinite(m).all():
+            return "distances must be finite"
         if np.any(m < -tol):
             return "negative distance"
         if np.any(np.abs(np.diag(m)) > tol):
@@ -77,26 +92,35 @@ class LabelMetric:
         off = m + np.eye(m.shape[0]) * (m.max(initial=0.0) + 1.0)
         if m.shape[0] >= 2 and off.min() <= tol:
             return "zero distance between distinct labels"
-        # triangle inequality, exhaustively over all i,k,j
-        through = m[:, :, None] + m[None, :, :]   # [i,k,j] = d(i,k)+d(k,j)
-        if np.any(through.min(axis=1) < m - tol):
-            return "triangle inequality violated"
+        # triangle inequality, exhaustively over all i,k,j, one row i at a
+        # time so memory stays O(H^2)
+        for i in range(m.shape[0]):
+            through = (m[i][:, None] + m).min(axis=0)   # min_k d(i,k)+d(k,j)
+            if np.any(through < m[i] - tol):
+                return "triangle inequality violated"
         return None
 
     @staticmethod
     def truncated_linear(num_labels, lam, truncation):
         """d(a, b) = lam * min(|a - b|, truncation)."""
-        if lam <= 0 or truncation < 1:
-            raise InvalidInputError("need lam > 0 and truncation >= 1")
-        idx = np.arange(num_labels)
-        m = lam * np.minimum(np.abs(idx[:, None] - idx[None, :]), truncation)
-        return LabelMetric(m, validate=False)
+        if not (0 < lam < math.inf) or truncation < 1:
+            raise InvalidInputError("need finite lam > 0 and truncation >= 1")
+        # d depends on a - b alone: row holds it for a - b = 1-H .. H-1 and
+        # matrix row a is the window of row starting at H-1-a, so building
+        # the matrix takes one H x H array instead of four.  (H = 0 still
+        # yields one empty window, hence the slice.)
+        row = lam * np.minimum(np.abs(np.arange(1 - num_labels, num_labels)),
+                               truncation)
+        windows = sliding_window_view(row, num_labels)[::-1]
+        return LabelMetric(np.array(windows[:num_labels], dtype=float),
+                           validate=False)
 
     @staticmethod
     def uniform(num_labels, scale):
         """d(a, b) = scale for a != b, 0 on the diagonal."""
-        if scale <= 0:
-            raise InvalidInputError("uniform metric scale must be positive")
+        if not 0 < scale < math.inf:
+            raise InvalidInputError(
+                "uniform metric scale must be positive and finite")
         m = scale * (1.0 - np.eye(num_labels))
         return LabelMetric(m, validate=False)
 
@@ -169,6 +193,7 @@ class ExplicitTableDiversity(Diversity):
         if table.shape != (1 << num_labels,):
             raise InvalidInputError(
                 "table must have 2^num_labels entries (bitmask-indexed)")
+        require_finite(table[1:], "diversity values")
         self.num_labels = num_labels
         self.table = table
         self.table.setflags(write=False)
@@ -264,6 +289,8 @@ class PnPottsSpec:
     def __init__(self, gamma, gamma_max):
         self.gamma = np.asarray(gamma, dtype=float)
         self.gamma_max = float(gamma_max)
+        require_finite(self.gamma, "gamma values")
+        require_finite(self.gamma_max, "gamma_max")
         if np.any(self.gamma < 0) or self.gamma_max < 0:
             raise InvalidInputError("gamma values must be non-negative")
         if np.any(self.gamma >= self.gamma_max):
@@ -315,15 +342,18 @@ class DiameterMetricSpec(DiversitySpec):
 
 class Clique:
     def __init__(self, members, weight):
-        members = tuple(int(m) for m in members)
+        members = tuple(map(int, members))
         if not members:
             raise InvalidInputError("clique must have at least one member")
         if len(set(members)) != len(members):
             raise InvalidInputError("clique members must be distinct")
+        weight = float(weight)
+        if not math.isfinite(weight):
+            raise InvalidInputError("clique weight must be finite")
         if weight < 0:
             raise InvalidInputError("clique weight must be non-negative")
         self.members = members
-        self.weight = float(weight)
+        self.weight = weight
         self.members_arr = np.asarray(members, dtype=np.intp)
         self.members_arr.setflags(write=False)
 
@@ -338,6 +368,7 @@ class EnergyModel:
         unaries = np.asarray(unaries, dtype=float)
         if unaries.ndim != 2:
             raise InvalidInputError("unaries must be an N x H table")
+        require_finite(unaries, "unaries")
         n, h = unaries.shape
         if potential.num_labels != h:
             raise InvalidInputError("potential label count does not match unaries")
@@ -361,6 +392,20 @@ class EnergyModel:
     @property
     def max_clique_size(self):
         return max((len(c.members) for c in self.cliques), default=0)
+
+    @functools.cached_property
+    def clique_arrays(self):
+        """The cliques in CSR form, (offsets, members, weights): clique c
+        is members[offsets[c]:offsets[c + 1]] with weight weights[c]."""
+        offsets = np.zeros(len(self.cliques) + 1, dtype=np.intp)
+        offsets[1:] = np.cumsum([len(c.members) for c in self.cliques],
+                                dtype=np.intp)
+        members = np.concatenate(
+            [c.members_arr for c in self.cliques] or [np.zeros(0, np.intp)])
+        weights = np.array([c.weight for c in self.cliques], dtype=float)
+        for a in (offsets, members, weights):
+            a.setflags(write=False)
+        return offsets, members, weights
 
     def check_labeling(self, labeling):
         labeling = np.asarray(labeling, dtype=np.intp)

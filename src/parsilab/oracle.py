@@ -7,8 +7,7 @@ so ties always break toward the lexicographically smallest labeling.
 
 import numpy as np
 
-from .model import (DiversitySpec, EnergyModel, InvalidInputError, PnPottsSpec,
-                    unique_labels)
+from .model import InvalidInputError, PnPottsSpec, SolverError
 
 MAX_LABELINGS = 10 ** 7
 MAX_MOVE_SPACE = 10 ** 6
@@ -72,7 +71,8 @@ def exhaustive_minimize(model):
     result = ExhaustiveResult(labelings[best].copy(), float(energy[best]),
                               float(unary[best]), float(clique[best]))
     # sanity: the vectorized evaluation must agree with the reference one
-    assert abs(model.evaluate_energy(result.labeling) - result.energy) <= 1e-9
+    if not abs(model.evaluate_energy(result.labeling) - result.energy) <= 1e-9:
+        raise SolverError("enumerated energy does not match the model's")
     return result
 
 
@@ -98,10 +98,11 @@ def exhaustive_expansion_move(instance, current, alpha):
 
 def model_to_pn_potts_instance(model):
     """View a label-consistency model as an expansion-solvable instance."""
-    from .expansion import CliqueGamma, PnPottsInstance
+    from .expansion import PnPottsInstance
     if not isinstance(model.potential, PnPottsSpec):
         raise InvalidInputError("model potential is not a consistency cost")
     spec = model.potential
-    cliques = [CliqueGamma(c.members, spec.gamma, spec.gamma_max, c.weight)
-               for c in model.cliques]
-    return PnPottsInstance(model.unaries, cliques)
+    offsets, members, weights = model.clique_arrays
+    return PnPottsInstance.from_arrays(
+        model.unaries, offsets, members, weights, spec.gamma,
+        np.full(weights.size, spec.gamma_max))

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hst
-from .expansion import CliqueGamma, PnPottsInstance, alpha_expansion
+from .expansion import PnPottsInstance, alpha_expansion, per_clique
 from .model import (DiameterMetricSpec, DiversitySpec, InvalidInputError,
-                    unique_labels)
+                    SolverError)
 
 
 @dataclass
@@ -88,28 +88,37 @@ def build_fusion_instance(model, tree, node, child_states):
     choice (all children identical and uniform on the clique) are dropped.
     """
     n = model.num_variables
-    k = len(child_states)
-    meta_unaries = np.empty((n, k))
-    rows = np.arange(n)
-    for j, st in enumerate(child_states):
-        meta_unaries[:, j] = model.unaries[rows, st.labeling]
+    labelings = np.stack([st.labeling for st in child_states])      # k x n
+    meta_unaries = np.ascontiguousarray(
+        model.unaries[np.arange(n), labelings].T)
 
-    gamma_max_node = tree.hierarchical_pn_potts(tree.cluster_labels(node))
-    meta_cliques = []
-    for c in model.cliques:
-        if c.weight == 0.0:
-            continue
-        child_subsets = [unique_labels(st.labeling, c) for st in child_states]
-        if (all(s == child_subsets[0] for s in child_subsets)
-                and len(child_subsets[0]) == 1
-                and all(np.array_equal(child_states[0].labeling[c.members_arr],
-                                       st.labeling[c.members_arr])
-                        for st in child_states[1:])):
-            continue
-        gamma = [tree.hierarchical_pn_potts(s) for s in child_subsets]
-        meta_cliques.append(
-            CliqueGamma(c.members, gamma, gamma_max_node, c.weight))
-    return PnPottsInstance(meta_unaries, meta_cliques)
+    offsets, members, weights = model.clique_arrays
+    sizes = np.diff(offsets)
+    labs = labelings[:, members]              # k x (members of all cliques)
+    low = per_clique(np.minimum, labs, offsets)
+    high = per_clique(np.maximum, labs, offsets)
+    same = per_clique(np.logical_and, labs == labs[0], offsets).all(axis=0)
+    keep = (weights > 0) & ~((low[0] == high[0]) & same)
+    kept_members = np.repeat(keep, sizes)
+    labs, low, high = labs[:, kept_members], low[:, keep], high[:, keep]
+    sizes = sizes[keep]
+    offsets = np.zeros(sizes.size + 1, dtype=np.intp)
+    offsets[1:] = np.cumsum(sizes)
+
+    # child j's diameter on clique c: the distance between its smallest
+    # and largest label is exact on one or two labels (0 on one); larger
+    # label sets go through the tree's memoised subset diameters
+    gamma = tree.metric().matrix[low, high].T           # cliques x k
+    at_most_two = per_clique(
+        np.logical_and, (labs == np.repeat(low, sizes, axis=1))
+        | (labs == np.repeat(high, sizes, axis=1)), offsets)
+    for j, c in zip(*np.nonzero(~at_most_two)):
+        gamma[c, j] = tree.hierarchical_pn_potts(
+            labs[j, offsets[c]:offsets[c + 1]])
+    gamma_max = tree.hierarchical_pn_potts(tree.cluster_labels(node))
+    return PnPottsInstance.from_arrays(
+        meta_unaries, offsets, members[kept_members], weights[keep], gamma,
+        np.full(sizes.size, gamma_max))
 
 
 def solve_hierarchical(model, tree):
@@ -135,9 +144,8 @@ def solve_hierarchical(model, tree):
             else:
                 instance = build_fusion_instance(model, tree, node, child_states)
                 choice, _ = alpha_expansion(instance)
-                lab = np.empty(n, dtype=np.intp)
-                for i in range(n):
-                    lab[i] = child_states[choice[i]].labeling[i]
+                lab = np.stack([st.labeling for st in child_states])[
+                    choice, np.arange(n)]
         states[node] = NodeState(node, lab, tree.cluster_labels(node))
 
     labeling = states[hst.ROOT].labeling
@@ -177,13 +185,15 @@ def solve_parsimonious(model, k=10, seed=0):
     candidates = []
     energies = []
     for tree in mixture:
-        lab, _ = solve_hierarchical(model, tree)
+        lab, tree_report = solve_hierarchical(model, tree)
         candidates.append(lab)
-        energies.append(model.evaluate_energy(lab))
+        energies.append(tree_report.energy)
     best = int(np.argmin(energies))
     labeling = candidates[best]
     energy = energies[best]
-    assert abs(energy - model.evaluate_energy(labeling)) <= 1e-9
+    if not abs(energy - model.evaluate_energy(labeling)) <= 1e-9:
+        raise SolverError("best candidate's energy does not match its "
+                          "labeling")
 
     bound1, bound2 = theorem_bounds(model, r=2.0)
     report = SolveReport(

@@ -74,6 +74,31 @@ def test_missing_field_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [("unary", float("nan")),
+                                         ("weight", float("inf"))])
+def test_non_finite_input_exits_2(tmp_path, capsys, field, value):
+    with open(TINY_PROBLEM) as f:
+        doc = json.load(f)
+    if field == "unary":
+        doc["unaries"][0] = value
+    else:
+        doc["cliques"][0]["weight"] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))               # writes NaN / Infinity
+    assert cli.main(["solve", str(bad)]) == cli.EXIT_INPUT
+    assert "finite" in capsys.readouterr().err
+
+
+def test_failed_energy_recheck_exits_1(monkeypatch, capsys):
+    """The energy rechecks are explicit, so they also run under python -O."""
+    from parsilab.model import EnergyModel
+    calls = iter(range(10 ** 6))
+    monkeypatch.setattr(EnergyModel, "evaluate_energy",
+                        lambda self, labeling: float(next(calls)))
+    assert cli.main(["solve", TINY_PROBLEM, "-k", "2"]) == cli.EXIT_SOLVER
+    assert "does not match" in capsys.readouterr().err
+
+
 def test_validate_problem_ok(capsys):
     assert cli.main(["validate", TINY_PROBLEM]) == cli.EXIT_OK
     assert "problem ok" in capsys.readouterr().out

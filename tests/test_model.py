@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_table_diversity
+from parsilab.hst import RHst
 from parsilab.model import (AXIOM_TOL, Clique, DiameterDiversity,
                             DiameterMetricSpec, DiversitySpec, EnergyModel,
                             ExplicitTableDiversity, InvalidInputError,
@@ -253,3 +254,24 @@ def test_save_load_roundtrip(tmp_path):
     save_model(model, path)
     back = load_model(path)
     assert back.evaluate_energy([0, 2]) == model.evaluate_energy([0, 2])
+
+
+def test_constructors_reject_non_finite_values():
+    nan, inf = float("nan"), float("inf")
+    spec = PnPottsSpec([0.0, 1.0], 2.0)
+    with pytest.raises(InvalidInputError):
+        EnergyModel([[0.0, nan]], [], spec)
+    with pytest.raises(InvalidInputError):
+        Clique([0, 1], inf)
+    with pytest.raises(InvalidInputError):
+        PnPottsSpec([0.0, nan], 2.0)
+    with pytest.raises(InvalidInputError):
+        PnPottsSpec([0.0, 1.0], inf)
+    with pytest.raises(InvalidInputError):
+        LabelMetric([[0.0, inf], [inf, 0.0]])
+    with pytest.raises(InvalidInputError):
+        LabelMetric.truncated_linear(3, nan, 2)
+    with pytest.raises(InvalidInputError):
+        ExplicitTableDiversity(2, [0.0, 0.0, 0.0, nan])
+    with pytest.raises(InvalidInputError):
+        RHst([-1, 0, 0], [nan, 0.0, 0.0], [None, 0, 1])
