@@ -9,7 +9,7 @@ from .model import (Clique, DiameterDiversity, DiameterMetricSpec,
                     DiversitySpec, EnergyModel, ExplicitTableDiversity,
                     InvalidInputError, LabelMetric, LabelSet, PnPottsSpec,
                     diameter_diversity, evaluate_energy, induced_metric,
-                    unique_labels, validate_diversity_axioms)
+                    validate_diversity_axioms)
 from .solver import (SolveReport, solve_hierarchical, solve_parsimonious,
                      theorem_bounds)
 
@@ -24,5 +24,5 @@ __all__ = [
     "diameter_diversity", "evaluate_energy", "frt_embed",
     "hierarchical_pn_potts", "induced_metric", "pn_potts_bound",
     "solve_hierarchical", "solve_parsimonious", "theorem_bounds",
-    "tree_metric", "unique_labels", "validate_diversity_axioms",
+    "tree_metric", "validate_diversity_axioms",
 ]

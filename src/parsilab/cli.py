@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 solver failure, 2 input error.
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import model as mdl
 from . import oracle, solver, tasks
-from .expansion import alpha_expansion
+from .expansion import alpha_expansion, pn_potts_bound
 from .hst import RHst
 from .model import (InvalidInputError, PnPottsSpec, SolverError,
                     validate_diversity_axioms)
@@ -37,11 +38,10 @@ def _solve_model(model, k, seed):
         instance = oracle.model_to_pn_potts_instance(model)
         labeling, _ = alpha_expansion(instance)
         energy = model.evaluate_energy(labeling)
-        bound1, bound2 = solver.theorem_bounds(model, r=2.0)
         report = solver.SolveReport(
             labeling=list(map(int, labeling)), energy=energy,
-            component_energies=[energy], bound_hierarchical=bound1,
-            bound_general=bound2, seed=seed, num_trees=0)
+            component_energies=[energy],
+            bound_expansion=pn_potts_bound(instance), seed=seed, num_trees=0)
         return labeling, report
     return solver.solve_parsimonious(model, k=k, seed=seed)
 
@@ -74,8 +74,10 @@ def cmd_solve(args):
             opt = oracle.exhaustive_minimize(model)
         except oracle.SizeError as e:
             return _fail(str(e))
-        bound = report.bound_general
-        limit = opt.unary_term + bound * opt.clique_term
+        # an infinite bound promises nothing, not even on a clique-free
+        # optimum, where inf * 0 would read nan
+        limit = (opt.unary_term + report.bound * opt.clique_term
+                 if math.isfinite(report.bound) else math.inf)
         ratio = report.energy / opt.energy if opt.energy != 0 else float("inf")
         print("oracle: E_alg=%.9g E_opt=%.9g ratio=%.6g bound_rhs=%.9g"
               % (report.energy, opt.energy, ratio, limit))

@@ -6,22 +6,16 @@ optimal expansion move for such an energy is a single min st-cut; the
 sweep over alpha labels then descends monotonically to a local minimum.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .maxflow import FlowNetwork
-from .model import InvalidInputError, require_finite
+from .model import (InvalidInputError, ordered_sum, per_clique,
+                    require_finite, uniform_label)
 
 ACCEPT_TOL = 1e-9
-
-
-def per_clique(ufunc, values, offsets):
-    """ufunc reduced over each clique's stretch of values' last axis, which
-    lists the members of every clique in CSR order (see PnPottsInstance)."""
-    if not values.shape[-1]:
-        return np.zeros(values.shape[:-1] + (offsets.size - 1,), values.dtype)
-    return ufunc.reduceat(values, offsets[:-1], axis=-1)
 
 
 class CliqueGamma:
@@ -165,27 +159,28 @@ class PnPottsInstance:
     def clique_gamma(self, labeling):
         """Per clique: gamma of its label if uniformly labeled, else
         gamma_max."""
-        labs = labeling[self.members]
-        low = per_clique(np.minimum, labs, self.offsets)
-        return np.where(low == per_clique(np.maximum, labs, self.offsets),
-                        self.gamma[self._rows, low], self.gamma_max)
+        uniform, low = uniform_label(labeling[self.members], self.offsets)
+        return np.where(uniform, self.gamma[self._rows, low], self.gamma_max)
 
     def evaluate(self, labeling):
         labeling = self.check_labeling(labeling)
         e = float(self.unaries[np.arange(self.num_variables), labeling].sum())
-        cost = self.weights * self.clique_gamma(labeling)
-        # a running sum adds the clique costs one by one in clique order,
-        # the same floating-point result as a loop over the cliques
-        return float(np.cumsum(np.concatenate(([e], cost)))[-1])
+        return ordered_sum(e, self.weights * self.clique_gamma(labeling))
 
 
 def best_expansion_move(instance, current, alpha):
     """Exact minimum over the move space {keep current label, switch to alpha}.
 
-    Per variable a binary node (source side = keep); per clique two
-    auxiliary nodes encode the three-valued cost: w*gamma_keep if every
-    non-alpha member keeps, w*gamma[alpha] if all switch, w*gamma_max
-    otherwise.  Cut cost equals move energy up to an additive constant.
+    Per variable a binary node (source side = keep).  A clique's movers
+    are its members not yet labeled alpha; it pays pay_keep unless every
+    mover keeps and pay_switch unless every mover switches.  With one
+    mover that is a unary cost; with two it is a submodular pairwise term,
+    one arc between the movers (Kolmogorov & Zabih, PAMI 2004).  A clique
+    with three or more movers gets the robust P^n gadget of Kohli,
+    Ladicky & Torr (IJCV 2009): two auxiliary nodes tied to its movers by
+    infinite arcs.  Cut cost equals move energy up to an additive
+    constant, and the cut read is the least optimal keep-set, so every
+    encoding gives the same move.
     """
     current = instance.check_labeling(current)
     if not 0 <= alpha < instance.num_labels:
@@ -204,32 +199,46 @@ def _move_network(instance, current, alpha):
     net = FlowNetwork()
     net.add_nodes(n)                      # variable i is node i
 
-    keep_cost = instance.unaries[np.arange(n), current]
-    switch_cost = instance.unaries[:, alpha]
-    base = np.minimum(keep_cost, switch_cost)  # offset keeps capacities >= 0
-    from_source = (switch_cost - base).tolist()
-    to_sink = (keep_cost - base).tolist()
-    for i in np.flatnonzero(keep_cost != switch_cost).tolist():
-        net.add_terminal_arc(i, from_source[i], to_sink[i])
-
-    # a clique's movers are its members not yet labeled alpha; a clique
-    # without movers (already uniformly alpha) or weight gets no gadget
+    # a clique without movers (already uniformly alpha) or weight costs
+    # the same in every move
     moving = current[instance.members] != alpha
-    movers = instance.members[moving].tolist()
+    movers = instance.members[moving]
     num_movers = per_clique(np.add, moving, instance.offsets)
     # what the clique pays if every mover keeps its label
     gamma_keep = instance.clique_gamma(current)
     pay_keep = instance.weights * (instance.gamma_max - gamma_keep)
     pay_switch = instance.weights * (instance.gamma_max
                                      - instance.gamma[:, alpha])
-    active = np.flatnonzero((num_movers > 0) & (instance.weights > 0))
-    inf = (net.infinite_capacity()
-           + sum((pay_keep[active] + pay_switch[active]).tolist()) + 1.0)
-
+    active = (num_movers > 0) & (instance.weights > 0)
     ends = np.cumsum(num_movers)
-    starts, ends = (ends - num_movers).tolist(), ends.tolist()
+    starts = ends - num_movers
+
+    # one or two movers i, j (i = j for one): pay_keep when i switches,
+    # pay_switch when j keeps, and both when exactly one of them switches,
+    # which the arc i -> j charges
+    small = np.flatnonzero(active & (num_movers <= 2))
+    first, last = movers[starts[small]], movers[ends[small] - 1]
+    keep_cost = instance.unaries[np.arange(n), current]
+    switch_cost = instance.unaries[:, alpha].copy()
+    np.add.at(switch_cost, first, pay_keep[small])
+    np.add.at(keep_cost, last, pay_switch[small])
+    base = np.minimum(keep_cost, switch_cost)  # offset keeps capacities >= 0
+    from_source = (switch_cost - base).tolist()
+    to_sink = (keep_cost - base).tolist()
+    for i in np.flatnonzero(keep_cost != switch_cost).tolist():
+        net.add_terminal_arc(i, from_source[i], to_sink[i])
+    pair = num_movers[small] == 2
+    for i, j, cap in zip(first[pair].tolist(), last[pair].tolist(),
+                         (pay_keep[small] + pay_switch[small])[pair].tolist()):
+        net.add_arc(i, j, cap)
+
+    gadgets = np.flatnonzero(active & (num_movers > 2))
+    inf = (net.infinite_capacity()
+           + sum((pay_keep[gadgets] + pay_switch[gadgets]).tolist()) + 1.0)
+    movers = movers.tolist()
+    starts, ends = starts.tolist(), ends.tolist()
     pay_keep, pay_switch = pay_keep.tolist(), pay_switch.tolist()
-    for c in active.tolist():
+    for c in gadgets.tolist():
         clique_movers = movers[starts[c]:ends[c]]
         if pay_keep[c] > 0:
             b = net.add_node()            # charged unless all movers keep
@@ -311,14 +320,17 @@ def alpha_expansion(instance, init=None):
 def pn_potts_bound(instance):
     """Multiplicative bound of the expansion sweep on this instance family.
 
-    lambda * min(M, H) where lambda is gamma_max / gamma_min (gamma_max if
-    gamma_min is zero), with the extrema taken across all weighted cliques.
+    lambda * min(M, H) where lambda is gamma_max / gamma_min, with the
+    extrema taken across all weighted cliques.  With gamma_min zero there
+    is no multiplicative guarantee, and the bound is infinite.
     """
     weighted = instance.weights > 0
     if not weighted.any():
         return 1.0
     gamma_min = float(instance.gamma[weighted].min())
     gamma_max = float(instance.gamma_max[weighted].max())
-    lam = gamma_max / gamma_min if gamma_min != 0 else gamma_max
+    if gamma_min == 0:
+        return math.inf
+    lam = gamma_max / gamma_min
     m = int(instance.sizes[weighted].max())
     return lam * min(m, instance.num_labels)

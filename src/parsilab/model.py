@@ -32,6 +32,28 @@ def require_finite(values, what):
         raise InvalidInputError("%s must be finite" % what)
 
 
+def per_clique(ufunc, values, offsets):
+    """ufunc reduced over each clique's stretch of values' last axis, which
+    lists the members of every clique in CSR order: clique c owns the
+    entries offsets[c]:offsets[c + 1]."""
+    if not values.shape[-1]:
+        return np.zeros(values.shape[:-1] + (offsets.size - 1,), values.dtype)
+    return ufunc.reduceat(values, offsets[:-1], axis=-1)
+
+
+def uniform_label(labs, offsets):
+    """Per clique, whether its members' labels (labs, in CSR order) are all
+    equal, and its smallest label, which is that label when they are."""
+    low = per_clique(np.minimum, labs, offsets)
+    return low == per_clique(np.maximum, labs, offsets), low
+
+
+def ordered_sum(start, costs):
+    """start plus the costs added one by one in order: the same
+    floating-point result as a loop, unlike the pairwise sum of np.sum."""
+    return float(np.cumsum(np.concatenate(([start], costs)))[-1])
+
+
 class LabelSet:
     """A dense, contiguous label index set 0..size-1."""
 
@@ -144,6 +166,14 @@ class Diversity:
     def value(self, subset):
         raise NotImplementedError
 
+    def clique_values(self, labs, offsets):
+        """The value of each clique's label set, where labs holds the
+        members' labels in CSR order (see per_clique)."""
+        bounds = offsets.tolist()
+        return np.array([self.value(tuple(sorted(set(labs[a:b].tolist()))))
+                         for a, b in zip(bounds[:-1], bounds[1:])],
+                        dtype=float)
+
     def induced_metric(self):
         """The pairwise restriction d(l_i, l_j) = delta({l_i, l_j})."""
         h = self.num_labels
@@ -172,6 +202,37 @@ class DiameterDiversity(Diversity):
         if idx.size == 1:
             return 0.0
         return float(self.metric.matrix[np.ix_(idx, idx)].max())
+
+    # label x member entries of one block of cliques in clique_values
+    block_entries = 1 << 20
+
+    def clique_values(self, labs, offsets):
+        # cliques go in blocks of at most block_entries // H members (one
+        # larger clique goes alone), so the temporaries stay bounded
+        cap = max(1, self.block_entries // self.num_labels)
+        values, c, count = [], 0, offsets.size - 1
+        while c < count:
+            stop = max(c + 1, int(np.searchsorted(
+                offsets, offsets[c] + cap, side="right")) - 1)
+            a, b = offsets[c], offsets[stop]
+            values.append(self._block_values(labs[a:b],
+                                             offsets[c:stop + 1] - a))
+            c = stop
+        return np.concatenate(values) if values else np.zeros(0)
+
+    def _block_values(self, labs, offsets):
+        sizes = np.diff(offsets)
+        clique_of = np.repeat(np.arange(sizes.size), sizes)
+        present = np.zeros((self.num_labels, sizes.size), dtype=bool)
+        present[labs, clique_of] = True
+        # per member: its largest distance to a label of its clique, which
+        # takes O(H x members) memory rather than O(H^2 x cliques); labels
+        # run along the first axis, so the max is taken across long rows
+        reach = np.where(np.take(present, clique_of, axis=1),
+                         np.take(self.metric.matrix, labs, axis=1),
+                         -np.inf).max(axis=0)
+        return np.where(present.sum(axis=0) == 1, 0.0,
+                        per_clique(np.maximum, reach, offsets))
 
     def induced_metric(self):
         # diameter of a pair is its distance
@@ -214,6 +275,9 @@ class ExplicitTableDiversity(Diversity):
         if mask == 0:
             raise InvalidInputError("diversity of the empty set is undefined")
         return float(self.table[mask])
+
+    def clique_values(self, labs, offsets):
+        return self.table[per_clique(np.bitwise_or, 1 << labs, offsets)]
 
 
 def diameter_diversity(metric, subset):
@@ -309,6 +373,12 @@ class PnPottsSpec:
             return float(self.gamma[next(iter(subset))])
         return self.gamma_max
 
+    def clique_values(self, labs, offsets):
+        """Per clique, gamma of its label if uniformly labeled, else
+        gamma_max (labs in CSR order, see per_clique)."""
+        uniform, low = uniform_label(labs, offsets)
+        return np.where(uniform, self.gamma[low], self.gamma_max)
+
 
 class DiversitySpec:
     """Clique potential: the diversity of the unique clique labels."""
@@ -324,6 +394,9 @@ class DiversitySpec:
 
     def subset_value(self, subset):
         return self.diversity.value(subset)
+
+    def clique_values(self, labs, offsets):
+        return self.diversity.clique_values(labs, offsets)
 
 
 class DiameterMetricSpec(DiversitySpec):
@@ -421,22 +494,12 @@ class EnergyModel:
 
     def clique_energy(self, labeling):
         labeling = self.check_labeling(labeling)
-        total = 0.0
-        for c in self.cliques:
-            if c.weight == 0.0:
-                continue
-            total += c.weight * self.potential.subset_value(
-                unique_labels(labeling, c))
-        return total
+        offsets, members, weights = self.clique_arrays
+        return ordered_sum(0.0, weights * self.potential.clique_values(
+            labeling[members], offsets))
 
     def evaluate_energy(self, labeling):
         return self.unary_energy(labeling) + self.clique_energy(labeling)
-
-
-def unique_labels(labeling, clique):
-    """The sorted set of unique labels the labeling assigns to a clique."""
-    labeling = np.asarray(labeling)
-    return tuple(sorted(set(int(l) for l in labeling[clique.members_arr])))
 
 
 def evaluate_energy(model, labeling):

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hst
-from .expansion import PnPottsInstance, alpha_expansion, per_clique
+from .expansion import PnPottsInstance, alpha_expansion
 from .model import (DiameterMetricSpec, DiversitySpec, InvalidInputError,
-                    SolverError)
+                    SolverError, per_clique)
 
 
 @dataclass
@@ -26,31 +26,45 @@ class NodeState:
     """Labeling associated with one tree node during the bottom-up pass."""
     node: int
     labeling: np.ndarray
-    cluster: tuple
 
 
 @dataclass
 class SolveReport:
+    """A solve's result with the a-priori bounds of the solver that ran:
+    bound_expansion for a single alpha-expansion (expansion.pn_potts_bound),
+    otherwise the tree solvers' bounds (theorem_bounds)."""
     labeling: list
     energy: float
     component_energies: list
-    bound_hierarchical: float
-    bound_general: float
+    bound_hierarchical: float = None
+    bound_general: float = None
+    bound_expansion: float = None
     seed: object = None
     num_trees: int = 1
     log_base: str = "natural"
     timings: dict = field(default_factory=dict)
 
+    @property
+    def bound(self):
+        """The multiplicative bound that covers the whole solve."""
+        if self.bound_expansion is not None:
+            return self.bound_expansion
+        return self.bound_general
+
     def to_json(self, include_timings=True):
+        if self.bound_expansion is not None:
+            # null when the expansion has no multiplicative guarantee
+            bounds = {"expansion": self.bound_expansion
+                      if math.isfinite(self.bound_expansion) else None}
+        else:
+            bounds = {"hierarchical": self.bound_hierarchical,
+                      "general_diversity": self.bound_general,
+                      "log_base": self.log_base}
         doc = {
             "energy": self.energy,
             "labeling": [int(x) for x in self.labeling],
             "component_energies": self.component_energies,
-            "bounds": {
-                "hierarchical": self.bound_hierarchical,
-                "general_diversity": self.bound_general,
-                "log_base": self.log_base,
-            },
+            "bounds": bounds,
             "seed": self.seed,
             "num_trees": self.num_trees,
         }
@@ -146,7 +160,7 @@ def solve_hierarchical(model, tree):
                 choice, _ = alpha_expansion(instance)
                 lab = np.stack([st.labeling for st in child_states])[
                     choice, np.arange(n)]
-        states[node] = NodeState(node, lab, tree.cluster_labels(node))
+        states[node] = NodeState(node, lab)
 
     labeling = states[hst.ROOT].labeling
     energy = model.evaluate_energy(labeling)

@@ -12,6 +12,24 @@ from parsilab.hst import ROOT
 from parsilab.maxflow import FlowNetwork
 
 
+def unique_labels(labeling, clique):
+    """The sorted set of unique labels the labeling assigns to a clique."""
+    labeling = np.asarray(labeling)
+    return tuple(sorted(set(int(l) for l in labeling[clique.members_arr])))
+
+
+def evaluate_energy(model, labeling):
+    """EnergyModel.evaluate_energy with the clique term as a loop over the
+    cliques."""
+    total = 0.0
+    for c in model.cliques:
+        if c.weight == 0.0:
+            continue
+        total += c.weight * model.potential.subset_value(
+            unique_labels(labeling, c))
+    return model.unary_energy(labeling) + total
+
+
 def evaluate(instance, labeling):
     """PnPottsInstance.evaluate as a loop over the cliques."""
     labeling = instance.check_labeling(labeling)

@@ -3,11 +3,16 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from parsilab import cli
+from parsilab.model import (Clique, EnergyModel, PnPottsSpec, load_model,
+                            save_model)
+from parsilab.oracle import exhaustive_minimize
+from parsilab.solver import theorem_bounds
 from parsilab.tasks import write_raster
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -50,6 +55,49 @@ def test_solve_timings_flag(tmp_path):
     report = tmp_path / "t.json"
     cli.main(["solve", TINY_PROBLEM, "--report", str(report), "--timings"])
     assert "timings" in json.loads(report.read_text())
+
+
+def test_report_carries_the_bound_of_the_solver_that_ran(tmp_path, capsys):
+    """A consistency-cost solve is one alpha-expansion, covered by
+    lambda * min(M, H); a diversity solve runs the tree mixture, covered by
+    the hierarchical and general-diversity bounds.  --oracle checks the
+    bound that covers the solve."""
+    problem, report = tmp_path / "pn.json", tmp_path / "report.json"
+    model = EnergyModel(
+        np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 1.0, 0.0],
+                  [0.5, 0.5, 0.5]]),
+        [Clique([0, 1, 2], 1.0), Clique([2, 3], 2.0)],
+        PnPottsSpec([0.5, 1.0, 0.2], 2.0))
+    save_model(model, problem)
+    assert cli.main(["solve", str(problem), "--oracle",
+                     "--report", str(report)]) == cli.EXIT_OK
+    # lambda = 2.0 / 0.2, M = H = 3
+    assert json.loads(report.read_text())["bounds"] == {"expansion": 30.0}
+    opt = exhaustive_minimize(model)
+    assert "bound_rhs=%.9g" % (opt.unary_term + 30.0 * opt.clique_term) \
+        in capsys.readouterr().out
+
+    assert cli.main(["solve", TINY_PROBLEM, "--report",
+                     str(report)]) == cli.EXIT_OK
+    hierarchical, general = theorem_bounds(load_model(TINY_PROBLEM))
+    assert json.loads(report.read_text())["bounds"] == {
+        "hierarchical": hierarchical, "general_diversity": general,
+        "log_base": "natural"}
+
+
+def test_oracle_without_a_finite_expansion_bound(tmp_path, capsys):
+    """With a zero gamma the expansion has no multiplicative bound: the
+    report says null and --oracle has nothing to check, whatever the
+    scale of the costs."""
+    problem, report = tmp_path / "pn.json", tmp_path / "report.json"
+    model = EnergyModel(np.array([[0.0, 1.0], [1.0, 0.0]]),
+                        [Clique([0, 1], 1.0)], PnPottsSpec([0.0, 0.0], 0.1))
+    save_model(model, problem)
+    assert cli.main(["solve", str(problem), "--oracle",
+                     "--report", str(report)]) == cli.EXIT_OK
+    assert json.loads(report.read_text())["bounds"] == {"expansion": None}
+    out = capsys.readouterr().out
+    assert "E_alg=0.1 E_opt=0.1" in out and "bound_rhs=inf" in out
 
 
 def test_solve_writes_labeling(tmp_path):
@@ -105,7 +153,7 @@ def test_validate_problem_ok(capsys):
 
 
 def test_validate_flags_bad_diversity(tmp_path, capsys):
-    doc = json.loads(open(TINY_PROBLEM).read())
+    doc = json.loads(Path(TINY_PROBLEM).read_text())
     # break monotonicity: the full-set value drops below a pair value
     doc["potential"]["entries"][-1]["value"] = 0.001
     bad = tmp_path / "bad_div.json"

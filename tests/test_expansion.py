@@ -1,11 +1,16 @@
 """Expansion moves and the sweep solver for consistency-cost instances."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import reference
 from conftest import random_pn_instance, random_pn_potts_model
+from parsilab import expansion
 from parsilab.expansion import (CliqueGamma, PnPottsInstance, alpha_expansion,
                                 best_expansion_move, pn_potts_bound)
+from parsilab.maxflow import FlowNetwork
 from parsilab.model import InvalidInputError
 from parsilab.oracle import (exhaustive_expansion_move, exhaustive_minimize,
                              model_to_pn_potts_instance)
@@ -44,6 +49,47 @@ def test_move_matches_oracle_on_random_instances():
         # the move never relabels a variable that already holds alpha
         keep = np.asarray(current) == alpha
         np.testing.assert_array_equal(move[keep], np.asarray(current)[keep])
+
+
+def _move_network_shape(inst, current, alpha):
+    """(nodes, add_arc calls, add_terminal_arc arguments) of one move's
+    network; the move itself must match the reference build, which gives
+    every clique a gadget."""
+    with mock.patch.object(FlowNetwork, "add_arc", autospec=True,
+                           side_effect=FlowNetwork.add_arc) as arc, \
+            mock.patch.object(FlowNetwork, "add_terminal_arc", autospec=True,
+                              side_effect=FlowNetwork.add_terminal_arc) as term:
+        net = expansion._move_network(inst, np.asarray(current), alpha)
+    np.testing.assert_array_equal(
+        best_expansion_move(inst, current, alpha),
+        reference.best_expansion_move(inst, current, alpha))
+    return (net.num_nodes, arc.call_count,
+            [c.args[1:] for c in term.call_args_list])
+
+
+def test_two_mover_cliques_become_one_arc_each():
+    n = 6
+    unaries = np.tile([0.0, 0.4], (n, 1))
+    unaries[::2] = [0.4, 0.0]
+    chain = [CliqueGamma([i, i + 1], [0.5, 1.0], 2.0, 1.0)
+             for i in range(n - 1)]
+    inst = PnPottsInstance(unaries, chain)
+    assert _move_network_shape(inst, [0] * n, 1)[:2] == (n, n - 1)
+
+
+def test_one_mover_clique_adds_only_terminal_capacity():
+    inst = PnPottsInstance(np.zeros((3, 2)),
+                           [CliqueGamma([0, 1, 2], [0.5, 1.0], 2.0, 1.0)])
+    # the clique is mixed, so its one mover, variable 1, pays nothing to
+    # switch and gamma_max - gamma[alpha] = 1 to keep
+    assert _move_network_shape(inst, [1, 0, 1], 1) == (3, 0, [(1, 0.0, 1.0)])
+
+
+def test_three_mover_clique_keeps_its_gadget():
+    inst = PnPottsInstance(np.zeros((4, 2)),
+                           [CliqueGamma([0, 1, 2], [0.5, 1.0], 2.0, 1.0)])
+    # two auxiliary nodes, each tied to the three movers by an arc
+    assert _move_network_shape(inst, [0, 0, 0, 0], 1)[:2] == (4 + 2, 6)
 
 
 def test_alpha_out_of_range():
@@ -103,6 +149,14 @@ def test_bound_clique_size_factor():
     clique = CliqueGamma([0, 1], [1.0] * 20, 3.0, 1.0)
     # min(M, H) = 2, lambda = 3
     assert pn_potts_bound(PnPottsInstance(unaries, [clique])) == 6.0
+
+
+def test_bound_is_infinite_when_some_gamma_is_zero():
+    # lambda = gamma_max / gamma_min has no finite value; a finite stand-in
+    # would depend on the scale of the costs
+    unaries = np.zeros((2, 2))
+    clique = CliqueGamma([0, 1], [0.0, 1.0], 3.0, 1.0)
+    assert pn_potts_bound(PnPottsInstance(unaries, [clique])) == np.inf
 
 
 def test_bound_without_weighted_cliques():

@@ -15,8 +15,9 @@ import reference
 from parsilab import expansion, hst
 from parsilab.expansion import (CliqueGamma, PnPottsInstance, alpha_expansion,
                                 best_expansion_move)
-from parsilab.model import (Clique, DiameterMetricSpec, EnergyModel,
-                            LabelMetric)
+from parsilab.model import (Clique, DiameterMetricSpec, Diversity,
+                            DiversitySpec, EnergyModel, ExplicitTableDiversity,
+                            LabelMetric, PnPottsSpec)
 from parsilab.oracle import exhaustive_expansion_move
 from parsilab.solver import NodeState, build_fusion_instance
 from parsilab.tasks import random_rhst
@@ -31,15 +32,19 @@ weights = st.sampled_from([0.0, 0.5, 1.0, 2.0]) \
 
 
 @st.composite
-def pn_instances(draw, labels=None, max_vars=7):
-    n = draw(st.integers(1, max_vars))
+def pn_instances(draw, labels=None, max_vars=7, clique_size=None):
+    """Random consistency-cost instances; clique_size fixes the number of
+    members of every clique."""
+    n = draw(st.integers(clique_size or 1, max_vars))
     h = labels or draw(st.integers(2, 4))
     unaries = np.reshape(draw(st.lists(costs, min_size=n * h,
                                        max_size=n * h)), (n, h))
     cliques = []
     for _ in range(draw(st.integers(0, 4))):
-        members = draw(st.lists(st.integers(0, n - 1), min_size=1,
-                                max_size=min(n, 4), unique=True))
+        members = draw(st.lists(st.integers(0, n - 1),
+                                min_size=clique_size or 1,
+                                max_size=clique_size or min(n, 4),
+                                unique=True))
         gamma = draw(st.lists(costs, min_size=h, max_size=h))
         gap = draw(st.sampled_from([0.1, 0.5, 1.0, 3.0]))
         cliques.append(CliqueGamma(members, gamma, max(gamma) + gap,
@@ -70,6 +75,85 @@ def test_move_matches_clique_by_clique_build(data):
     np.testing.assert_array_equal(
         best_expansion_move(inst, current, alpha),
         reference.best_expansion_move(inst, current, alpha))
+
+
+@SETTINGS
+@given(st.data())
+def test_pairwise_move_matches_gadget_build_and_enumeration(data):
+    """With two-member cliques no clique of a move has more than two
+    movers, so the move network holds only unaries and pairwise arcs."""
+    inst = data.draw(pn_instances(clique_size=2))
+    current = data.draw(labelings(inst))
+    alpha = data.draw(st.integers(0, inst.num_labels - 1))
+    move = best_expansion_move(inst, current, alpha)
+    np.testing.assert_array_equal(
+        move, reference.best_expansion_move(inst, current, alpha))
+    best = exhaustive_expansion_move(inst, current, alpha)
+    assert abs(inst.evaluate(move) - inst.evaluate(best)) <= 1e-9
+
+
+class _LoopedDiameter(Diversity):
+    """A diversity without its own clique_values, so the energy takes the
+    per-clique loop."""
+
+    def __init__(self, metric):
+        self.metric = metric
+        self.num_labels = metric.num_labels
+
+    def value(self, subset):
+        return max(self.metric(a, b) for a in subset for b in subset)
+
+
+@st.composite
+def energy_models(draw, kinds=("pn_potts", "table", "diameter", "loop")):
+    n = draw(st.integers(1, 7))
+    h = draw(st.integers(1, 5))
+    unaries = np.reshape(draw(st.lists(costs, min_size=n * h,
+                                       max_size=n * h)), (n, h))
+    cliques = [Clique(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                    max_size=n, unique=True)),
+                      draw(weights))
+               for _ in range(draw(st.integers(0, 5)))]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "pn_potts":
+        gamma = draw(st.lists(costs, min_size=h, max_size=h))
+        potential = PnPottsSpec(gamma, max(gamma) + draw(
+            st.sampled_from([0.1, 1.0]) | st.floats(0.01, 3.0)))
+    elif kind == "table":
+        table = draw(st.lists(costs, min_size=1 << h, max_size=1 << h))
+        potential = DiversitySpec(ExplicitTableDiversity(h, table))
+    else:
+        # any symmetric non-negative matrix: evaluation does not rely on
+        # the metric axioms
+        upper = np.triu(np.reshape(draw(st.lists(
+            costs, min_size=h * h, max_size=h * h)), (h, h)))
+        metric = LabelMetric(upper + upper.T, validate=False)
+        potential = DiameterMetricSpec(metric) if kind == "diameter" \
+            else DiversitySpec(_LoopedDiameter(metric))
+    return EnergyModel(unaries, cliques, potential)
+
+
+@SETTINGS
+@given(st.data())
+def test_energy_model_evaluate_matches_clique_loop(data):
+    model = data.draw(energy_models())
+    labeling = data.draw(labelings(model))
+    assert model.evaluate_energy(labeling) == \
+        reference.evaluate_energy(model, labeling)
+
+
+@SETTINGS
+@given(st.data())
+def test_diameter_energy_in_blocks_matches_clique_loop(data):
+    """Blocks of at most 1, 2, 3 or 5 members: the cliques span several
+    blocks, and a clique larger than a block goes alone."""
+    model = data.draw(energy_models(kinds=("diameter",)))
+    diversity = model.potential.diversity
+    diversity.block_entries = diversity.num_labels * data.draw(
+        st.sampled_from([1, 2, 3, 5]))
+    labeling = data.draw(labelings(model))
+    assert model.evaluate_energy(labeling) == \
+        reference.evaluate_energy(model, labeling)
 
 
 @SETTINGS
@@ -133,8 +217,7 @@ def test_fusion_instance_matches_clique_loop(data):
         cluster = tree.cluster_labels(child)
         labeling = data.draw(st.lists(st.sampled_from(cluster), min_size=n,
                                       max_size=n))
-        children.append(NodeState(child, np.array(labeling, dtype=np.intp),
-                                  cluster))
+        children.append(NodeState(child, np.array(labeling, dtype=np.intp)))
     fast = build_fusion_instance(model, tree, node, children)
     slow = reference.build_fusion_instance(model, tree, node, children)
     for name in ("unaries", "offsets", "members", "weights", "gamma",

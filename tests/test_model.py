@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import random_table_diversity
+from reference import unique_labels
 from parsilab.hst import RHst
 from parsilab.model import (AXIOM_TOL, Clique, DiameterDiversity,
                             DiameterMetricSpec, DiversitySpec, EnergyModel,
                             ExplicitTableDiversity, InvalidInputError,
                             LabelMetric, LabelSet, PnPottsSpec,
                             diameter_diversity, load_model, model_from_json,
-                            model_to_json, save_model, unique_labels,
+                            model_to_json, save_model,
                             validate_diversity_axioms)
 
 

@@ -71,8 +71,8 @@ def test_fusion_meta_potentials(reference_tree):
     unaries = rng.uniform(0, 1, size=(n, 4))
     model = EnergyModel(unaries, [Clique(range(n), 1.0)],
                         DiameterMetricSpec(reference_tree.metric()))
-    child1 = NodeState(1, np.zeros(n, dtype=np.intp), (0, 1))
-    child2 = NodeState(2, np.array([2, 3, 2, 3], dtype=np.intp), (2, 3))
+    child1 = NodeState(1, np.zeros(n, dtype=np.intp))
+    child2 = NodeState(2, np.array([2, 3, 2, 3], dtype=np.intp))
     inst = build_fusion_instance(model, reference_tree, 0, [child1, child2])
     clique = inst.cliques[0]
     np.testing.assert_allclose(clique.gamma, [0.0, 6.0])
@@ -88,8 +88,8 @@ def test_fusion_drops_undecidable_cliques(reference_tree):
     model = EnergyModel(np.zeros((n, 4)), [Clique([0, 1], 1.0)],
                         DiameterMetricSpec(reference_tree.metric()))
     same = np.array([1, 1], dtype=np.intp)
-    child1 = NodeState(1, same, (0, 1))
-    child2 = NodeState(2, same.copy(), (2, 3))
+    child1 = NodeState(1, same)
+    child2 = NodeState(2, same.copy())
     inst = build_fusion_instance(model, reference_tree, 0, [child1, child2])
     assert inst.cliques == ()
 
@@ -110,8 +110,8 @@ def test_star_tree_reduces_to_one_expansion():
     labeling, report = solve_hierarchical(model, tree)
     inst = build_fusion_instance(
         model, tree, 0,
-        [NodeState(v, np.full(n, tree.leaf_label[v], dtype=np.intp),
-                   (tree.leaf_label[v],)) for v in range(1, h + 1)])
+        [NodeState(v, np.full(n, tree.leaf_label[v], dtype=np.intp))
+         for v in range(1, h + 1)])
     direct, _ = alpha_expansion(inst)
     assert report.energy == pytest.approx(model.evaluate_energy(direct))
     assert report.energy == pytest.approx(model.evaluate_energy(labeling))
