@@ -15,10 +15,8 @@ import numpy as np
 
 from . import model as mdl
 from . import oracle, solver, tasks
-from .expansion import alpha_expansion, pn_potts_bound
 from .hst import RHst
-from .model import (InvalidInputError, PnPottsSpec, SolverError,
-                    validate_diversity_axioms)
+from .model import InvalidInputError, SolverError, validate_diversity_axioms
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -31,19 +29,6 @@ CSV_SCHEMA_VERSION = 1
 def _fail(msg, code=EXIT_INPUT):
     print("error: %s" % msg, file=sys.stderr)
     return code
-
-
-def _solve_model(model, k, seed):
-    if isinstance(model.potential, PnPottsSpec):
-        instance = oracle.model_to_pn_potts_instance(model)
-        labeling, _ = alpha_expansion(instance)
-        energy = model.evaluate_energy(labeling)
-        report = solver.SolveReport(
-            labeling=list(map(int, labeling)), energy=energy,
-            component_energies=[energy],
-            bound_expansion=pn_potts_bound(instance), seed=seed, num_trees=0)
-        return labeling, report
-    return solver.solve_parsimonious(model, k=k, seed=seed)
 
 
 def _write_report(report, model, path, include_timings):
@@ -62,18 +47,10 @@ def cmd_solve(args):
         model = mdl.load_model(args.problem)
     except (OSError, ValueError, KeyError) as e:
         return _fail("cannot read problem file: %s" % e)
-    try:
-        labeling, report = _solve_model(model, args.trees, args.seed)
-    except InvalidInputError as e:
-        return _fail(str(e))
-    except Exception as e:                          # noqa: BLE001
-        return _fail("solver failure: %s" % e, EXIT_SOLVER)
+    labeling, report = solver.solve(model, args.trees, args.seed)
 
     if args.oracle:
-        try:
-            opt = oracle.exhaustive_minimize(model)
-        except oracle.SizeError as e:
-            return _fail(str(e))
+        opt = oracle.exhaustive_minimize(model)
         # an infinite bound promises nothing, not even on a clique-free
         # optimum, where inf * 0 would read nan
         limit = (opt.unary_term + report.bound * opt.clique_term
@@ -101,8 +78,7 @@ def cmd_synth_bench(args):
                               lam=1.0, truncation=args.truncation)
         model = tasks.generate_synthetic(spec)
         t0 = time.perf_counter()
-        labeling, report = solver.solve_parsimonious(model, k=args.trees,
-                                                     seed=args.seed)
+        labeling, report = solver.solve(model, args.trees, args.seed)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         rows.append({"schema_version": CSV_SCHEMA_VERSION, "w_c": wc,
                      "energy": report.energy, "time_ms": elapsed_ms,
@@ -123,7 +99,7 @@ def _load_superpixels(path):
         return None
     try:
         return tasks.read_raster(path).astype(np.int64)
-    except (OSError, InvalidInputError) as e:
+    except (OSError, ValueError) as e:
         print("warning: superpixel map unusable (%s); using block partition"
               % e, file=sys.stderr)
         return None
@@ -133,7 +109,7 @@ def cmd_stereo(args):
     try:
         left = tasks.read_raster(args.left)
         right = tasks.read_raster(args.right)
-    except (OSError, InvalidInputError) as e:
+    except (OSError, ValueError) as e:
         return _fail("cannot read images: %s" % e)
     task = tasks.ImageTask(
         kind="stereo", left=left, right=right,
@@ -142,12 +118,8 @@ def cmd_stereo(args):
         sigma=args.sigma, unary_truncation=args.unary_truncation,
         grad_threshold=args.grad_threshold, w_low=args.w_low,
         w_high=args.w_high, superpixel_block=args.block)
-    try:
-        model = tasks.build_stereo(task)
-        labeling, report = solver.solve_parsimonious(model, k=args.trees,
-                                                     seed=args.seed)
-    except InvalidInputError as e:
-        return _fail(str(e))
+    model = tasks.build_stereo(task)
+    labeling, report = solver.solve(model, args.trees, args.seed)
     height, width = left.shape[:2]
     tasks.write_raster(args.out, tasks.labeling_to_raster(
         labeling, height, width, args.labels))
@@ -160,7 +132,7 @@ def cmd_stereo(args):
 def cmd_inpaint(args):
     try:
         image = tasks.read_raster(args.image)
-    except (OSError, InvalidInputError) as e:
+    except (OSError, ValueError) as e:
         return _fail("cannot read image: %s" % e)
     if image.ndim != 2:
         return _fail("inpainting expects a grayscale (PGM) image")
@@ -168,19 +140,15 @@ def cmd_inpaint(args):
     if args.mask:
         try:
             mask = tasks.read_raster(args.mask) > 0
-        except (OSError, InvalidInputError) as e:
+        except (OSError, ValueError) as e:
             return _fail("cannot read mask: %s" % e)
     task = tasks.ImageTask(
         kind="inpaint", image=image, mask=mask,
         superpixels=_load_superpixels(args.superpixels),
         num_labels=args.labels, lam=args.lam, truncation=args.truncation,
         sigma=args.sigma, superpixel_block=args.block)
-    try:
-        model = tasks.build_inpaint(task)
-        labeling, report = solver.solve_parsimonious(model, k=args.trees,
-                                                     seed=args.seed)
-    except InvalidInputError as e:
-        return _fail(str(e))
+    model = tasks.build_inpaint(task)
+    labeling, report = solver.solve(model, args.trees, args.seed)
     height, width = image.shape
     tasks.write_raster(args.out, tasks.labeling_to_raster(
         labeling, height, width, args.labels))
@@ -199,19 +167,21 @@ def cmd_validate(args):
     if "nodes" in doc:
         try:
             tree = RHst.from_json(doc)
-        except (InvalidInputError, KeyError) as e:
+        except (KeyError, ValueError) as e:
             return _fail("tree invalid: %s" % e)
         print("tree ok: %d nodes, %d labels, r=%g"
               % (tree.num_nodes, tree.num_labels, tree.r))
         return EXIT_OK
     try:
         model = mdl.model_from_json(doc)
-    except (InvalidInputError, KeyError, ValueError) as e:
+    except (KeyError, ValueError) as e:
         return _fail("problem invalid: %s" % e)
-    potential = model.potential
-    if isinstance(potential, mdl.DiversitySpec):
-        report = validate_diversity_axioms(potential.diversity,
-                                           model.num_labels)
+    # a metric is checked when it is built (or is one by construction), and
+    # its diameter is always a diversity, so only explicit tables (at most
+    # MAX_TABLE_LABELS labels) need the axiom check
+    diversity = getattr(model.potential, "diversity", None)
+    if isinstance(diversity, mdl.ExplicitTableDiversity):
+        report = validate_diversity_axioms(diversity, model.num_labels)
         if report:
             for axiom, witness in report[:20]:
                 print("violation: %s at %r" % (axiom, witness))
@@ -304,6 +274,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except InvalidInputError as e:
+        return _fail(str(e))
     except SolverError as e:            # a failed runtime self-check
         return _fail("solver failure: %s" % e, EXIT_SOLVER)
 

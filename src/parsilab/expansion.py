@@ -6,39 +6,26 @@ optimal expansion move for such an energy is a single min st-cut; the
 sweep over alpha labels then descends monotonically to a local minimum.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .maxflow import FlowNetwork
-from .model import (InvalidInputError, ordered_sum, per_clique,
-                    require_finite, uniform_label)
+from .model import (InvalidInputError, check_labeling, ordered_sum,
+                    per_clique, require_finite, uniform_label)
 
 ACCEPT_TOL = 1e-9
 
 
-class CliqueGamma:
-    """One clique of a consistency-cost instance: per-label cost table."""
-
-    def __init__(self, members, gamma, gamma_max, weight):
-        members = tuple(int(m) for m in members)
-        if not members or len(set(members)) != len(members):
-            raise InvalidInputError("clique members must be non-empty, distinct")
-        self.members = members
-        self.members_arr = np.asarray(members, dtype=np.intp)
-        self.gamma = np.asarray(gamma, dtype=float)
-        self.gamma_max = float(gamma_max)
-        self.weight = float(weight)
-        require_finite(self.gamma, "gamma values")
-        require_finite([self.gamma_max, self.weight], "gamma_max and weight")
-        if self.weight < 0:
-            raise InvalidInputError("clique weight must be non-negative")
-        if np.any(self.gamma < 0) or self.gamma_max < 0:
-            raise InvalidInputError("gamma values must be non-negative")
-        if self.weight > 0 and np.any(self.gamma >= self.gamma_max):
-            raise InvalidInputError(
-                "gamma_max must strictly exceed every gamma[k] when weighted")
+class CliqueGamma(NamedTuple):
+    """One clique of a consistency-cost instance (see PnPottsInstance)."""
+    members: np.ndarray
+    gamma: np.ndarray
+    gamma_max: float
+    weight: float
 
 
 class PnPottsInstance:
@@ -46,44 +33,13 @@ class PnPottsInstance:
 
     The cliques are held as CSR arrays: clique c has the members
     members[offsets[c]:offsets[c + 1]], weight weights[c], per-label cost
-    table gamma[c] and disagreement cost gamma_max[c].  Energy evaluation
-    and move construction work on these arrays; ``cliques`` gives the
-    same cliques as CliqueGamma objects.
+    table gamma[c] and disagreement cost gamma_max[c].  gamma may also be
+    one table shared by every clique.  Energy evaluation and move
+    construction work on these arrays; ``cliques`` lists the same cliques
+    as CliqueGamma records.
     """
 
-    def __init__(self, unaries, cliques):
-        cliques = tuple(cliques)
-        unaries = np.asarray(unaries, dtype=float)
-        if unaries.ndim != 2:
-            raise InvalidInputError("unaries must be N x H")
-        h = unaries.shape[1]
-        if any(c.gamma.shape != (h,) for c in cliques):
-            raise InvalidInputError("clique gamma table must have H entries")
-        offsets = np.zeros(len(cliques) + 1, dtype=np.intp)
-        offsets[1:] = np.cumsum([len(c.members) for c in cliques],
-                                dtype=np.intp)
-        self._set_arrays(
-            unaries, offsets,
-            np.concatenate([c.members_arr for c in cliques]
-                           or [np.zeros(0, np.intp)]),
-            [c.weight for c in cliques],
-            np.reshape([c.gamma for c in cliques], (len(cliques), h)),
-            [c.gamma_max for c in cliques])
-        self._cliques = cliques
-
-    @classmethod
-    def from_arrays(cls, unaries, offsets, members, weights, gamma,
-                    gamma_max):
-        """An instance straight from CSR clique arrays (see the class
-        docstring).  gamma may also be one table shared by every clique."""
-        instance = cls.__new__(cls)
-        instance._set_arrays(unaries, offsets, members, weights, gamma,
-                             gamma_max)
-        instance._cliques = None
-        return instance
-
-    def _set_arrays(self, unaries, offsets, members, weights, gamma,
-                    gamma_max):
+    def __init__(self, unaries, offsets, members, weights, gamma, gamma_max):
         unaries = np.asarray(unaries, dtype=float)
         if unaries.ndim != 2:
             raise InvalidInputError("unaries must be N x H")
@@ -132,29 +88,13 @@ class PnPottsInstance:
         self.sizes = sizes
         self._rows = np.arange(count)
 
-    @property
+    @functools.cached_property
     def cliques(self):
-        """The cliques as a tuple of CliqueGamma objects (built on first
-        use from the arrays, which are already validated)."""
-        if self._cliques is None:
-            cliques = []
-            for c, (a, b) in enumerate(zip(self.offsets[:-1].tolist(),
-                                           self.offsets[1:].tolist())):
-                clique = CliqueGamma.__new__(CliqueGamma)
-                clique.members_arr = self.members[a:b]
-                clique.members = tuple(clique.members_arr.tolist())
-                clique.gamma = self.gamma[c]
-                clique.gamma_max = float(self.gamma_max[c])
-                clique.weight = float(self.weights[c])
-                cliques.append(clique)
-            self._cliques = tuple(cliques)
-        return self._cliques
-
-    def check_labeling(self, labeling):
-        labeling = np.asarray(labeling, dtype=np.intp)
-        if labeling.shape != (self.num_variables,):
-            raise InvalidInputError("labeling length mismatch")
-        return labeling
+        """The cliques as a tuple of CliqueGamma records."""
+        bounds = self.offsets.tolist()
+        members = [self.members[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        return tuple(map(CliqueGamma, members, self.gamma,
+                         self.gamma_max.tolist(), self.weights.tolist()))
 
     def clique_gamma(self, labeling):
         """Per clique: gamma of its label if uniformly labeled, else
@@ -163,7 +103,7 @@ class PnPottsInstance:
         return np.where(uniform, self.gamma[self._rows, low], self.gamma_max)
 
     def evaluate(self, labeling):
-        labeling = self.check_labeling(labeling)
+        labeling = check_labeling(labeling, self.unaries)
         e = float(self.unaries[np.arange(self.num_variables), labeling].sum())
         return ordered_sum(e, self.weights * self.clique_gamma(labeling))
 
@@ -182,7 +122,7 @@ def best_expansion_move(instance, current, alpha):
     constant, and the cut read is the least optimal keep-set, so every
     encoding gives the same move.
     """
-    current = instance.check_labeling(current)
+    current = check_labeling(current, instance.unaries)
     if not 0 <= alpha < instance.num_labels:
         raise InvalidInputError("alpha out of range")
     net = _move_network(instance, current, alpha)
@@ -284,7 +224,7 @@ def alpha_expansion(instance, init=None):
     if init is None:
         labeling = np.zeros(instance.num_variables, dtype=np.intp)
     else:
-        labeling = instance.check_labeling(init).copy()
+        labeling = check_labeling(init, instance.unaries).copy()
     energy = instance.evaluate(labeling)
     trace = MoveTrace(initial_energy=energy)
     h = instance.num_labels

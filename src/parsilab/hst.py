@@ -63,10 +63,6 @@ class RHst:
             d += 1
         return d
 
-    @property
-    def num_levels(self):
-        return max(self.depth(v) for v in range(self.num_nodes))
-
     def check(self):
         """Return a description of the first violated invariant, or None."""
         if self.r <= 1:
@@ -236,32 +232,6 @@ def _climb(u, v, parents, edge, depth):
     return dist
 
 
-def tree_metric(tree, label_i, label_j):
-    return tree.tree_metric(label_i, label_j)
-
-
-def cluster_labels(tree, node):
-    return tree.cluster_labels(node)
-
-
-def hierarchical_pn_potts(tree, subset):
-    return tree.hierarchical_pn_potts(subset)
-
-
-class HstMixture:
-    """A bag of 2-HST trees whose metrics each dominate the source metric."""
-
-    def __init__(self, trees, seed):
-        self.trees = tuple(trees)
-        self.seed = seed
-
-    def __len__(self):
-        return len(self.trees)
-
-    def __iter__(self):
-        return iter(self.trees)
-
-
 def _frt_decompose(dist, rng):
     """Raw FRT laminar decomposition: (parents, leaf_label) of a cluster
     tree whose level-i clusters have radius beta * 2^(i-1).
@@ -370,7 +340,8 @@ def _frt_tree(dist, rng, r=2.0):
 
 
 def frt_embed(metric, k, seed):
-    """Embed a label metric into k independent random 2-HST tree metrics.
+    """Embed a label metric into k independent random 2-HST tree metrics,
+    returned as a tuple of RHst.
 
     Every returned tree metric dominates the input metric entrywise, and
     in expectation distorts it by an O(log H) factor.
@@ -390,11 +361,8 @@ def frt_embed(metric, k, seed):
         dmin = 1.0
     scaled = d / dmin
 
-    trees = []
-    for child_seq in np.random.SeedSequence(seed).spawn(k):
-        tree = _frt_tree(scaled, np.random.default_rng(child_seq))
-        trees.append(_rescale(tree, dmin))
-    return HstMixture(trees, seed)
+    return tuple(_rescale(_frt_tree(scaled, np.random.default_rng(seq)), dmin)
+                 for seq in np.random.SeedSequence(seed).spawn(k))
 
 
 def _rescale(tree, factor):

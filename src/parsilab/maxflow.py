@@ -195,58 +195,3 @@ class FlowNetwork:
     def source_side_mask(self):
         """Boolean array over the nodes: True on the source side of the cut."""
         return np.array(self._residual_reachable()[2:], dtype=bool)
-
-    def source_side_nodes(self):
-        return np.flatnonzero(self.source_side_mask()).tolist()
-
-    def cut_capacity(self):
-        """Capacity of the cut induced by min_cut_side (strong-duality check)."""
-        reach = self._residual_reachable()
-        total = 0.0
-        for u in range(len(self._head)):
-            if not reach[u]:
-                continue
-            for a in self._head[u]:
-                if not reach[self._to[a]]:
-                    total += self._cap[a]
-        return total
-
-    def flow_excess(self, v):
-        """Net inflow at a node; zero at non-terminals once flow is computed."""
-        self._require_solved()
-        iv = self._internal(v)
-        # cap - res on each incident arc slot is the net flow leaving iv
-        return -sum(self._cap[a] - self._res[a] for a in self._head[iv])
-
-
-def from_dimacs(text):
-    """Parse a DIMACS max-flow problem into a FlowNetwork (debug helper)."""
-    net = FlowNetwork()
-    nodes = {}
-    src = snk = None
-    arcs = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            for i in range(1, int(parts[2]) + 1):
-                nodes[i] = None
-        elif parts[0] == "n":
-            if parts[2] == "s":
-                src = int(parts[1])
-            elif parts[2] == "t":
-                snk = int(parts[1])
-        elif parts[0] == "a":
-            arcs.append((int(parts[1]), int(parts[2]), float(parts[3])))
-    if src is None or snk is None:
-        raise ValueError("DIMACS input lacks source/sink lines")
-    nodes[src] = SOURCE
-    nodes[snk] = SINK
-    for i in sorted(nodes):
-        if nodes[i] is None:
-            nodes[i] = net.add_node()
-    for u, v, c in arcs:
-        net.add_arc(nodes[u], nodes[v], c)
-    return net

@@ -48,31 +48,22 @@ def uniform_label(labs, offsets):
     return low == per_clique(np.maximum, labs, offsets), low
 
 
+def check_labeling(labeling, unaries):
+    """labeling as an index array, checked against the N x H unaries: one
+    label in 0..H-1 per variable, else InvalidInputError."""
+    labeling = np.asarray(labeling, dtype=np.intp)
+    n, h = unaries.shape
+    if labeling.shape != (n,):
+        raise InvalidInputError("labeling length does not match variable count")
+    if labeling.size and (labeling.min() < 0 or labeling.max() >= h):
+        raise InvalidInputError("label index out of range")
+    return labeling
+
+
 def ordered_sum(start, costs):
     """start plus the costs added one by one in order: the same
     floating-point result as a loop, unlike the pairwise sum of np.sum."""
     return float(np.cumsum(np.concatenate(([start], costs)))[-1])
-
-
-class LabelSet:
-    """A dense, contiguous label index set 0..size-1."""
-
-    def __init__(self, size):
-        if size < 1:
-            raise InvalidInputError("label set must contain at least one label")
-        self.size = int(size)
-
-    def __len__(self):
-        return self.size
-
-    def __iter__(self):
-        return iter(range(self.size))
-
-    def __eq__(self, other):
-        return isinstance(other, LabelSet) and other.size == self.size
-
-    def __repr__(self):
-        return "LabelSet(%d)" % self.size
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +271,6 @@ class ExplicitTableDiversity(Diversity):
         return self.table[per_clique(np.bitwise_or, 1 << labs, offsets)]
 
 
-def diameter_diversity(metric, subset):
-    """Largest metric distance between any two labels of the subset."""
-    return DiameterDiversity(metric).value(subset)
-
-
 def validate_diversity_axioms(diversity, num_labels=None, tol=AXIOM_TOL,
                               rng=None, num_samples=20000):
     """Check the diversity axioms, returning a list of violations.
@@ -452,7 +438,6 @@ class EnergyModel:
         self.unaries.setflags(write=False)
         self.cliques = tuple(cliques)
         self.potential = potential
-        self.labels = LabelSet(h)
 
     @property
     def num_variables(self):
@@ -480,34 +465,18 @@ class EnergyModel:
             a.setflags(write=False)
         return offsets, members, weights
 
-    def check_labeling(self, labeling):
-        labeling = np.asarray(labeling, dtype=np.intp)
-        if labeling.shape != (self.num_variables,):
-            raise InvalidInputError("labeling length does not match variable count")
-        if labeling.size and (labeling.min() < 0 or labeling.max() >= self.num_labels):
-            raise InvalidInputError("label index out of range")
-        return labeling
-
     def unary_energy(self, labeling):
-        labeling = self.check_labeling(labeling)
+        labeling = check_labeling(labeling, self.unaries)
         return float(self.unaries[np.arange(self.num_variables), labeling].sum())
 
     def clique_energy(self, labeling):
-        labeling = self.check_labeling(labeling)
+        labeling = check_labeling(labeling, self.unaries)
         offsets, members, weights = self.clique_arrays
         return ordered_sum(0.0, weights * self.potential.clique_values(
             labeling[members], offsets))
 
     def evaluate_energy(self, labeling):
         return self.unary_energy(labeling) + self.clique_energy(labeling)
-
-
-def evaluate_energy(model, labeling):
-    return model.evaluate_energy(labeling)
-
-
-def induced_metric(diversity):
-    return diversity.induced_metric()
 
 
 # ---------------------------------------------------------------------------

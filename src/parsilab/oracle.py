@@ -7,7 +7,8 @@ so ties always break toward the lexicographically smallest labeling.
 
 import numpy as np
 
-from .model import InvalidInputError, PnPottsSpec, SolverError
+from .expansion import PnPottsInstance
+from .model import InvalidInputError, PnPottsSpec, SolverError, check_labeling
 
 MAX_LABELINGS = 10 ** 7
 MAX_MOVE_SPACE = 10 ** 6
@@ -78,7 +79,7 @@ def exhaustive_minimize(model):
 
 def exhaustive_expansion_move(instance, current, alpha):
     """Best labeling in the binary move space, by enumerating all 2^N moves."""
-    current = instance.check_labeling(current)
+    current = check_labeling(current, instance.unaries)
     n = instance.num_variables
     if 2 ** n > MAX_MOVE_SPACE:
         raise SizeError("move space too large to enumerate (2^%d)" % n)
@@ -98,11 +99,10 @@ def exhaustive_expansion_move(instance, current, alpha):
 
 def model_to_pn_potts_instance(model):
     """View a label-consistency model as an expansion-solvable instance."""
-    from .expansion import PnPottsInstance
     if not isinstance(model.potential, PnPottsSpec):
         raise InvalidInputError("model potential is not a consistency cost")
     spec = model.potential
     offsets, members, weights = model.clique_arrays
-    return PnPottsInstance.from_arrays(
+    return PnPottsInstance(
         model.unaries, offsets, members, weights, spec.gamma,
         np.full(weights.size, spec.gamma_max))

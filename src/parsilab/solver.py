@@ -6,7 +6,7 @@ solving a label-consistency instance over child indices with a single
 alpha-expansion.  solve_parsimonious embeds the induced metric of a
 general diversity into k random 2-HSTs, runs the hierarchical solve per
 tree, and keeps the candidate with the least energy under the original
-potential.
+potential.  solve picks the solver for a model's potential.
 """
 
 import math
@@ -16,16 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hst
-from .expansion import PnPottsInstance, alpha_expansion
+from .expansion import PnPottsInstance, alpha_expansion, pn_potts_bound
 from .model import (DiameterMetricSpec, DiversitySpec, InvalidInputError,
-                    SolverError, per_clique)
-
-
-@dataclass
-class NodeState:
-    """Labeling associated with one tree node during the bottom-up pass."""
-    node: int
-    labeling: np.ndarray
+                    PnPottsSpec, SolverError, per_clique)
+from .oracle import model_to_pn_potts_instance
 
 
 @dataclass
@@ -91,7 +85,7 @@ def theorem_bounds(model, r=2.0):
     return bound1, bound2
 
 
-def build_fusion_instance(model, tree, node, child_states):
+def build_fusion_instance(model, tree, node, child_labelings):
     """The child-index labeling instance solved at one internal tree node.
 
     Meta-label k means "take variable i's label from child k".  Unaries
@@ -102,7 +96,7 @@ def build_fusion_instance(model, tree, node, child_states):
     choice (all children identical and uniform on the clique) are dropped.
     """
     n = model.num_variables
-    labelings = np.stack([st.labeling for st in child_states])      # k x n
+    labelings = np.stack(child_labelings)                            # k x n
     meta_unaries = np.ascontiguousarray(
         model.unaries[np.arange(n), labelings].T)
 
@@ -130,7 +124,7 @@ def build_fusion_instance(model, tree, node, child_states):
         gamma[c, j] = tree.hierarchical_pn_potts(
             labs[j, offsets[c]:offsets[c + 1]])
     gamma_max = tree.hierarchical_pn_potts(tree.cluster_labels(node))
-    return PnPottsInstance.from_arrays(
+    return PnPottsInstance(
         meta_unaries, offsets, members[kept_members], weights[keep], gamma,
         np.full(sizes.size, gamma_max))
 
@@ -146,23 +140,23 @@ def solve_hierarchical(model, tree):
         raise InvalidInputError("tree leaves do not match the model's labels")
     t0 = time.perf_counter()
     n = model.num_variables
-    states = {}
+    labelings = {}                        # tree node -> its labeling
     order = sorted(range(tree.num_nodes), key=tree.depth, reverse=True)
     for node in order:
         if tree.is_leaf(node):
             lab = np.full(n, tree.leaf_label[node], dtype=np.intp)
         else:
-            child_states = [states.pop(ch) for ch in tree.children[node]]
-            if len(child_states) == 1:
-                lab = child_states[0].labeling
+            children = np.stack([labelings.pop(ch)
+                                 for ch in tree.children[node]])
+            if len(children) == 1:
+                lab = children[0]
             else:
-                instance = build_fusion_instance(model, tree, node, child_states)
+                instance = build_fusion_instance(model, tree, node, children)
                 choice, _ = alpha_expansion(instance)
-                lab = np.stack([st.labeling for st in child_states])[
-                    choice, np.arange(n)]
-        states[node] = NodeState(node, lab)
+                lab = children[choice, np.arange(n)]
+        labelings[node] = lab
 
-    labeling = states[hst.ROOT].labeling
+    labeling = labelings[hst.ROOT]
     energy = model.evaluate_energy(labeling)
     bound1, bound2 = theorem_bounds(model, tree.r)
     report = SolveReport(
@@ -217,4 +211,24 @@ def solve_parsimonious(model, k=10, seed=0):
         timings={"metric_s": t_embed - t0,
                  "embed_s": t_solve - t_embed,
                  "solve_s": time.perf_counter() - t_solve})
+    return labeling, report
+
+
+def solve(model, k=10, seed=0):
+    """Solve a model with the solver for its potential; returns
+    (labeling, SolveReport).
+
+    A consistency-cost (P^n Potts) model is solved by one alpha-expansion,
+    which needs no trees: k is unused and seed only goes into the report.
+    Any other potential goes to the mixture-of-trees solve.
+    """
+    if not isinstance(model.potential, PnPottsSpec):
+        return solve_parsimonious(model, k=k, seed=seed)
+    instance = model_to_pn_potts_instance(model)
+    labeling, _ = alpha_expansion(instance)
+    energy = model.evaluate_energy(labeling)
+    report = SolveReport(
+        labeling=list(map(int, labeling)), energy=energy,
+        component_energies=[energy],
+        bound_expansion=pn_potts_bound(instance), seed=seed, num_trees=0)
     return labeling, report

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from parsilab.expansion import CliqueGamma, PnPottsInstance
+from parsilab.expansion import PnPottsInstance
 from parsilab.hst import RHst
 from parsilab.model import (Clique, DiversitySpec, EnergyModel,
                             ExplicitTableDiversity, PnPottsSpec)
@@ -20,6 +20,19 @@ def reference_tree():
     return RHst(parents, child_edge, leaf_label, r=2.0)
 
 
+def pn_instance(unaries, cliques):
+    """PnPottsInstance from (members, gamma, gamma_max, weight) tuples, one
+    per clique, turned into its CSR clique arrays."""
+    unaries = np.asarray(unaries, dtype=float)
+    members = [np.asarray(c[0], dtype=np.intp) for c in cliques]
+    offsets = np.cumsum([0] + [m.size for m in members])
+    return PnPottsInstance(
+        unaries, offsets, np.concatenate(members or [np.zeros(0, np.intp)]),
+        [c[3] for c in cliques],
+        np.reshape([c[1] for c in cliques], (len(cliques), unaries.shape[1])),
+        [c[2] for c in cliques])
+
+
 def random_pn_instance(rng, n_max=8, h_max=4, clique_max=4):
     """Random consistency-cost instance for move-space tests."""
     n = int(rng.integers(1, n_max + 1))
@@ -31,9 +44,9 @@ def random_pn_instance(rng, n_max=8, h_max=4, clique_max=4):
         members = rng.choice(n, size=size, replace=False)
         gamma = rng.uniform(0.0, 2.0, size=h)
         gamma_max = float(gamma.max() + rng.uniform(0.1, 3.0))
-        cliques.append(CliqueGamma(members, gamma, gamma_max,
-                                   float(rng.uniform(0.0, 2.0))))
-    return PnPottsInstance(unaries, cliques)
+        cliques.append((members, gamma, gamma_max,
+                        float(rng.uniform(0.0, 2.0))))
+    return pn_instance(unaries, cliques)
 
 
 def random_table_diversity(h, rng):

@@ -7,7 +7,9 @@ the two on random small instances and require identical results.
 
 import numpy as np
 
-from parsilab.expansion import ACCEPT_TOL, CliqueGamma, MoveTrace, PnPottsInstance
+from conftest import pn_instance
+from parsilab.expansion import ACCEPT_TOL, MoveTrace
+from parsilab.model import check_labeling
 from parsilab.hst import ROOT
 from parsilab.maxflow import FlowNetwork
 
@@ -32,13 +34,13 @@ def evaluate_energy(model, labeling):
 
 def evaluate(instance, labeling):
     """PnPottsInstance.evaluate as a loop over the cliques."""
-    labeling = instance.check_labeling(labeling)
+    labeling = check_labeling(labeling, instance.unaries)
     e = float(instance.unaries[np.arange(instance.num_variables),
                                labeling].sum())
     for c in instance.cliques:
         if c.weight == 0.0:
             continue
-        labs = labeling[c.members_arr]
+        labs = labeling[c.members]
         if np.all(labs == labs[0]):
             e += c.weight * c.gamma[labs[0]]
         else:
@@ -49,7 +51,7 @@ def evaluate(instance, labeling):
 def best_expansion_move(instance, current, alpha):
     """best_expansion_move with the gadgets built clique by clique and the
     cut read node by node."""
-    current = instance.check_labeling(current)
+    current = check_labeling(current, instance.unaries)
     net = FlowNetwork()
     nodes = net.add_nodes(instance.num_variables)
     for i in range(instance.num_variables):
@@ -65,7 +67,7 @@ def best_expansion_move(instance, current, alpha):
         movers = [i for i in c.members if current[i] != alpha]
         if not movers:
             continue
-        labs = current[c.members_arr]
+        labs = current[c.members]
         uniform = np.all(labs == labs[0])
         gamma_keep = c.gamma[labs[0]] \
             if (uniform and len(movers) == len(c.members)) else c.gamma_max
@@ -98,7 +100,7 @@ def alpha_expansion(instance, init=None):
     if init is None:
         labeling = np.zeros(instance.num_variables, dtype=np.intp)
     else:
-        labeling = instance.check_labeling(init).copy()
+        labeling = check_labeling(init, instance.unaries).copy()
     energy = evaluate(instance, labeling)
     trace = MoveTrace(initial_energy=energy)
     improved = True
@@ -121,28 +123,27 @@ def diameter(tree, subset):
     return float(tree.metric().matrix[np.ix_(idx, idx)].max())
 
 
-def build_fusion_instance(model, tree, node, child_states):
+def build_fusion_instance(model, tree, node, child_labelings):
     """build_fusion_instance as a loop over the model's cliques."""
     n = model.num_variables
-    meta_unaries = np.empty((n, len(child_states)))
-    for j, st in enumerate(child_states):
-        meta_unaries[:, j] = model.unaries[np.arange(n), st.labeling]
+    meta_unaries = np.empty((n, len(child_labelings)))
+    for j, lab in enumerate(child_labelings):
+        meta_unaries[:, j] = model.unaries[np.arange(n), lab]
     gamma_max = diameter(tree, tree.cluster_labels(node))
     cliques = []
     for c in model.cliques:
         if c.weight == 0.0:
             continue
-        subsets = [sorted(set(st.labeling[c.members_arr].tolist()))
-                   for st in child_states]
+        subsets = [sorted(set(lab[c.members_arr].tolist()))
+                   for lab in child_labelings]
         if (all(s == subsets[0] for s in subsets) and len(subsets[0]) == 1
-                and all(np.array_equal(child_states[0].labeling[c.members_arr],
-                                       st.labeling[c.members_arr])
-                        for st in child_states[1:])):
+                and all(np.array_equal(child_labelings[0][c.members_arr],
+                                       lab[c.members_arr])
+                        for lab in child_labelings[1:])):
             continue
-        cliques.append(CliqueGamma(c.members,
-                                   [diameter(tree, s) for s in subsets],
-                                   gamma_max, c.weight))
-    return PnPottsInstance(meta_unaries, cliques)
+        cliques.append((c.members, [diameter(tree, s) for s in subsets],
+                        gamma_max, c.weight))
+    return pn_instance(meta_unaries, cliques)
 
 
 def frt_decompose(dist, rng):

@@ -190,6 +190,31 @@ def test_synth_bench_csv(tmp_path):
     assert float(rows[-1]["unique_labels"]) == 1    # w_c = 100 collapses
 
 
+@pytest.mark.parametrize("bad", [["--window", "4"], ["--trees", "0"]])
+def test_synth_bench_bad_input_exits_2(tmp_path, capsys, bad):
+    out = tmp_path / "bench.csv"
+    assert cli.main(["synth-bench", "--csv", str(out), "--size", "3",
+                     "--labels", "3", "--window", "2"] + bad) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_validate_diameter_problem_skips_subset_enumeration(tmp_path, capsys):
+    """A metric's diameter is a diversity by construction, so validate does
+    not enumerate the 2^64 label subsets."""
+    doc = {"num_variables": 2, "num_labels": 64,
+           "unaries": [0.0] * 128, "cliques": [{"members": [0, 1],
+                                                "weight": 1.0}],
+           "potential": {"kind": "diameter_metric",
+                         "metric": {"kind": "truncated_linear", "lam": 1.0,
+                                    "M": 4}}}
+    problem = tmp_path / "h64.json"
+    problem.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(problem)]) == cli.EXIT_OK
+    assert "problem ok: 2 variables, 64 labels, 1 cliques" \
+        in capsys.readouterr().out
+
+
 def test_stereo_command(tmp_path, capsys):
     rng = np.random.default_rng(0)
     left = rng.integers(0, 255, size=(6, 8, 3)).astype(np.uint8)
@@ -219,6 +244,14 @@ def test_inpaint_command(tmp_path):
                          "--trees", "2", "--block", "3"])
     assert code == cli.EXIT_OK
     assert out.exists()
+
+
+def test_malformed_raster_header_exits_2(tmp_path, capsys):
+    image = tmp_path / "bad.pgm"
+    image.write_bytes(b"P5\nsix 6\n255\n" + bytes(36))
+    assert cli.main(["inpaint", str(image), "--out",
+                     str(tmp_path / "out.pgm")]) == cli.EXIT_INPUT
+    assert "cannot read image" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(capsys):

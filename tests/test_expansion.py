@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import random_pn_instance, random_pn_potts_model
+from conftest import pn_instance, random_pn_instance, random_pn_potts_model
 from parsilab import expansion
-from parsilab.expansion import (CliqueGamma, PnPottsInstance, alpha_expansion,
-                                best_expansion_move, pn_potts_bound)
+from parsilab.expansion import (alpha_expansion, best_expansion_move,
+                                pn_potts_bound)
 from parsilab.maxflow import FlowNetwork
 from parsilab.model import InvalidInputError
 from parsilab.oracle import (exhaustive_expansion_move, exhaustive_minimize,
@@ -18,8 +18,8 @@ from parsilab.oracle import (exhaustive_expansion_move, exhaustive_minimize,
 
 def _hand_instance():
     unaries = np.array([[0.0, 2.0], [3.0, 0.5], [1.0, 1.0]])
-    clique = CliqueGamma([0, 1, 2], [0.5, 1.0], 4.0, 1.5)
-    return PnPottsInstance(unaries, [clique])
+    clique = ([0, 1, 2], [0.5, 1.0], 4.0, 1.5)
+    return pn_instance(unaries, [clique])
 
 
 def test_move_identity_when_all_alpha():
@@ -71,23 +71,20 @@ def test_two_mover_cliques_become_one_arc_each():
     n = 6
     unaries = np.tile([0.0, 0.4], (n, 1))
     unaries[::2] = [0.4, 0.0]
-    chain = [CliqueGamma([i, i + 1], [0.5, 1.0], 2.0, 1.0)
-             for i in range(n - 1)]
-    inst = PnPottsInstance(unaries, chain)
+    chain = [([i, i + 1], [0.5, 1.0], 2.0, 1.0) for i in range(n - 1)]
+    inst = pn_instance(unaries, chain)
     assert _move_network_shape(inst, [0] * n, 1)[:2] == (n, n - 1)
 
 
 def test_one_mover_clique_adds_only_terminal_capacity():
-    inst = PnPottsInstance(np.zeros((3, 2)),
-                           [CliqueGamma([0, 1, 2], [0.5, 1.0], 2.0, 1.0)])
+    inst = pn_instance(np.zeros((3, 2)), [([0, 1, 2], [0.5, 1.0], 2.0, 1.0)])
     # the clique is mixed, so its one mover, variable 1, pays nothing to
     # switch and gamma_max - gamma[alpha] = 1 to keep
     assert _move_network_shape(inst, [1, 0, 1], 1) == (3, 0, [(1, 0.0, 1.0)])
 
 
 def test_three_mover_clique_keeps_its_gadget():
-    inst = PnPottsInstance(np.zeros((4, 2)),
-                           [CliqueGamma([0, 1, 2], [0.5, 1.0], 2.0, 1.0)])
+    inst = pn_instance(np.zeros((4, 2)), [([0, 1, 2], [0.5, 1.0], 2.0, 1.0)])
     # two auxiliary nodes, each tied to the three movers by an arc
     assert _move_network_shape(inst, [0, 0, 0, 0], 1)[:2] == (4 + 2, 6)
 
@@ -98,26 +95,37 @@ def test_alpha_out_of_range():
         best_expansion_move(inst, np.array([0, 0, 0]), 5)
 
 
+@pytest.mark.parametrize("labeling", [[-1, -1], [2, 0]])
+def test_labels_out_of_range_are_rejected(labeling):
+    inst = pn_instance([[0.0, 1.0], [1.0, 0.0]], [([0, 1], [0.5, 1.0], 2.0, 1.0)])
+    with pytest.raises(InvalidInputError):
+        inst.evaluate(labeling)
+    with pytest.raises(InvalidInputError):
+        best_expansion_move(inst, labeling, 1)
+    with pytest.raises(InvalidInputError):
+        alpha_expansion(inst, init=labeling)
+
+
 def test_gamma_max_must_dominate():
     with pytest.raises(InvalidInputError):
-        CliqueGamma([0, 1], [2.0, 1.0], 2.0, 1.0)
+        pn_instance(np.zeros((2, 2)), [([0, 1], [2.0, 1.0], 2.0, 1.0)])
     # unweighted cliques are exempt (they never contribute)
-    CliqueGamma([0, 1], [2.0, 1.0], 2.0, 0.0)
+    pn_instance(np.zeros((2, 2)), [([0, 1], [2.0, 1.0], 2.0, 0.0)])
 
 
 def test_sweep_zero_weights_gives_unary_argmin():
     rng = np.random.default_rng(7)
     unaries = rng.uniform(0, 5, size=(6, 3))
-    clique = CliqueGamma([0, 1, 2], [0.0, 0.0, 0.0], 1.0, 0.0)
-    labeling, _ = alpha_expansion(PnPottsInstance(unaries, [clique]))
+    clique = ([0, 1, 2], [0.0, 0.0, 0.0], 1.0, 0.0)
+    labeling, _ = alpha_expansion(pn_instance(unaries, [clique]))
     np.testing.assert_array_equal(labeling, unaries.argmin(axis=1))
 
 
 def test_sweep_huge_weight_forces_single_label():
     rng = np.random.default_rng(8)
     unaries = rng.uniform(0, 5, size=(4, 3))
-    clique = CliqueGamma([0, 1, 2, 3], [0.0, 0.0, 0.0], 1.0, 1000.0)
-    labeling, _ = alpha_expansion(PnPottsInstance(unaries, [clique]))
+    clique = ([0, 1, 2, 3], [0.0, 0.0, 0.0], 1.0, 1000.0)
+    labeling, _ = alpha_expansion(pn_instance(unaries, [clique]))
     assert len(set(labeling.tolist())) == 1
     best_uniform = min(unaries[:, k].sum() for k in range(3))
     assert abs(unaries[np.arange(4), labeling].sum() - best_uniform) <= 1e-9
@@ -140,24 +148,24 @@ def test_sweep_satisfies_multiplicative_bound():
 
 def test_bound_formula():
     unaries = np.zeros((4, 5))
-    clique = CliqueGamma([0, 1, 2], [2.0] * 5, 6.0, 1.0)
-    assert pn_potts_bound(PnPottsInstance(unaries, [clique])) == 9.0
+    clique = ([0, 1, 2], [2.0] * 5, 6.0, 1.0)
+    assert pn_potts_bound(pn_instance(unaries, [clique])) == 9.0
 
 
 def test_bound_clique_size_factor():
     unaries = np.zeros((4, 20))
-    clique = CliqueGamma([0, 1], [1.0] * 20, 3.0, 1.0)
+    clique = ([0, 1], [1.0] * 20, 3.0, 1.0)
     # min(M, H) = 2, lambda = 3
-    assert pn_potts_bound(PnPottsInstance(unaries, [clique])) == 6.0
+    assert pn_potts_bound(pn_instance(unaries, [clique])) == 6.0
 
 
 def test_bound_is_infinite_when_some_gamma_is_zero():
     # lambda = gamma_max / gamma_min has no finite value; a finite stand-in
     # would depend on the scale of the costs
     unaries = np.zeros((2, 2))
-    clique = CliqueGamma([0, 1], [0.0, 1.0], 3.0, 1.0)
-    assert pn_potts_bound(PnPottsInstance(unaries, [clique])) == np.inf
+    clique = ([0, 1], [0.0, 1.0], 3.0, 1.0)
+    assert pn_potts_bound(pn_instance(unaries, [clique])) == np.inf
 
 
 def test_bound_without_weighted_cliques():
-    assert pn_potts_bound(PnPottsInstance(np.zeros((2, 2)), [])) == 1.0
+    assert pn_potts_bound(pn_instance(np.zeros((2, 2)), [])) == 1.0

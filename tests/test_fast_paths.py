@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 
 import reference
 from parsilab import expansion, hst
-from parsilab.expansion import (CliqueGamma, PnPottsInstance, alpha_expansion,
-                                best_expansion_move)
+from conftest import pn_instance
+from parsilab.expansion import alpha_expansion, best_expansion_move
 from parsilab.model import (Clique, DiameterMetricSpec, Diversity,
                             DiversitySpec, EnergyModel, ExplicitTableDiversity,
                             LabelMetric, PnPottsSpec)
 from parsilab.oracle import exhaustive_expansion_move
-from parsilab.solver import NodeState, build_fusion_instance
+from parsilab.solver import build_fusion_instance
 from parsilab.tasks import random_rhst
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -47,9 +47,8 @@ def pn_instances(draw, labels=None, max_vars=7, clique_size=None):
                                 unique=True))
         gamma = draw(st.lists(costs, min_size=h, max_size=h))
         gap = draw(st.sampled_from([0.1, 0.5, 1.0, 3.0]))
-        cliques.append(CliqueGamma(members, gamma, max(gamma) + gap,
-                                   draw(weights)))
-    return PnPottsInstance(unaries, cliques)
+        cliques.append((members, gamma, max(gamma) + gap, draw(weights)))
+    return pn_instance(unaries, cliques)
 
 
 def labelings(instance):
@@ -217,7 +216,7 @@ def test_fusion_instance_matches_clique_loop(data):
         cluster = tree.cluster_labels(child)
         labeling = data.draw(st.lists(st.sampled_from(cluster), min_size=n,
                                       max_size=n))
-        children.append(NodeState(child, np.array(labeling, dtype=np.intp)))
+        children.append(np.array(labeling, dtype=np.intp))
     fast = build_fusion_instance(model, tree, node, children)
     slow = reference.build_fusion_instance(model, tree, node, children)
     for name in ("unaries", "offsets", "members", "weights", "gamma",

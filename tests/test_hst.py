@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from parsilab.hst import (RHst, cluster_labels, frt_embed,
-                          hierarchical_pn_potts, tree_metric)
+from parsilab.hst import RHst, frt_embed
 from parsilab.model import InvalidInputError, LabelMetric
 from parsilab.tasks import random_rhst
 
@@ -22,30 +21,30 @@ FROZEN_MEAN_DISTORTION = 5.0
 # ---------------------------------------------------------------------------
 
 def test_reference_tree_distances(reference_tree):
-    assert tree_metric(reference_tree, 0, 2) == 18.0
-    assert tree_metric(reference_tree, 0, 1) == 6.0
-    assert tree_metric(reference_tree, 3, 3) == 0.0
+    assert reference_tree.tree_metric(0, 2) == 18.0
+    assert reference_tree.tree_metric(0, 1) == 6.0
+    assert reference_tree.tree_metric(3, 3) == 0.0
 
 
 def test_reference_tree_clusters(reference_tree):
-    assert cluster_labels(reference_tree, 0) == (0, 1, 2, 3)
+    assert reference_tree.cluster_labels(0) == (0, 1, 2, 3)
     leaf = next(v for v in range(reference_tree.num_nodes)
                 if reference_tree.leaf_label[v] == 1)
-    assert cluster_labels(reference_tree, leaf) == (1,)
-    assert cluster_labels(reference_tree, 2) == (2, 3)
+    assert reference_tree.cluster_labels(leaf) == (1,)
+    assert reference_tree.cluster_labels(2) == (2, 3)
 
 
 def test_reference_tree_potentials(reference_tree):
-    assert hierarchical_pn_potts(reference_tree, (0, 1, 2, 3)) == 18.0
-    assert hierarchical_pn_potts(reference_tree, (2, 3)) == 6.0
-    assert hierarchical_pn_potts(reference_tree, (1,)) == 0.0
+    assert reference_tree.hierarchical_pn_potts((0, 1, 2, 3)) == 18.0
+    assert reference_tree.hierarchical_pn_potts((2, 3)) == 6.0
+    assert reference_tree.hierarchical_pn_potts((1,)) == 0.0
     with pytest.raises(InvalidInputError):
-        hierarchical_pn_potts(reference_tree, ())
+        reference_tree.hierarchical_pn_potts(())
 
 
 def test_potential_is_monotone(reference_tree):
     subsets = [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 3)]
-    vals = [hierarchical_pn_potts(reference_tree, s) for s in subsets]
+    vals = [reference_tree.hierarchical_pn_potts(s) for s in subsets]
     assert vals == sorted(vals)
 
 

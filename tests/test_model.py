@@ -11,19 +11,9 @@ from parsilab.hst import RHst
 from parsilab.model import (AXIOM_TOL, Clique, DiameterDiversity,
                             DiameterMetricSpec, DiversitySpec, EnergyModel,
                             ExplicitTableDiversity, InvalidInputError,
-                            LabelMetric, LabelSet, PnPottsSpec,
-                            diameter_diversity, load_model, model_from_json,
-                            model_to_json, save_model,
+                            LabelMetric, PnPottsSpec, load_model,
+                            model_from_json, model_to_json, save_model,
                             validate_diversity_axioms)
-
-
-def test_label_set_basics():
-    ls = LabelSet(4)
-    assert len(ls) == 4
-    assert list(ls) == [0, 1, 2, 3]
-    assert ls == LabelSet(4)
-    with pytest.raises(InvalidInputError):
-        LabelSet(0)
 
 
 # ---------------------------------------------------------------------------
@@ -64,12 +54,12 @@ def test_metric_rejects_zero_off_diagonal():
 
 def test_diameter_diversity_singleton_is_zero():
     m = LabelMetric.truncated_linear(10, 1.0, 5)
-    assert diameter_diversity(m, {3}) == 0.0
+    assert DiameterDiversity(m).value({3}) == 0.0
 
 
 def test_diameter_diversity_truncated_linear():
     m = LabelMetric.truncated_linear(10, 1.0, 5)
-    assert diameter_diversity(m, {2, 4, 9}) == 5.0
+    assert DiameterDiversity(m).value({2, 4, 9}) == 5.0
 
 
 def test_diameter_diversity_induces_same_metric():
@@ -198,10 +188,9 @@ def test_clique_must_be_nonempty_and_distinct():
 
 def test_check_labeling_bounds():
     model = EnergyModel(np.zeros((2, 2)), [], PnPottsSpec([0, 0], 1.0))
-    with pytest.raises(InvalidInputError):
-        model.evaluate_energy([0, 2])
-    with pytest.raises(InvalidInputError):
-        model.evaluate_energy([0])
+    for labeling in ([0, 2], [-1, 0], [0]):
+        with pytest.raises(InvalidInputError):
+            model.evaluate_energy(labeling)
 
 
 # ---------------------------------------------------------------------------

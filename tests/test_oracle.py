@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_pn_instance
-from parsilab.expansion import CliqueGamma, PnPottsInstance, best_expansion_move
+from conftest import pn_instance, random_pn_instance
+from parsilab.expansion import best_expansion_move
 from parsilab.model import (Clique, DiversitySpec, EnergyModel,
                             ExplicitTableDiversity, PnPottsSpec)
 from parsilab.oracle import (SizeError, exhaustive_expansion_move,
@@ -53,13 +53,13 @@ def test_minimize_size_guard():
 
 
 def test_move_single_variable():
-    inst = PnPottsInstance(np.array([[2.0, 1.0]]), [])
+    inst = pn_instance(np.array([[2.0, 1.0]]), [])
     move = exhaustive_expansion_move(inst, np.array([0]), 1)
     np.testing.assert_array_equal(move, [1])
 
 
 def test_move_keeps_optimal_current():
-    inst = PnPottsInstance(np.array([[0.0, 9.0], [0.0, 9.0]]), [])
+    inst = pn_instance(np.array([[0.0, 9.0], [0.0, 9.0]]), [])
     current = np.array([0, 0])
     move = exhaustive_expansion_move(inst, current, 1)
     np.testing.assert_array_equal(move, current)
@@ -77,6 +77,6 @@ def test_move_agrees_with_cut_solver():
 
 
 def test_move_size_guard():
-    inst = PnPottsInstance(np.zeros((25, 2)), [])
+    inst = pn_instance(np.zeros((25, 2)), [])
     with pytest.raises(SizeError):
         exhaustive_expansion_move(inst, np.zeros(25, dtype=np.intp), 1)

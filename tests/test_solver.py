@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_cliques, random_table_diversity
-from parsilab.expansion import alpha_expansion
+import parsilab
+from conftest import (random_cliques, random_diversity_model,
+                      random_pn_potts_model, random_table_diversity)
+from parsilab.expansion import alpha_expansion, pn_potts_bound
 from parsilab.hst import RHst, frt_embed
 from parsilab.model import (Clique, DiameterMetricSpec, DiversitySpec,
                             EnergyModel, InvalidInputError, LabelMetric)
 from parsilab.oracle import exhaustive_minimize, model_to_pn_potts_instance
-from parsilab.solver import (NodeState, build_fusion_instance,
+from parsilab.solver import (build_fusion_instance, solve,
                              solve_hierarchical, solve_parsimonious,
                              theorem_bounds)
 
@@ -71,8 +73,8 @@ def test_fusion_meta_potentials(reference_tree):
     unaries = rng.uniform(0, 1, size=(n, 4))
     model = EnergyModel(unaries, [Clique(range(n), 1.0)],
                         DiameterMetricSpec(reference_tree.metric()))
-    child1 = NodeState(1, np.zeros(n, dtype=np.intp))
-    child2 = NodeState(2, np.array([2, 3, 2, 3], dtype=np.intp))
+    child1 = np.zeros(n, dtype=np.intp)
+    child2 = np.array([2, 3, 2, 3], dtype=np.intp)
     inst = build_fusion_instance(model, reference_tree, 0, [child1, child2])
     clique = inst.cliques[0]
     np.testing.assert_allclose(clique.gamma, [0.0, 6.0])
@@ -88,8 +90,7 @@ def test_fusion_drops_undecidable_cliques(reference_tree):
     model = EnergyModel(np.zeros((n, 4)), [Clique([0, 1], 1.0)],
                         DiameterMetricSpec(reference_tree.metric()))
     same = np.array([1, 1], dtype=np.intp)
-    child1 = NodeState(1, same)
-    child2 = NodeState(2, same.copy())
+    child1, child2 = same, same.copy()
     inst = build_fusion_instance(model, reference_tree, 0, [child1, child2])
     assert inst.cliques == ()
 
@@ -110,7 +111,7 @@ def test_star_tree_reduces_to_one_expansion():
     labeling, report = solve_hierarchical(model, tree)
     inst = build_fusion_instance(
         model, tree, 0,
-        [NodeState(v, np.full(n, tree.leaf_label[v], dtype=np.intp))
+        [np.full(n, tree.leaf_label[v], dtype=np.intp)
          for v in range(1, h + 1)])
     direct, _ = alpha_expansion(inst)
     assert report.energy == pytest.approx(model.evaluate_energy(direct))
@@ -194,3 +195,39 @@ def test_pn_potts_potential_rejected_by_mixture():
     model = EnergyModel(np.zeros((2, 2)), [], PnPottsSpec([0, 0], 1.0))
     with pytest.raises(InvalidInputError):
         solve_parsimonious(model, k=1, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the solve entry point
+# ---------------------------------------------------------------------------
+
+def test_solve_runs_one_expansion_on_consistency_costs():
+    rng = np.random.default_rng(11)
+    for seed in range(5):
+        model = random_pn_potts_model(rng)
+        labeling, report = solve(model, k=3, seed=seed)
+        instance = model_to_pn_potts_instance(model)
+        direct, _ = alpha_expansion(instance)
+        np.testing.assert_array_equal(labeling, direct)
+        assert report.energy == model.evaluate_energy(direct)
+        assert report.component_energies == [report.energy]
+        assert report.bound_expansion == pn_potts_bound(instance)
+        assert report.bound == report.bound_expansion
+        assert (report.seed, report.num_trees) == (seed, 0)
+
+
+def test_solve_runs_the_mixture_on_diversities():
+    rng = np.random.default_rng(12)
+    for seed in range(3):
+        model = random_diversity_model(rng)
+        labeling, report = solve(model, k=3, seed=seed)
+        direct, direct_report = solve_parsimonious(model, k=3, seed=seed)
+        np.testing.assert_array_equal(labeling, direct)
+        assert report.to_json(include_timings=False) \
+            == direct_report.to_json(include_timings=False)
+        assert report.bound_expansion is None
+
+
+def test_every_exported_name_resolves():
+    for name in parsilab.__all__:
+        assert getattr(parsilab, name) is not None, name
