@@ -7,8 +7,6 @@ of such a tree, together with its diameter diversity, is the label-
 consistency potential the hierarchical solver minimizes.
 """
 
-import json
-
 import numpy as np
 
 from .model import InvalidInputError, LabelMetric, require_finite
@@ -103,39 +101,12 @@ class RHst:
 
     # -- metric --------------------------------------------------------------
 
-    def node_distance(self, u, v):
-        """Shortest-path distance between two nodes (sum of edge lengths)."""
-        du, dv = self.depth(u), self.depth(v)
-        dist = 0.0
-        while du > dv:
-            dist += self.child_edge[self.parents[u]]
-            u = self.parents[u]
-            du -= 1
-        while dv > du:
-            dist += self.child_edge[self.parents[v]]
-            v = self.parents[v]
-            dv -= 1
-        while u != v:
-            dist += self.child_edge[self.parents[u]]
-            dist += self.child_edge[self.parents[v]]
-            u, v = self.parents[u], self.parents[v]
-        return dist
-
-    def tree_metric(self, label_i, label_j):
-        """d^t between two labels: leaf-to-leaf shortest path length."""
-        try:
-            u = self._leaf_of_label[int(label_i)]
-            v = self._leaf_of_label[int(label_j)]
-        except KeyError as e:
-            raise InvalidInputError("unknown label %s" % e) from e
-        return self.node_distance(u, v)
-
     def metric(self):
         """The full tree metric as a LabelMetric (cached).
 
-        Every leaf pair climbs to its common ancestor as in node_distance,
-        adding the same edge lengths in the same order, but all pairs of a
-        chunk climb together as arrays.
+        Every leaf pair climbs to its common ancestor, the deeper leaf
+        first and then both in lockstep, adding edge lengths one at a
+        time; all pairs of a chunk climb together as arrays.
         """
         if self._metric is None:
             h = self.num_labels
@@ -196,21 +167,12 @@ class RHst:
                    [nd["edge_to_children"] for nd in nodes],
                    [nd["label"] for nd in nodes], r=doc["r"])
 
-    def save(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as f:
-            return cls.from_json(json.load(f))
-
 
 _PAIR_CHUNK = 1 << 18
 
 
 def _climb(u, v, parents, edge, depth):
-    """node_distance for node arrays u and v, pair by pair."""
+    """Tree distances between the nodes of arrays u and v, pair by pair."""
     dist = np.zeros(u.shape[0])
     du, dv = depth[u], depth[v]
     for a, b, da, db in ((u, v, du, dv), (v, u, dv, du)):

@@ -1,10 +1,24 @@
 """Min st-cut / max-flow on sparse directed networks.
 
-This is the inner engine behind every expansion move.  Capacities are
-doubles; a residual below FLOW_TOL is treated as saturated so that
-floating-point dust cannot stall the augmenting loop.  Arc order is
-fixed by insertion, which makes the solver deterministic.
+This is the inner engine behind every expansion move.  A solve runs two
+steps on one residual list.  A greedy pass first pushes flow along every
+residual path source -> u -> sink and source -> u -> v -> sink, which on
+expansion-move networks carries most of the flow.  Boykov-Kolmogorov
+augmentation (PAMI 2004) then finishes the flow: a source tree and a sink
+tree persist across augmentations, so each path costs a local search
+instead of a scan of the whole graph.
+
+The cut read is the set of nodes reachable from the source in the
+residual graph.  That set is the least minimum cut, the same for every
+maximum flow, so the cut does not depend on the flow algorithm.
+Capacities are finite non-negative doubles; a residual below FLOW_TOL is
+treated as saturated so that floating-point dust cannot stall the
+augmenting loop.  Arc order is fixed by insertion, which makes the solver
+deterministic.
 """
+
+from collections import deque
+from math import inf
 
 import numpy as np
 
@@ -12,6 +26,10 @@ FLOW_TOL = 1e-11
 
 SOURCE = -1
 SINK = -2
+
+# parent-arc markers of the search trees
+_ROOT = -1                             # the source or the sink itself
+_ORPHAN = -2                           # lost its parent arc, not re-attached
 
 
 class StateError(RuntimeError):
@@ -72,16 +90,18 @@ class FlowNetwork:
         self._head[v].append(a + 1)
 
     def add_arc(self, u, v, cap_forward, cap_backward=0.0):
-        if cap_forward < 0 or cap_backward < 0:
-            raise ValueError("arc capacities must be non-negative")
+        # the chained comparisons also reject NaN
+        if not (0 <= cap_forward < inf and 0 <= cap_backward < inf):
+            raise ValueError("arc capacities must be finite and non-negative")
         n = self._nodes                # inline _internal for user nodes
         self._push_arc(u + 2 if 0 <= u < n else self._internal(u),
                        v + 2 if 0 <= v < n else self._internal(v),
                        float(cap_forward), float(cap_backward))
 
     def add_terminal_arc(self, v, cap_from_source, cap_to_sink):
-        if cap_from_source < 0 or cap_to_sink < 0:
-            raise ValueError("terminal capacities must be non-negative")
+        if not (0 <= cap_from_source < inf and 0 <= cap_to_sink < inf):
+            raise ValueError(
+                "terminal capacities must be finite and non-negative")
         iv = self._internal(v)
         if cap_from_source > 0:
             self._push_arc(0, iv, float(cap_from_source), 0.0)
@@ -92,7 +112,7 @@ class FlowNetwork:
         """Sentinel larger than any possible flow: sum of finite caps plus one."""
         return sum(self._cap) + 1.0
 
-    # -- Dinic ------------------------------------------------------------
+    # -- max-flow -----------------------------------------------------------
 
     def _solved(self):
         return (self._flow_value is not None
@@ -101,62 +121,9 @@ class FlowNetwork:
     def compute_max_flow(self):
         if self._solved():
             return self._flow_value
-        to = self._to
-        head = self._head
         res = list(self._cap)
-        n = len(head)
-        total = 0.0
-
-        while True:
-            # BFS layering on the residual graph.  It stops once the sink
-            # has its layer: the nodes still unlayered would be dead ends,
-            # which the DFS skips exactly as it skips unlayered nodes.
-            level = [-1] * n
-            level[0] = 0
-            queue = [0]
-            for u in queue:
-                next_level = level[u] + 1
-                for a in head[u]:
-                    v = to[a]
-                    if level[v] < 0 and res[a] > FLOW_TOL:
-                        level[v] = next_level
-                        queue.append(v)
-                if level[1] >= 0:
-                    break
-            if level[1] < 0:
-                break
-            it = [0] * n
-            # blocking flow via iterative DFS with current-arc pointers
-            while True:
-                path = []
-                u = 0
-                while u != 1:
-                    advanced = False
-                    arcs = head[u]
-                    next_level = level[u] + 1
-                    while it[u] < len(arcs):
-                        a = arcs[it[u]]
-                        if res[a] > FLOW_TOL and level[to[a]] == next_level:
-                            path.append(a)
-                            u = to[a]
-                            advanced = True
-                            break
-                        it[u] += 1
-                    if not advanced:
-                        level[u] = -1   # dead end; prune
-                        if not path:
-                            u = None
-                            break
-                        a = path.pop()
-                        u = to[a ^ 1]
-                if u is None:
-                    break
-                bottleneck = min(res[a] for a in path)
-                for a in path:
-                    res[a] -= bottleneck
-                    res[a ^ 1] += bottleneck
-                total += bottleneck
-
+        total = _short_paths(self._head, self._to, res)
+        total += _search_trees(self._head, self._to, res)
         self._res = res
         self._flow_value = total
         self._reachable = None
@@ -188,10 +155,226 @@ class FlowNetwork:
             self._reachable = seen
         return self._reachable
 
-    def min_cut_side(self, v):
-        """True if v lies on the source side of the minimum cut."""
-        return self._residual_reachable()[self._internal(v)]
-
     def source_side_mask(self):
         """Boolean array over the nodes: True on the source side of the cut."""
         return np.array(self._residual_reachable()[2:], dtype=bool)
+
+
+def _short_paths(head, to, res):
+    """Push flow along the residual paths source -> u -> sink and
+    source -> u -> v -> sink, the source's arcs taken in order.  Returns
+    the flow pushed."""
+    tol = FLOW_TOL
+    sink_arc = [-1] * len(head)        # per node, one arc into the sink
+    for b in head[1]:
+        sink_arc[to[b]] = b ^ 1
+    sink_arc[0] = sink_arc[1] = -1
+    total = 0.0
+    for a in head[0]:
+        r = res[a]
+        u = to[a]
+        if r <= tol or u == 0:
+            continue
+        if u == 1:                     # a direct source -> sink arc
+            res[a] = 0.0
+            res[a ^ 1] += r
+            total += r
+            continue
+        t = sink_arc[u]
+        if t >= 0 and res[t] > tol:
+            d = min(r, res[t])
+            res[t] -= d
+            res[t ^ 1] += d
+            r -= d
+        if r > tol:
+            for b in head[u]:
+                if res[b] > tol:
+                    t = sink_arc[to[b]]
+                    if t >= 0 and res[t] > tol:
+                        d = min(r, res[b], res[t])
+                        res[b] -= d
+                        res[b ^ 1] += d
+                        res[t] -= d
+                        res[t ^ 1] += d
+                        r -= d
+                        if r <= tol:
+                            break
+        d = res[a] - r                 # what this source arc carried
+        res[a] = r
+        res[a ^ 1] += d
+        total += d
+    return total
+
+
+def _search_trees(head, to, res):
+    """Boykov-Kolmogorov augmentation on the residual; returns the flow.
+
+    tree[v] is 1 in the source tree, -1 in the sink tree and 0 when free.
+    parent[v] is the arc from v to its parent: in the source tree its
+    reverse twin carries residual, in the sink tree the arc itself does.
+    Active nodes wait in a FIFO queue to grow their tree into free
+    neighbours; an arc between the trees closes an augmenting path.  The
+    nodes whose parent arc the augmentation saturates become orphans, and
+    each adopts the first neighbour of its tree whose origin is the root,
+    or is freed, orphaning its children.
+    """
+    tol = FLOW_TOL
+    n = len(head)
+    tree = [0] * n
+    parent = [_ORPHAN] * n
+    tree[0] = 1
+    tree[1] = -1
+    parent[0] = parent[1] = _ROOT
+    active = deque()
+    for a in head[0]:
+        v = to[a]
+        if res[a] > tol and not tree[v]:
+            tree[v] = 1
+            parent[v] = a ^ 1
+            active.append(v)
+    bridged = False
+    for b in head[1]:
+        v = to[b]
+        if res[b ^ 1] > tol:
+            if not tree[v]:
+                tree[v] = -1
+                parent[v] = b ^ 1
+                active.append(v)
+            elif tree[v] > 0:
+                # a node with arcs from the source and to the sink stays
+                # active in the source tree, where growth finds the arc to
+                # the sink
+                bridged = True
+    queued = [False] * n
+    # queued tree nodes by tree (1, -1).  A tree none of whose nodes is
+    # queued is closed: every residual arc out of the source tree, or into
+    # the sink tree, stays inside it, so no augmenting path is left.  The
+    # roots are never queued; the sink's arcs from source-tree nodes are
+    # only seen from those nodes, so such an arc keeps the sink tree open.
+    waiting = [0, 0, int(bridged)]
+    for v in active:
+        queued[v] = True
+        waiting[tree[v]] += 1
+    stamp = [0] * n                    # augmentation whose origin check passed
+    time = 0
+    total = 0.0
+
+    while waiting[1] and waiting[-1]:
+        u = active.popleft()
+        queued[u] = False
+        waiting[tree[u]] -= 1
+        while tree[u]:
+            # grow u's tree until an arc reaches the other tree
+            bridge = -1
+            if tree[u] > 0:
+                for a in head[u]:
+                    if res[a] > tol:
+                        v = to[a]
+                        side = tree[v]
+                        if not side:
+                            tree[v] = 1
+                            parent[v] = a ^ 1
+                            waiting[1] += 1
+                            if not queued[v]:
+                                queued[v] = True
+                                active.append(v)
+                        elif side < 0:
+                            bridge = a
+                            break
+            else:
+                for a in head[u]:
+                    b = a ^ 1
+                    if res[b] > tol:
+                        v = to[a]
+                        side = tree[v]
+                        if not side:
+                            tree[v] = -1
+                            parent[v] = b
+                            waiting[-1] += 1
+                            if not queued[v]:
+                                queued[v] = True
+                                active.append(v)
+                        elif side > 0:
+                            bridge = b
+                            break
+            if bridge < 0:
+                break
+
+            # augment along source ... x -> y ... sink by the bottleneck
+            x = to[bridge ^ 1]
+            y = to[bridge]
+            d = res[bridge]
+            v = x
+            while v != 0:
+                a = parent[v]
+                if res[a ^ 1] < d:
+                    d = res[a ^ 1]
+                v = to[a]
+            v = y
+            while v != 1:
+                a = parent[v]
+                if res[a] < d:
+                    d = res[a]
+                v = to[a]
+            res[bridge] -= d
+            res[bridge ^ 1] += d
+            total += d
+            orphans = []
+            v = x
+            while v != 0:
+                a = parent[v]
+                res[a] += d
+                res[a ^ 1] -= d
+                if res[a ^ 1] <= tol:
+                    parent[v] = _ORPHAN
+                    orphans.append(v)
+                v = to[a]
+            v = y
+            while v != 1:
+                a = parent[v]
+                res[a] -= d
+                res[a ^ 1] += d
+                if res[a] <= tol:
+                    parent[v] = _ORPHAN
+                    orphans.append(v)
+                v = to[a]
+
+            # re-attach the orphans, those nearest a root first
+            time += 1
+            orphans.reverse()
+            for v in orphans:
+                side = tree[v]
+                # res[a ^ flip] is the residual from w to v in the source
+                # tree and from v to w in the sink tree
+                flip = 1 if side > 0 else 0
+                for a in head[v]:
+                    w = to[a]
+                    if tree[w] != side or res[a ^ flip] <= tol:
+                        continue
+                    j = w                  # climb towards the root
+                    while stamp[j] != time and parent[j] >= 0:
+                        j = to[parent[j]]
+                    if stamp[j] == time or parent[j] == _ROOT:
+                        while j != w:      # stamp the checked path
+                            stamp[w] = time
+                            w = to[parent[w]]
+                        stamp[j] = time
+                        parent[v] = a
+                        break
+                else:
+                    tree[v] = 0
+                    if queued[v]:
+                        waiting[side] -= 1
+                    for a in head[v]:
+                        w = to[a]
+                        if tree[w] != side:
+                            continue
+                        if res[a ^ flip] > tol and not queued[w] and w > 1:
+                            queued[w] = True
+                            waiting[side] += 1
+                            active.append(w)
+                        p = parent[w]
+                        if p >= 0 and to[p] == v:
+                            parent[w] = _ORPHAN
+                            orphans.append(w)
+    return total

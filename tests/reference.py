@@ -11,7 +11,7 @@ from conftest import pn_instance
 from parsilab.expansion import ACCEPT_TOL, MoveTrace
 from parsilab.model import check_labeling
 from parsilab.hst import ROOT
-from parsilab.maxflow import FlowNetwork
+from parsilab.maxflow import FLOW_TOL, FlowNetwork
 
 
 def unique_labels(labeling, clique):
@@ -90,7 +90,7 @@ def best_expansion_move(instance, current, alpha):
     net.compute_max_flow()
     result = current.copy()
     for i in range(instance.num_variables):
-        if not net.min_cut_side(nodes[i]):
+        if not min_cut_side(net, nodes[i]):
             result[i] = alpha
     return result
 
@@ -146,6 +146,26 @@ def build_fusion_instance(model, tree, node, child_labelings):
     return pn_instance(meta_unaries, cliques)
 
 
+def node_distance(tree, u, v):
+    """Shortest-path distance between two nodes of an r-HST, one edge at
+    a time: the deeper node climbs first, then both in lockstep."""
+    du, dv = tree.depth(u), tree.depth(v)
+    dist = 0.0
+    while du > dv:
+        dist += tree.child_edge[tree.parents[u]]
+        u = tree.parents[u]
+        du -= 1
+    while dv > du:
+        dist += tree.child_edge[tree.parents[v]]
+        v = tree.parents[v]
+        dv -= 1
+    while u != v:
+        dist += tree.child_edge[tree.parents[u]]
+        dist += tree.child_edge[tree.parents[v]]
+        u, v = tree.parents[u], tree.parents[v]
+    return dist
+
+
 def frt_decompose(dist, rng):
     """hst._frt_decompose with the centers visited one at a time."""
     h = dist.shape[0]
@@ -192,3 +212,89 @@ def metric_violation(m, tol):
     """LabelMetric.check's triangle test over the full H x H x H array."""
     through = m[:, :, None] + m[None, :, :]
     return bool(np.any(through.min(axis=1) < m - tol))
+
+
+def min_cut_side(net, v):
+    """True if node v of the solved network lies on the source side of
+    the minimum cut."""
+    return net._residual_reachable()[net._internal(v)]
+
+
+class DinicNetwork(FlowNetwork):
+    """FlowNetwork solved by Dinic's algorithm instead of the short-path
+    pass and Boykov-Kolmogorov augmentation."""
+
+    @classmethod
+    def copy_of(cls, net):
+        """A DinicNetwork with the nodes and arcs of net, in its arc order."""
+        copy = cls()
+        copy.add_nodes(net.num_nodes)
+        to, cap = net._to, net._cap
+        for a in range(0, len(to), 2):
+            copy._push_arc(to[a + 1], to[a], cap[a], cap[a + 1])
+        return copy
+
+    def compute_max_flow(self):
+        if self._solved():
+            return self._flow_value
+        to = self._to
+        head = self._head
+        res = list(self._cap)
+        n = len(head)
+        total = 0.0
+
+        while True:
+            # BFS layering on the residual graph.  It stops once the sink
+            # has its layer: the nodes still unlayered would be dead ends,
+            # which the DFS skips exactly as it skips unlayered nodes.
+            level = [-1] * n
+            level[0] = 0
+            queue = [0]
+            for u in queue:
+                next_level = level[u] + 1
+                for a in head[u]:
+                    v = to[a]
+                    if level[v] < 0 and res[a] > FLOW_TOL:
+                        level[v] = next_level
+                        queue.append(v)
+                if level[1] >= 0:
+                    break
+            if level[1] < 0:
+                break
+            it = [0] * n
+            # blocking flow via iterative DFS with current-arc pointers
+            while True:
+                path = []
+                u = 0
+                while u != 1:
+                    advanced = False
+                    arcs = head[u]
+                    next_level = level[u] + 1
+                    while it[u] < len(arcs):
+                        a = arcs[it[u]]
+                        if res[a] > FLOW_TOL and level[to[a]] == next_level:
+                            path.append(a)
+                            u = to[a]
+                            advanced = True
+                            break
+                        it[u] += 1
+                    if not advanced:
+                        level[u] = -1   # dead end; prune
+                        if not path:
+                            u = None
+                            break
+                        a = path.pop()
+                        u = to[a ^ 1]
+                if u is None:
+                    break
+                bottleneck = min(res[a] for a in path)
+                for a in path:
+                    res[a] -= bottleneck
+                    res[a ^ 1] += bottleneck
+                total += bottleneck
+
+        self._res = res
+        self._flow_value = total
+        self._reachable = None
+        self._solved_size = (self._nodes, len(self._to))
+        return total

@@ -165,7 +165,7 @@ def test_validate_flags_bad_diversity(tmp_path, capsys):
 
 def test_validate_tree(tmp_path, capsys, reference_tree):
     path = tmp_path / "tree.json"
-    reference_tree.save(path)
+    path.write_text(json.dumps(reference_tree.to_json()))
     assert cli.main(["validate", str(path)]) == cli.EXIT_OK
     assert "tree ok" in capsys.readouterr().out
 

@@ -259,7 +259,8 @@ def test_tree_metric_matches_node_distance(h, depth, seed):
     for i in range(h):
         for j in range(h):
             lo, hi = min(i, j), max(i, j)
-            assert m[i, j] == tree.node_distance(leaf[lo], leaf[hi])
+            assert m[i, j] == reference.node_distance(tree, leaf[lo],
+                                                      leaf[hi])
 
 
 @SETTINGS

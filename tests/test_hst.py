@@ -21,9 +21,10 @@ FROZEN_MEAN_DISTORTION = 5.0
 # ---------------------------------------------------------------------------
 
 def test_reference_tree_distances(reference_tree):
-    assert reference_tree.tree_metric(0, 2) == 18.0
-    assert reference_tree.tree_metric(0, 1) == 6.0
-    assert reference_tree.tree_metric(3, 3) == 0.0
+    m = reference_tree.metric().matrix
+    assert m[0, 2] == 18.0
+    assert m[0, 1] == 6.0
+    assert m[3, 3] == 0.0
 
 
 def test_reference_tree_clusters(reference_tree):
@@ -68,20 +69,13 @@ def test_tree_metric_is_a_valid_metric():
     assert big.metric().check() is None
 
 
-def test_unknown_label_rejected(reference_tree):
-    with pytest.raises(InvalidInputError):
-        reference_tree.tree_metric(0, 4)
-
-
-def test_tree_json_roundtrip(tmp_path, reference_tree):
-    path = tmp_path / "tree.json"
-    reference_tree.save(path)
-    back = RHst.load(path)
+def test_tree_json_roundtrip(reference_tree):
+    doc = json.loads(json.dumps(reference_tree.to_json()))
+    assert "nodes" in doc
+    back = RHst.from_json(doc)
     assert back.num_nodes == reference_tree.num_nodes
     np.testing.assert_allclose(back.metric().matrix,
                                reference_tree.metric().matrix)
-    doc = json.loads(path.read_text())
-    assert "nodes" in doc
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +93,7 @@ def test_embed_two_points():
     m = LabelMetric(np.array([[0.0, 5.0], [5.0, 0.0]]))
     mix = frt_embed(m, k=16, seed=1)
     for tree in mix:
-        dt = tree.tree_metric(0, 1)
+        dt = tree.metric().matrix[0, 1]
         assert dt >= 5.0 - 1e-12
         assert dt <= 20.0 + 1e-12
 

@@ -1,11 +1,21 @@
-"""Max-flow / min-cut solver, checked against exhaustive cut enumeration."""
+"""Max-flow / min-cut solver, checked against exhaustive cut enumeration
+and against Dinic's algorithm."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from parsilab.expansion import _move_network
 from parsilab.maxflow import SINK, SOURCE, FlowNetwork, StateError
+from reference import DinicNetwork, min_cut_side
+from test_fast_paths import labelings, pn_instances
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
+                    database=None)
 
 
 def _min_cut_enumeration(n, terminal, arcs):
@@ -30,7 +40,7 @@ def _min_cut_enumeration(n, terminal, arcs):
 
 
 def _cut_capacity(net):
-    """Capacity of the cut that min_cut_side reads off the solved network."""
+    """Capacity of the cut read off the solved network."""
     reach = net._residual_reachable()
     return sum(net._cap[a] for u, arcs in enumerate(net._head) if reach[u]
                for a in arcs if not reach[net._to[a]])
@@ -55,7 +65,7 @@ def _build(terminal, arcs):
 def test_single_node():
     net, nodes = _build([(5.0, 3.0)], [])
     assert net.compute_max_flow() == 3.0
-    assert net.min_cut_side(nodes[0])          # source side
+    assert net.source_side_mask()[nodes[0]]
 
 
 def test_single_path_through_infinite_arc():
@@ -140,12 +150,12 @@ def test_queries_require_solved_state():
     v = net.add_node()
     net.add_terminal_arc(v, 1.0, 1.0)
     with pytest.raises(StateError):
-        net.min_cut_side(v)
+        net.source_side_mask()
     net.compute_max_flow()
-    net.min_cut_side(v)                    # fine once solved
+    net.source_side_mask()                 # fine once solved
     net.add_terminal_arc(v, 1.0, 0.0)      # mutation invalidates the solve
     with pytest.raises(StateError):
-        net.min_cut_side(v)
+        net.source_side_mask()
 
 
 def test_terminal_arcs_accumulate():
@@ -162,5 +172,96 @@ def test_source_side_nodes():
     net, nodes = _build(terminal, arcs)
     net.compute_max_flow()
     assert net.source_side_mask().tolist() == [True, False]
-    assert net.min_cut_side(SOURCE)
-    assert not net.min_cut_side(SINK)
+    assert min_cut_side(net, SOURCE)
+    assert not min_cut_side(net, SINK)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_non_finite_or_negative_capacities_are_rejected(bad):
+    net = FlowNetwork()
+    a, b = net.add_nodes(2)
+    for add in (lambda: net.add_arc(a, b, bad),
+                lambda: net.add_arc(a, b, 1.0, bad),
+                lambda: net.add_terminal_arc(a, bad, 0.0),
+                lambda: net.add_terminal_arc(a, 0.0, bad)):
+        with pytest.raises(ValueError):
+            add()
+    assert net._to == []                   # nothing was added
+
+
+# ---------------------------------------------------------------------------
+# against Dinic's algorithm, and the least minimum cut
+# ---------------------------------------------------------------------------
+
+capacities = st.sampled_from([0.0, 1.0, 2.0, 3.0]) \
+    | st.floats(0.0, 5.0, allow_nan=False)
+
+
+@st.composite
+def networks(draw, max_nodes=14, caps=capacities):
+    """Random networks with every kind of arc the solver must handle:
+    direct source -> sink arcs, arcs into the source and out of the sink,
+    parallel arcs, backward and zero capacities, and repeated terminal
+    arcs on one node."""
+    n = draw(st.integers(0, max_nodes))
+    net = FlowNetwork()
+    net.add_nodes(n)
+    ends = st.sampled_from([SOURCE, SINK] + list(range(n)))
+    for _ in range(draw(st.integers(0, 4 * n + 2))):
+        if n and draw(st.booleans()):
+            net.add_terminal_arc(draw(st.integers(0, n - 1)), draw(caps),
+                                 draw(caps))
+        else:
+            net.add_arc(draw(ends), draw(ends), draw(caps), draw(caps))
+    return net
+
+
+def _assert_same_as_dinic(net):
+    oracle = DinicNetwork.copy_of(net)
+    flow = net.compute_max_flow()
+    assert abs(flow - oracle.compute_max_flow()) <= 1e-9
+    np.testing.assert_array_equal(net.source_side_mask(),
+                                  oracle.source_side_mask())
+    # the residual is a flow: within capacity, twin residuals sum to the
+    # twin capacities, and every node but the terminals conserves it
+    res, cap = np.asarray(net._res), np.asarray(net._cap)
+    twin = np.arange(cap.size) ^ 1
+    assert np.all(res >= -1e-9)
+    np.testing.assert_allclose(res + res[twin], cap + cap[twin], rtol=0,
+                               atol=1e-9)
+    for v in range(net.num_nodes):
+        assert abs(_flow_excess(net, v)) <= 1e-9
+
+
+@SETTINGS
+@given(networks())
+def test_random_networks_match_dinic(net):
+    _assert_same_as_dinic(net)
+
+
+@SETTINGS
+@given(st.data())
+def test_move_networks_match_dinic(data):
+    inst = data.draw(pn_instances())
+    current = data.draw(labelings(inst))
+    alpha = data.draw(st.integers(0, inst.num_labels - 1))
+    _assert_same_as_dinic(_move_network(inst, current, alpha))
+
+
+@SETTINGS
+@given(networks(max_nodes=10, caps=st.integers(0, 3).map(float)))
+def test_cut_read_is_the_least_minimum_cut(net):
+    """The source side read off the residual is the intersection of the
+    source sides of all minimum cuts, found by enumerating every cut.
+    Integer capacities make ties between cuts exact."""
+    net.compute_max_flow()
+    n = net.num_nodes
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    side = np.hstack([np.ones((2 ** n, 1), int), np.zeros((2 ** n, 1), int),
+                      bits]).astype(bool)     # column 0 the source, 1 the sink
+    heads = np.asarray(net._to, dtype=int)   # arc slot a runs from the
+    tails = heads[np.arange(heads.size) ^ 1]  # head of its twin a ^ 1
+    cut = (side[:, tails] & ~side[:, heads]) @ np.asarray(net._cap)
+    least = np.all(bits[cut == cut.min()], axis=0)
+    assert cut.min() == net.compute_max_flow()
+    np.testing.assert_array_equal(net.source_side_mask(), least)
