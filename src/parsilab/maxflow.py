@@ -1,20 +1,24 @@
 """Min st-cut / max-flow on sparse directed networks.
 
-This is the inner engine behind every expansion move.  A solve runs two
-steps on one residual list.  A greedy pass first pushes flow along every
-residual path source -> u -> sink and source -> u -> v -> sink, which on
-expansion-move networks carries most of the flow.  Boykov-Kolmogorov
-augmentation (PAMI 2004) then finishes the flow: a source tree and a sink
-tree persist across augmentations, so each path costs a local search
-instead of a scan of the whole graph.
+This is the inner engine behind every expansion move.  Building a network
+only appends each arc and its reverse twin to two flat lists, the arc
+heads and the capacities.  A solve first lays the arcs out once: one
+numpy sort orders the arc ids by tail, stably, and a bincount cumsum
+gives each node's start offset, from which each node gets the list of
+its arcs.  It then runs two steps on one residual list.  A greedy pass
+first pushes flow along every residual path source -> u -> sink and
+source -> u -> v -> sink, which on expansion-move networks carries most
+of the flow.  Boykov-Kolmogorov augmentation (PAMI 2004) then finishes
+the flow: a source tree and a sink tree persist across augmentations, so
+each path costs a local search instead of a scan of the whole graph.
 
 The cut read is the set of nodes reachable from the source in the
 residual graph.  That set is the least minimum cut, the same for every
 maximum flow, so the cut does not depend on the flow algorithm.
 Capacities are finite non-negative doubles; a residual below FLOW_TOL is
 treated as saturated so that floating-point dust cannot stall the
-augmenting loop.  Arc order is fixed by insertion, which makes the solver
-deterministic.
+augmenting loop.  Arc order is fixed by insertion, and the stable sort
+keeps it within each node, which makes the solver deterministic.
 """
 
 from collections import deque
@@ -39,32 +43,36 @@ class StateError(RuntimeError):
 class FlowNetwork:
     """Directed capacitated graph with distinguished source and sink.
 
-    Every arc is stored together with its reverse twin at index ^1; the
-    residual array lives separately from the capacities, so the network
-    can be re-solved (or grown and re-solved) at any time.  Terminal
-    capacities accumulate across repeated add_terminal_arc calls.
+    Arcs are stored flat, in insertion order: arc a runs to the internal
+    node _to[a] with capacity _cap[a], and its reverse twin is arc a ^ 1,
+    so the tail of a is _to[a ^ 1].  Building the network only appends to
+    those two lists.  compute_max_flow lays the arcs out per node, and
+    the residual array lives separately from the capacities, so the
+    network can be re-solved (or grown, laid out and solved again) at any
+    time.  Terminal capacities accumulate across repeated
+    add_terminal_arc calls.
     """
 
     def __init__(self):
-        self._head = [[], []]          # adjacency (arc indices); 0=source, 1=sink
         self._to = []
         self._cap = []
         self._nodes = 0                # user nodes, internal ids 2..nodes+1
+        self._head = None              # per node its arc ids, after a solve
         self._res = None               # residual capacities after a solve
         self._flow_value = None
         self._reachable = None
         self._solved_size = None       # (nodes, arc slots) the solve covers
 
     def add_node(self):
-        self._head.append([])
         self._nodes += 1
         return self._nodes - 1
 
     def add_nodes(self, count):
+        if count < 0:
+            raise ValueError("node count must be non-negative")
         first = self._nodes
-        self._head.extend([] for _ in range(count))
         self._nodes += count
-        return list(range(first, first + count))
+        return range(first, first + count)
 
     @property
     def num_nodes(self):
@@ -79,34 +87,36 @@ class FlowNetwork:
             return 1
         raise ValueError("unknown node id %r" % v)
 
-    def _push_arc(self, u, v, cf, cb):
-        # a solve stays valid only while the graph keeps the size it was
-        # solved at, so growing the graph needs no invalidation here
-        to = self._to
-        a = len(to)
-        to += (v, u)
-        self._cap += (cf, cb)
-        self._head[u].append(a)
-        self._head[v].append(a + 1)
-
     def add_arc(self, u, v, cap_forward, cap_backward=0.0):
         # the chained comparisons also reject NaN
         if not (0 <= cap_forward < inf and 0 <= cap_backward < inf):
             raise ValueError("arc capacities must be finite and non-negative")
         n = self._nodes                # inline _internal for user nodes
-        self._push_arc(u + 2 if 0 <= u < n else self._internal(u),
-                       v + 2 if 0 <= v < n else self._internal(v),
-                       float(cap_forward), float(cap_backward))
+        iu = u + 2 if 0 <= u < n else self._internal(u)
+        iv = v + 2 if 0 <= v < n else self._internal(v)
+        to = self._to                  # list.append is the fastest way in
+        to.append(iv)
+        to.append(iu)
+        cap = self._cap
+        cap.append(float(cap_forward))
+        cap.append(float(cap_backward))
 
     def add_terminal_arc(self, v, cap_from_source, cap_to_sink):
         if not (0 <= cap_from_source < inf and 0 <= cap_to_sink < inf):
             raise ValueError(
                 "terminal capacities must be finite and non-negative")
-        iv = self._internal(v)
+        iv = v + 2 if 0 <= v < self._nodes else self._internal(v)
+        to, cap = self._to, self._cap
         if cap_from_source > 0:
-            self._push_arc(0, iv, float(cap_from_source), 0.0)
+            to.append(iv)
+            to.append(0)
+            cap.append(float(cap_from_source))
+            cap.append(0.0)
         if cap_to_sink > 0:
-            self._push_arc(iv, 1, float(cap_to_sink), 0.0)
+            to.append(1)
+            to.append(iv)
+            cap.append(float(cap_to_sink))
+            cap.append(0.0)
 
     def infinite_capacity(self):
         """Sentinel larger than any possible flow: sum of finite caps plus one."""
@@ -115,12 +125,15 @@ class FlowNetwork:
     # -- max-flow -----------------------------------------------------------
 
     def _solved(self):
+        # a solve stays valid only while the graph keeps the size it was
+        # solved at, so growing the graph needs no invalidation
         return (self._flow_value is not None
                 and self._solved_size == (self._nodes, len(self._to)))
 
     def compute_max_flow(self):
         if self._solved():
             return self._flow_value
+        self._head = _arc_lists(self._to, self._nodes + 2)
         res = list(self._cap)
         total = _short_paths(self._head, self._to, res)
         total += _search_trees(self._head, self._to, res)
@@ -158,6 +171,31 @@ class FlowNetwork:
     def source_side_mask(self):
         """Boolean array over the nodes: True on the source side of the cut."""
         return np.array(self._residual_reachable()[2:], dtype=bool)
+
+
+def _arc_lists(to, n):
+    """Per internal node, the ids of the arcs leaving it in insertion order.
+
+    The arcs are laid out in CSR form: sorted by tail, stably, with node
+    u's arcs at adj[start[u]:start[u + 1]].  Arc b's head is the tail of
+    its twin b ^ 1, so the heads give every count and sort key: the key of
+    b ^ 1 packs (head of b, b ^ 1) into one integer (a network has fewer
+    than 2**31 nodes and 2**32 arc slots), and sorting the keys sorts the
+    arcs by tail.  Each node's slice is taken once, here, rather than at
+    every visit of the flow.
+    """
+    key = np.fromiter(to, np.intp, len(to))
+    start = [0] + np.bincount(key, minlength=n).cumsum().tolist()
+    ids = np.arange(key.size)
+    ids ^= 1
+    key <<= 32
+    key |= ids
+    del ids
+    key.sort()
+    key &= 0xFFFFFFFF
+    adj = key.tolist()
+    del key
+    return [adj[s:e] for s, e in zip(start, start[1:])]
 
 
 def _short_paths(head, to, res):

@@ -220,25 +220,36 @@ def min_cut_side(net, v):
     return net._residual_reachable()[net._internal(v)]
 
 
+def arc_lists(net):
+    """Per internal node of net (0 the source, 1 the sink, v + 2 node v),
+    the ids of the arcs leaving it in insertion order, read from the flat
+    arc heads: the tail of arc a is the head of its twin a ^ 1."""
+    to = net._to
+    head = [[] for _ in range(net.num_nodes + 2)]
+    for a in range(len(to)):
+        head[to[a ^ 1]].append(a)
+    return head
+
+
 class DinicNetwork(FlowNetwork):
     """FlowNetwork solved by Dinic's algorithm instead of the short-path
-    pass and Boykov-Kolmogorov augmentation."""
+    pass and Boykov-Kolmogorov augmentation, on per-node arc lists built
+    by arc_lists instead of the solve-time layout."""
 
     @classmethod
     def copy_of(cls, net):
         """A DinicNetwork with the nodes and arcs of net, in its arc order."""
         copy = cls()
         copy.add_nodes(net.num_nodes)
-        to, cap = net._to, net._cap
-        for a in range(0, len(to), 2):
-            copy._push_arc(to[a + 1], to[a], cap[a], cap[a + 1])
+        copy._to = list(net._to)
+        copy._cap = list(net._cap)
         return copy
 
     def compute_max_flow(self):
         if self._solved():
             return self._flow_value
         to = self._to
-        head = self._head
+        self._head = head = arc_lists(self)
         res = list(self._cap)
         n = len(head)
         total = 0.0

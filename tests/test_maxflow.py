@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from parsilab.expansion import _move_network
 from parsilab.maxflow import SINK, SOURCE, FlowNetwork, StateError
-from reference import DinicNetwork, min_cut_side
+from reference import DinicNetwork, arc_lists, min_cut_side
 from test_fast_paths import labelings, pn_instances
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
@@ -42,14 +42,14 @@ def _min_cut_enumeration(n, terminal, arcs):
 def _cut_capacity(net):
     """Capacity of the cut read off the solved network."""
     reach = net._residual_reachable()
-    return sum(net._cap[a] for u, arcs in enumerate(net._head) if reach[u]
-               for a in arcs if not reach[net._to[a]])
+    return sum(net._cap[a] for u, arcs in enumerate(arc_lists(net))
+               if reach[u] for a in arcs if not reach[net._to[a]])
 
 
 def _flow_excess(net, v):
     """Net inflow at node v of the solved network."""
     # cap - res on each arc slot leaving v is the net flow it carries out
-    return -sum(net._cap[a] - net._res[a] for a in net._head[v + 2])
+    return -sum(net._cap[a] - net._res[a] for a in arc_lists(net)[v + 2])
 
 
 def _build(terminal, arcs):
@@ -189,6 +189,27 @@ def test_non_finite_or_negative_capacities_are_rejected(bad):
     assert net._to == []                   # nothing was added
 
 
+def test_unknown_node_is_rejected():
+    net = FlowNetwork()
+    net.add_nodes(2)
+    for add in (lambda: net.add_arc(0, 2, 1.0), lambda: net.add_arc(2, 0, 1.0),
+                lambda: net.add_arc(SOURCE - 2, 1, 1.0),
+                lambda: net.add_terminal_arc(-3, 1.0, 1.0)):
+        with pytest.raises(ValueError):
+            add()
+    assert net._to == [] and net._cap == []   # nothing was added
+
+
+def test_negative_node_count_is_rejected():
+    net = FlowNetwork()
+    net.add_nodes(3)
+    with pytest.raises(ValueError):
+        net.add_nodes(-2)
+    assert net.num_nodes == 3
+    assert net.add_nodes(0) == range(3, 3)
+    assert list(net.add_nodes(2)) == [3, 4]
+
+
 # ---------------------------------------------------------------------------
 # against Dinic's algorithm, and the least minimum cut
 # ---------------------------------------------------------------------------
@@ -265,3 +286,60 @@ def test_cut_read_is_the_least_minimum_cut(net):
     least = np.all(bits[cut == cut.min()], axis=0)
     assert cut.min() == net.compute_max_flow()
     np.testing.assert_array_equal(net.source_side_mask(), least)
+
+
+@st.composite
+def growth(draw, max_nodes=8, caps=capacities):
+    """Nodes and arcs to build a network from, split in two: what is there
+    at the first solve and what is added after it."""
+    steps = []
+    n = first = draw(st.integers(0, max_nodes))
+    for _ in range(draw(st.integers(1, 3 * max_nodes))):
+        kind = draw(st.sampled_from(["node", "terminal", "arc"]))
+        if kind == "node":
+            steps.append(("node",))
+            n += 1
+        elif kind == "terminal" and n:
+            steps.append(("terminal", draw(st.integers(0, n - 1)),
+                          draw(caps), draw(caps)))
+        else:
+            ends = st.sampled_from([SOURCE, SINK] + list(range(n)))
+            steps.append(("arc", draw(ends), draw(ends), draw(caps),
+                          draw(caps)))
+    return first, steps, draw(st.integers(0, len(steps) - 1))
+
+
+def _grow(net, steps):
+    for kind, *args in steps:
+        if kind == "node":
+            net.add_node()
+        elif kind == "terminal":
+            net.add_terminal_arc(*args)
+        else:
+            net.add_arc(*args)
+
+
+@SETTINGS
+@given(growth())
+def test_grown_network_is_laid_out_and_solved_again(case):
+    """A solved network that gains nodes or arcs is solved again from a new
+    layout, exactly as a network built fresh with the same arcs."""
+    n, steps, split = case
+    net = FlowNetwork()
+    net.add_nodes(n)
+    _grow(net, steps[:split])
+    net.compute_max_flow()
+    net.source_side_mask()                 # caches the cut of the first solve
+    size = (net.num_nodes, len(net._to))
+    _grow(net, steps[split:])
+    grown = (net.num_nodes, len(net._to)) != size
+    fresh = FlowNetwork()
+    fresh.add_nodes(n)
+    _grow(fresh, steps)
+    assert net.compute_max_flow() == fresh.compute_max_flow()
+    # the cached cut is cleared exactly when the network grew (a terminal
+    # arc of zero capacities adds nothing)
+    assert (net._reachable is None) == grown
+    np.testing.assert_array_equal(net.source_side_mask(),
+                                  fresh.source_side_mask())
+    assert net._head == fresh._head
