@@ -1,10 +1,10 @@
 """Parsimonious labeling: minimization of high-order discrete energies
 whose clique potentials are diversities of the used label set."""
 
-from .expansion import (CliqueGamma, MoveTrace, PnPottsInstance,
-                        alpha_expansion, best_expansion_move, pn_potts_bound)
+from .expansion import (MoveTrace, PnPottsInstance, alpha_expansion,
+                        best_expansion_move, pn_potts_bound)
 from .hst import RHst, frt_embed
-from .model import (Clique, DiameterDiversity, DiameterMetricSpec,
+from .model import (Cliques, DiameterDiversity, DiameterMetricSpec,
                     DiversitySpec, EnergyModel, ExplicitTableDiversity,
                     InvalidInputError, LabelMetric, PnPottsSpec,
                     validate_diversity_axioms)
@@ -14,7 +14,7 @@ from .solver import (SolveReport, solve, solve_hierarchical,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Clique", "CliqueGamma", "DiameterDiversity", "DiameterMetricSpec",
+    "Cliques", "DiameterDiversity", "DiameterMetricSpec",
     "DiversitySpec", "EnergyModel", "ExplicitTableDiversity",
     "InvalidInputError", "LabelMetric", "MoveTrace", "PnPottsInstance",
     "PnPottsSpec", "RHst", "SolveReport", "alpha_expansion",

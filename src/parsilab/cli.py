@@ -164,7 +164,7 @@ def cmd_validate(args):
             doc = json.load(f)
     except (OSError, ValueError) as e:
         return _fail("cannot read input: %s" % e)
-    if "nodes" in doc:
+    if isinstance(doc, dict) and "nodes" in doc:
         try:
             tree = RHst.from_json(doc)
         except (KeyError, ValueError) as e:

@@ -4,12 +4,12 @@ A clique pays gamma[k] when uniformly labeled l_k and gamma_max otherwise
 (gamma_max strictly larger whenever the clique weight is positive).  The
 optimal expansion move for such an energy is a single min st-cut; the
 sweep over alpha labels then descends monotonically to a local minimum.
+A PnPottsInstance keeps its cliques as a model.Cliques, so energies and
+move networks are built from the CSR clique arrays.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -20,92 +20,58 @@ from .model import (InvalidInputError, check_labeling, ordered_sum,
 ACCEPT_TOL = 1e-9
 
 
-class CliqueGamma(NamedTuple):
-    """One clique of a consistency-cost instance (see PnPottsInstance)."""
-    members: np.ndarray
-    gamma: np.ndarray
-    gamma_max: float
-    weight: float
-
-
 class PnPottsInstance:
     """Unaries plus weighted per-clique consistency costs.
 
-    The cliques are held as CSR arrays: clique c has the members
-    members[offsets[c]:offsets[c + 1]], weight weights[c], per-label cost
-    table gamma[c] and disagreement cost gamma_max[c].  gamma may also be
-    one table shared by every clique.  Energy evaluation and move
-    construction work on these arrays; ``cliques`` lists the same cliques
-    as CliqueGamma records.
+    ``cliques`` holds the members and weights (model.Cliques); clique c
+    also has the per-label cost table gamma[c] and the disagreement cost
+    gamma_max[c].  gamma may also be one table shared by every clique.
     """
 
-    def __init__(self, unaries, offsets, members, weights, gamma, gamma_max):
+    def __init__(self, unaries, cliques, gamma, gamma_max):
         unaries = np.asarray(unaries, dtype=float)
         if unaries.ndim != 2:
             raise InvalidInputError("unaries must be N x H")
         require_finite(unaries, "unaries")
         n, h = unaries.shape
-        offsets = np.asarray(offsets, dtype=np.intp)
-        members = np.asarray(members, dtype=np.intp)
-        weights = np.asarray(weights, dtype=float)
-        gamma_max = np.asarray(gamma_max, dtype=float)
-        count = weights.shape[0]
+        cliques.check_members(n)
+        count = len(cliques)
         try:
             gamma = np.broadcast_to(np.asarray(gamma, dtype=float), (count, h))
         except ValueError as e:
             raise InvalidInputError(
                 "clique gamma table must have H entries") from e
-        sizes = np.diff(offsets)
-        if (offsets.shape != (count + 1,) or gamma_max.shape != (count,)
-                or offsets[0] != 0 or offsets[-1] != members.shape[0]):
-            raise InvalidInputError("inconsistent clique arrays")
-        if np.any(sizes < 1):
-            raise InvalidInputError("clique members must be non-empty")
-        if members.size and (members.min() < 0 or members.max() >= n):
-            raise InvalidInputError("clique member out of range")
-        keys = np.sort(np.repeat(np.arange(count), sizes) * n + members)
-        if np.any(keys[1:] == keys[:-1]):
-            raise InvalidInputError("clique members must be distinct")
-        require_finite(weights, "clique weights")
+        gamma_max = np.asarray(gamma_max, dtype=float)
+        if gamma_max.shape != (count,):
+            raise InvalidInputError("gamma_max must have one entry per clique")
         require_finite(gamma, "gamma values")
         require_finite(gamma_max, "gamma_max")
-        if np.any(weights < 0):
-            raise InvalidInputError("clique weight must be non-negative")
         if np.any(gamma < 0) or np.any(gamma_max < 0):
             raise InvalidInputError("gamma values must be non-negative")
-        weighted = weights > 0
+        weighted = cliques.weights > 0
         if np.any(gamma[weighted] >= gamma_max[weighted, None]):
             raise InvalidInputError(
                 "gamma_max must strictly exceed every gamma[k] when weighted")
         self.unaries = unaries
         self.num_variables = n
         self.num_labels = h
-        self.offsets = offsets
-        self.members = members
-        self.weights = weights
+        self.cliques = cliques
         self.gamma = gamma
         self.gamma_max = gamma_max
-        self.sizes = sizes
         self._rows = np.arange(count)
-
-    @functools.cached_property
-    def cliques(self):
-        """The cliques as a tuple of CliqueGamma records."""
-        bounds = self.offsets.tolist()
-        members = [self.members[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-        return tuple(map(CliqueGamma, members, self.gamma,
-                         self.gamma_max.tolist(), self.weights.tolist()))
 
     def clique_gamma(self, labeling):
         """Per clique: gamma of its label if uniformly labeled, else
         gamma_max."""
-        uniform, low = uniform_label(labeling[self.members], self.offsets)
+        uniform, low = uniform_label(labeling[self.cliques.members],
+                                     self.cliques.offsets)
         return np.where(uniform, self.gamma[self._rows, low], self.gamma_max)
 
     def evaluate(self, labeling):
         labeling = check_labeling(labeling, self.unaries)
         e = float(self.unaries[np.arange(self.num_variables), labeling].sum())
-        return ordered_sum(e, self.weights * self.clique_gamma(labeling))
+        return ordered_sum(e, self.cliques.weights
+                           * self.clique_gamma(labeling))
 
 
 def best_expansion_move(instance, current, alpha):
@@ -141,15 +107,16 @@ def _move_network(instance, current, alpha):
 
     # a clique without movers (already uniformly alpha) or weight costs
     # the same in every move
-    moving = current[instance.members] != alpha
-    movers = instance.members[moving]
-    num_movers = per_clique(np.add, moving, instance.offsets)
+    cliques = instance.cliques
+    moving = current[cliques.members] != alpha
+    movers = cliques.members[moving]
+    num_movers = per_clique(np.add, moving, cliques.offsets)
     # what the clique pays if every mover keeps its label
     gamma_keep = instance.clique_gamma(current)
-    pay_keep = instance.weights * (instance.gamma_max - gamma_keep)
-    pay_switch = instance.weights * (instance.gamma_max
-                                     - instance.gamma[:, alpha])
-    active = (num_movers > 0) & (instance.weights > 0)
+    pay_keep = cliques.weights * (instance.gamma_max - gamma_keep)
+    pay_switch = cliques.weights * (instance.gamma_max
+                                    - instance.gamma[:, alpha])
+    active = (num_movers > 0) & (cliques.weights > 0)
     ends = np.cumsum(num_movers)
     starts = ends - num_movers
 
@@ -199,9 +166,6 @@ class MoveTrace:
     initial_energy: float
     moves: list = field(default_factory=list)
     sweeps: int = 0
-
-    def energies(self):
-        return [self.initial_energy] + [e for _, _, e in self.moves]
 
 
 def alpha_expansion(instance, init=None):
@@ -264,7 +228,7 @@ def pn_potts_bound(instance):
     extrema taken across all weighted cliques.  With gamma_min zero there
     is no multiplicative guarantee, and the bound is infinite.
     """
-    weighted = instance.weights > 0
+    weighted = instance.cliques.weights > 0
     if not weighted.any():
         return 1.0
     gamma_min = float(instance.gamma[weighted].min())
@@ -272,5 +236,5 @@ def pn_potts_bound(instance):
     if gamma_min == 0:
         return math.inf
     lam = gamma_max / gamma_min
-    m = int(instance.sizes[weighted].max())
+    m = int(instance.cliques.sizes[weighted].max())
     return lam * min(m, instance.num_labels)

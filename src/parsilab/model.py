@@ -1,11 +1,13 @@
 """Data model for parsimonious labeling problems.
 
 Holds the label set, metrics, diversity functions, cliques and the
-energy functional.  Everything here is immutable after construction and
-evaluation is deterministic.
+energy functional.  Every model keeps its cliques as one Cliques, CSR
+arrays of members and weights that also carry all clique validation;
+potentials evaluate every clique at once from those arrays.  Everything
+here is immutable after construction and evaluation is deterministic.
 """
 
-import functools
+import itertools
 import json
 import math
 
@@ -399,25 +401,63 @@ class DiameterMetricSpec(DiversitySpec):
 # the energy model
 # ---------------------------------------------------------------------------
 
-class Clique:
-    def __init__(self, members, weight):
-        members = tuple(map(int, members))
-        if not members:
-            raise InvalidInputError("clique must have at least one member")
-        if len(set(members)) != len(members):
-            raise InvalidInputError("clique members must be distinct")
-        weight = float(weight)
-        if not math.isfinite(weight):
-            raise InvalidInputError("clique weight must be finite")
-        if weight < 0:
-            raise InvalidInputError("clique weight must be non-negative")
-        self.members = members
-        self.weight = weight
-        self.members_arr = np.asarray(members, dtype=np.intp)
-        self.members_arr.setflags(write=False)
+class Cliques:
+    """Weighted cliques in CSR form: clique c has the members
+    members[offsets[c]:offsets[c + 1]] and the weight weights[c].
 
-    def __repr__(self):
-        return "Clique(%r, w=%g)" % (list(self.members), self.weight)
+    The arrays are read-only.  Each clique has distinct members and a
+    finite non-negative weight; its model calls check_members.
+    """
+
+    def __init__(self, offsets, members, weights):
+        offsets = _index_array(offsets, "clique offsets")
+        members = _index_array(members, "clique members")
+        weights = np.asarray(weights, dtype=float)
+        count = weights.size
+        if (weights.ndim != 1 or offsets.shape != (count + 1,)
+                or offsets[0] != 0 or offsets[-1] != members.size):
+            raise InvalidInputError("inconsistent clique arrays")
+        sizes = np.diff(offsets)
+        if np.any(sizes < 1):
+            raise InvalidInputError("clique must have at least one member")
+        if members.size and members.min() < 0:
+            raise InvalidInputError("clique member out of range")
+        keys = np.sort(np.repeat(np.arange(count), sizes)
+                       * (members.max(initial=0) + 1) + members)
+        if np.any(keys[1:] == keys[:-1]):
+            raise InvalidInputError("clique members must be distinct")
+        require_finite(weights, "clique weights")
+        if np.any(weights < 0):
+            raise InvalidInputError("clique weight must be non-negative")
+        for a in (offsets, members, weights, sizes):
+            a.setflags(write=False)
+        self.offsets, self.members, self.weights = offsets, members, weights
+        self.sizes, self.max_size = sizes, int(sizes.max(initial=0))
+
+    @classmethod
+    def from_lists(cls, members, weights):
+        """Cliques from one member list and one weight per clique."""
+        flat = np.array(list(itertools.chain.from_iterable(members)))
+        return cls(np.cumsum([0] + [len(m) for m in members]), flat, weights)
+
+    def __len__(self):
+        return self.weights.size
+
+    def check_members(self, num_variables):
+        """Raise InvalidInputError unless members < num_variables."""
+        if self.members.size and self.members.max() >= num_variables:
+            raise InvalidInputError("clique member out of range")
+
+
+def _index_array(values, what):
+    """values as a flat intp array; integral floats are taken, anything
+    else but a flat list of integers raises InvalidInputError."""
+    a = np.asarray(values)
+    if a.dtype.kind == "f" and np.all(np.isfinite(a) & (a == np.trunc(a))):
+        a = a.astype(np.intp)
+    if a.ndim != 1 or a.dtype.kind not in "iu":
+        raise InvalidInputError("%s must be a flat list of integers" % what)
+    return a.astype(np.intp, copy=False)
 
 
 class EnergyModel:
@@ -431,12 +471,10 @@ class EnergyModel:
         n, h = unaries.shape
         if potential.num_labels != h:
             raise InvalidInputError("potential label count does not match unaries")
-        for c in cliques:
-            if min(c.members) < 0 or max(c.members) >= n:
-                raise InvalidInputError("clique member out of range")
+        cliques.check_members(n)
         self.unaries = unaries
         self.unaries.setflags(write=False)
-        self.cliques = tuple(cliques)
+        self.cliques = cliques
         self.potential = potential
 
     @property
@@ -447,36 +485,13 @@ class EnergyModel:
     def num_labels(self):
         return self.unaries.shape[1]
 
-    @property
-    def max_clique_size(self):
-        return max((len(c.members) for c in self.cliques), default=0)
-
-    @functools.cached_property
-    def clique_arrays(self):
-        """The cliques in CSR form, (offsets, members, weights): clique c
-        is members[offsets[c]:offsets[c + 1]] with weight weights[c]."""
-        offsets = np.zeros(len(self.cliques) + 1, dtype=np.intp)
-        offsets[1:] = np.cumsum([len(c.members) for c in self.cliques],
-                                dtype=np.intp)
-        members = np.concatenate(
-            [c.members_arr for c in self.cliques] or [np.zeros(0, np.intp)])
-        weights = np.array([c.weight for c in self.cliques], dtype=float)
-        for a in (offsets, members, weights):
-            a.setflags(write=False)
-        return offsets, members, weights
-
-    def unary_energy(self, labeling):
-        labeling = check_labeling(labeling, self.unaries)
-        return float(self.unaries[np.arange(self.num_variables), labeling].sum())
-
-    def clique_energy(self, labeling):
-        labeling = check_labeling(labeling, self.unaries)
-        offsets, members, weights = self.clique_arrays
-        return ordered_sum(0.0, weights * self.potential.clique_values(
-            labeling[members], offsets))
-
     def evaluate_energy(self, labeling):
-        return self.unary_energy(labeling) + self.clique_energy(labeling)
+        labeling = check_labeling(labeling, self.unaries)
+        unary = self.unaries[np.arange(self.num_variables), labeling].sum()
+        c = self.cliques
+        clique = ordered_sum(0.0, c.weights * self.potential.clique_values(
+            labeling[c.members], c.offsets))
+        return float(unary) + clique
 
 
 # ---------------------------------------------------------------------------
@@ -533,24 +548,34 @@ def _potential_to_json(potential):
 
 def model_from_json(doc):
     """Parse a problem document (dict) into an EnergyModel."""
+    if not isinstance(doc, dict):
+        raise InvalidInputError("problem must be a JSON object")
     try:
-        n = int(doc["num_variables"])
-        h = int(doc["num_labels"])
+        n, h = doc["num_variables"], doc["num_labels"]
+        if type(n) is not int or type(h) is not int or n < 0 or h < 1:
+            raise InvalidInputError("num_variables must be an integer >= 0 "
+                                    "and num_labels an integer >= 1")
         unaries = np.asarray(doc["unaries"], dtype=float).reshape(n, h)
-        cliques = [Clique(c["members"], c["weight"]) for c in doc["cliques"]]
+        cliques = Cliques.from_lists(
+            [c["members"] for c in doc["cliques"]],
+            [c["weight"] for c in doc["cliques"]])
         potential = _potential_from_json(doc["potential"], h)
     except KeyError as e:
         raise InvalidInputError("missing field: %s" % e) from e
+    except (TypeError, AttributeError) as e:
+        raise InvalidInputError("malformed problem: %s" % e) from e
     return EnergyModel(unaries, cliques, potential)
 
 
 def model_to_json(model):
+    c = model.cliques
     return {
         "num_variables": model.num_variables,
         "num_labels": model.num_labels,
         "unaries": model.unaries.reshape(-1).tolist(),
-        "cliques": [{"members": list(c.members), "weight": c.weight}
-                    for c in model.cliques],
+        "cliques": [{"members": m.tolist(), "weight": w} for m, w in
+                    zip(np.split(c.members, c.offsets[1:-1]),
+                        c.weights.tolist())],
         "potential": _potential_to_json(model.potential),
     }
 

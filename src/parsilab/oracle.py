@@ -57,15 +57,13 @@ def exhaustive_minimize(model):
     unary = model.unaries[np.arange(n)[None, :], labelings].sum(axis=1)
 
     clique = np.zeros(labelings.shape[0])
-    if model.cliques:
+    c = model.cliques
+    if len(c):
         table = _mask_potential_table(model)
-        for c in model.cliques:
-            if c.weight == 0.0:
-                continue
-            masks = np.zeros(labelings.shape[0], dtype=np.int64)
-            for m in c.members:
-                masks |= np.int64(1) << labelings[:, m].astype(np.int64)
-            clique += c.weight * table[masks]
+        for k in np.flatnonzero(c.weights):     # zero weights add nothing
+            labs = labelings[:, c.members[c.offsets[k]:c.offsets[k + 1]]]
+            masks = np.bitwise_or.reduce(np.int64(1) << labs, axis=1)
+            clique += c.weights[k] * table[masks]
 
     energy = unary + clique
     best = int(np.argmin(energy))   # first minimum = lexicographic tie-break
@@ -102,7 +100,5 @@ def model_to_pn_potts_instance(model):
     if not isinstance(model.potential, PnPottsSpec):
         raise InvalidInputError("model potential is not a consistency cost")
     spec = model.potential
-    offsets, members, weights = model.clique_arrays
-    return PnPottsInstance(
-        model.unaries, offsets, members, weights, spec.gamma,
-        np.full(weights.size, spec.gamma_max))
+    return PnPottsInstance(model.unaries, model.cliques, spec.gamma,
+                           np.full(len(model.cliques), spec.gamma_max))

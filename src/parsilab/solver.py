@@ -17,8 +17,8 @@ import numpy as np
 
 from . import hst
 from .expansion import PnPottsInstance, alpha_expansion, pn_potts_bound
-from .model import (DiameterMetricSpec, DiversitySpec, InvalidInputError,
-                    PnPottsSpec, SolverError, per_clique)
+from .model import (Cliques, DiameterMetricSpec, DiversitySpec,
+                    InvalidInputError, PnPottsSpec, SolverError, per_clique)
 from .oracle import model_to_pn_potts_instance
 
 
@@ -78,7 +78,7 @@ def theorem_bounds(model, r=2.0):
     if r <= 1:
         raise InvalidInputError("separation parameter r must exceed 1")
     h = model.num_labels
-    m = model.max_clique_size
+    m = model.cliques.max_size
     bound1 = r / (r - 1.0) * min(m, h)
     shrink = isinstance(model.potential, DiameterMetricSpec)
     bound2 = bound1 * math.log(h) * (1 if shrink else h - 1)
@@ -100,18 +100,17 @@ def build_fusion_instance(model, tree, node, child_labelings):
     meta_unaries = np.ascontiguousarray(
         model.unaries[np.arange(n), labelings].T)
 
-    offsets, members, weights = model.clique_arrays
-    sizes = np.diff(offsets)
-    labs = labelings[:, members]              # k x (members of all cliques)
-    low = per_clique(np.minimum, labs, offsets)
-    high = per_clique(np.maximum, labs, offsets)
-    same = per_clique(np.logical_and, labs == labs[0], offsets).all(axis=0)
-    keep = (weights > 0) & ~((low[0] == high[0]) & same)
-    kept_members = np.repeat(keep, sizes)
+    cliques = model.cliques
+    labs = labelings[:, cliques.members]      # k x (members of all cliques)
+    low = per_clique(np.minimum, labs, cliques.offsets)
+    high = per_clique(np.maximum, labs, cliques.offsets)
+    same = per_clique(np.logical_and, labs == labs[0],
+                      cliques.offsets).all(axis=0)
+    keep = (cliques.weights > 0) & ~((low[0] == high[0]) & same)
+    kept_members = np.repeat(keep, cliques.sizes)
     labs, low, high = labs[:, kept_members], low[:, keep], high[:, keep]
-    sizes = sizes[keep]
-    offsets = np.zeros(sizes.size + 1, dtype=np.intp)
-    offsets[1:] = np.cumsum(sizes)
+    sizes = cliques.sizes[keep]
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
 
     # child j's diameter on clique c: the distance between its smallest
     # and largest label is exact on one or two labels (0 on one); larger
@@ -125,8 +124,9 @@ def build_fusion_instance(model, tree, node, child_labelings):
             labs[j, offsets[c]:offsets[c + 1]])
     gamma_max = tree.hierarchical_pn_potts(tree.cluster_labels(node))
     return PnPottsInstance(
-        meta_unaries, offsets, members[kept_members], weights[keep], gamma,
-        np.full(sizes.size, gamma_max))
+        meta_unaries,
+        Cliques(offsets, cliques.members[kept_members], cliques.weights[keep]),
+        gamma, np.full(sizes.size, gamma_max))
 
 
 def solve_hierarchical(model, tree):

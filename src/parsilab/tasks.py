@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hst import RHst
-from .model import (Clique, DiameterMetricSpec, EnergyModel, InvalidInputError,
-                    LabelMetric)
+from .model import (Cliques, DiameterMetricSpec, EnergyModel,
+                    InvalidInputError, LabelMetric)
 
 
 # ---------------------------------------------------------------------------
@@ -41,13 +41,15 @@ class GridSpec:
 
 
 def window_cliques(width, height, window, stride, weight):
-    cliques = []
-    for y0 in range(0, height - window + 1, stride):
-        for x0 in range(0, width - window + 1, stride):
-            members = [(y0 + dy) * width + (x0 + dx)
-                       for dy in range(window) for dx in range(window)]
-            cliques.append(Clique(members, weight))
-    return cliques
+    """One clique per window x window square of a raster-ordered grid,
+    corners stride apart, row by row; members row by row within."""
+    corners = (np.arange(0, height - window + 1, stride)[:, None] * width
+               + np.arange(0, width - window + 1, stride)).reshape(-1)
+    square = (np.arange(window)[:, None] * width
+              + np.arange(window)).reshape(-1)
+    return Cliques(np.arange(corners.size + 1) * square.size,
+                   (corners[:, None] + square).reshape(-1),
+                   np.full(corners.size, float(weight)))
 
 
 def generate_synthetic(spec):
@@ -155,27 +157,46 @@ def _ensure_superpixels(task, height, width):
 
 
 def superpixel_cliques(region_map, intensity, sigma):
-    """One clique per region, weighted by exp(-var(intensity)/sigma^2)."""
-    flat_regions = region_map.reshape(-1)
+    """One clique per region in ascending id order, its pixels in raster
+    order, weighted by exp(-var(intensity)/sigma^2)."""
+    members = np.argsort(region_map.reshape(-1), kind="stable")
     flat_int = intensity.reshape(-1).astype(float)
-    cliques = []
-    for rid in np.unique(flat_regions):
-        members = np.flatnonzero(flat_regions == rid)
-        w = float(np.exp(-flat_int[members].var() / sigma ** 2))
-        cliques.append(Clique(members, w))
-    return cliques
+    _, sizes = np.unique(region_map, return_counts=True)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    bounds = offsets.tolist()
+    weights = [np.exp(-flat_int[members[a:b]].var() / sigma ** 2)
+               for a, b in zip(bounds[:-1], bounds[1:])]
+    return Cliques(offsets, members, weights)
 
 
 def pairwise_cliques(height, width, weight_fn):
-    cliques = []
-    for y in range(height):
-        for x in range(width):
-            p = y * width + x
-            if x + 1 < width:
-                cliques.append(Clique((p, p + 1), weight_fn(p, p + 1)))
-            if y + 1 < height:
-                cliques.append(Clique((p, p + width), weight_fn(p, p + width)))
-    return cliques
+    """One clique per pair of 4-neighbours p < q: per pixel p in raster
+    order, its right then its lower neighbour.  weight_fn maps the arrays
+    of the pairs' p and q to their weights."""
+    p = np.arange(height * width).reshape(height, width, 1)
+    q = p + [1, width]
+    inside = np.stack(np.broadcast_arrays(
+        np.arange(width) + 1 < width, np.arange(height)[:, None] + 1 < height),
+        axis=-1)
+    p, q = np.broadcast_to(p, q.shape)[inside], q[inside]
+    return Cliques(np.arange(p.size + 1) * 2,
+                   np.stack((p, q), axis=1).reshape(-1), weight_fn(p, q))
+
+
+def _grid_model(task, unaries, pair_weight, intensity):
+    """An image task's model: pairwise cliques weighted by pair_weight,
+    then one clique per superpixel, truncated-linear diameter potential."""
+    height, width = intensity.shape
+    pairs = pairwise_cliques(height, width, pair_weight)
+    regions = superpixel_cliques(_ensure_superpixels(task, height, width),
+                                 intensity, task.sigma)
+    cliques = Cliques(
+        np.append(pairs.offsets, regions.offsets[1:] + pairs.offsets[-1]),
+        np.append(pairs.members, regions.members),
+        np.append(pairs.weights, regions.weights))
+    metric = LabelMetric.truncated_linear(unaries.shape[1], task.lam,
+                                          task.truncation)
+    return EnergyModel(unaries, cliques, DiameterMetricSpec(metric))
 
 
 def _intensity(img):
@@ -211,14 +232,10 @@ def build_stereo(task):
     flat = intensity.reshape(-1)
 
     def pair_weight(p, q):
-        return task.w_high if abs(flat[p] - flat[q]) < task.grad_threshold \
-            else task.w_low
+        return np.where(np.abs(flat[p] - flat[q]) < task.grad_threshold,
+                        float(task.w_high), float(task.w_low))
 
-    cliques = pairwise_cliques(height, width, pair_weight)
-    cliques += superpixel_cliques(_ensure_superpixels(task, height, width),
-                                  intensity, task.sigma)
-    metric = LabelMetric.truncated_linear(h, task.lam, task.truncation)
-    return EnergyModel(unaries, cliques, DiameterMetricSpec(metric))
+    return _grid_model(task, unaries, pair_weight, intensity)
 
 
 def build_inpaint(task):
@@ -240,11 +257,8 @@ def build_inpaint(task):
     unaries = (labels[None, :] - img.reshape(-1, 1).astype(float)) ** 2
     unaries[mask.reshape(-1)] = 0.0
 
-    cliques = pairwise_cliques(height, width, lambda p, q: 1.0)
-    cliques += superpixel_cliques(_ensure_superpixels(task, height, width),
-                                  img.astype(float), task.sigma)
-    metric = LabelMetric.truncated_linear(h, task.lam, task.truncation)
-    return EnergyModel(unaries, cliques, DiameterMetricSpec(metric))
+    return _grid_model(task, unaries, lambda p, q: np.ones(p.size),
+                       img.astype(float))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from parsilab.expansion import PnPottsInstance
 from parsilab.hst import RHst
-from parsilab.model import (Clique, DiversitySpec, EnergyModel,
+from parsilab.model import (Cliques, DiversitySpec, EnergyModel,
                             ExplicitTableDiversity, PnPottsSpec)
 
 
@@ -22,13 +22,11 @@ def reference_tree():
 
 def pn_instance(unaries, cliques):
     """PnPottsInstance from (members, gamma, gamma_max, weight) tuples, one
-    per clique, turned into its CSR clique arrays."""
+    per clique."""
     unaries = np.asarray(unaries, dtype=float)
-    members = [np.asarray(c[0], dtype=np.intp) for c in cliques]
-    offsets = np.cumsum([0] + [m.size for m in members])
     return PnPottsInstance(
-        unaries, offsets, np.concatenate(members or [np.zeros(0, np.intp)]),
-        [c[3] for c in cliques],
+        unaries, Cliques.from_lists([c[0] for c in cliques],
+                                    [c[3] for c in cliques]),
         np.reshape([c[1] for c in cliques], (len(cliques), unaries.shape[1])),
         [c[2] for c in cliques])
 
@@ -71,12 +69,12 @@ def random_table_diversity(h, rng):
 
 
 def random_cliques(n, rng, count_max=3, size_max=5):
-    cliques = []
+    members, weights = [], []
     for _ in range(int(rng.integers(1, count_max + 1))):
         size = int(rng.integers(2, min(n, size_max) + 1))
-        members = rng.choice(n, size=size, replace=False)
-        cliques.append(Clique(members.tolist(), float(rng.uniform(0.3, 2.0))))
-    return cliques
+        members.append(rng.choice(n, size=size, replace=False).tolist())
+        weights.append(float(rng.uniform(0.3, 2.0)))
+    return Cliques.from_lists(members, weights)
 
 
 def random_diversity_model(rng, n_max=8, h_max=4):

@@ -9,27 +9,37 @@ import numpy as np
 
 from conftest import pn_instance
 from parsilab.expansion import ACCEPT_TOL, MoveTrace
-from parsilab.model import check_labeling
+from parsilab.model import Cliques, check_labeling
 from parsilab.hst import ROOT
 from parsilab.maxflow import FLOW_TOL, FlowNetwork
 
 
-def unique_labels(labeling, clique):
-    """The sorted set of unique labels the labeling assigns to a clique."""
+def clique_list(cliques):
+    """The cliques of a model.Cliques as (members, weight) pairs."""
+    bounds = cliques.offsets.tolist()
+    return [(cliques.members[a:b], w) for a, b, w in
+            zip(bounds[:-1], bounds[1:], cliques.weights.tolist())]
+
+
+def unique_labels(labeling, members):
+    """The sorted set of unique labels the labeling assigns to a clique's
+    members."""
     labeling = np.asarray(labeling)
-    return tuple(sorted(set(int(l) for l in labeling[clique.members_arr])))
+    return tuple(sorted(set(int(l) for l in labeling[members])))
 
 
 def evaluate_energy(model, labeling):
     """EnergyModel.evaluate_energy with the clique term as a loop over the
     cliques."""
     total = 0.0
-    for c in model.cliques:
-        if c.weight == 0.0:
+    for members, weight in clique_list(model.cliques):
+        if weight == 0.0:
             continue
-        total += c.weight * model.potential.subset_value(
-            unique_labels(labeling, c))
-    return model.unary_energy(labeling) + total
+        total += weight * model.potential.subset_value(
+            unique_labels(labeling, members))
+    labeling = check_labeling(labeling, model.unaries)
+    unary = model.unaries[np.arange(model.num_variables), labeling].sum()
+    return float(unary) + total
 
 
 def evaluate(instance, labeling):
@@ -37,14 +47,14 @@ def evaluate(instance, labeling):
     labeling = check_labeling(labeling, instance.unaries)
     e = float(instance.unaries[np.arange(instance.num_variables),
                                labeling].sum())
-    for c in instance.cliques:
-        if c.weight == 0.0:
+    for c, (members, weight) in enumerate(clique_list(instance.cliques)):
+        if weight == 0.0:
             continue
-        labs = labeling[c.members]
+        labs = labeling[members]
         if np.all(labs == labs[0]):
-            e += c.weight * c.gamma[labs[0]]
+            e += weight * instance.gamma[c, labs[0]]
         else:
-            e += c.weight * c.gamma_max
+            e += weight * instance.gamma_max[c]
     return e
 
 
@@ -61,18 +71,19 @@ def best_expansion_move(instance, current, alpha):
         net.add_terminal_arc(nodes[i], switch_cost - base, keep_cost - base)
 
     gadgets = []
-    for c in instance.cliques:
-        if c.weight == 0.0:
+    for c, (members, weight) in enumerate(clique_list(instance.cliques)):
+        if weight == 0.0:
             continue
-        movers = [i for i in c.members if current[i] != alpha]
+        movers = [i for i in members if current[i] != alpha]
         if not movers:
             continue
-        labs = current[c.members]
+        gamma, gamma_max = instance.gamma[c], instance.gamma_max[c]
+        labs = current[members]
         uniform = np.all(labs == labs[0])
-        gamma_keep = c.gamma[labs[0]] \
-            if (uniform and len(movers) == len(c.members)) else c.gamma_max
-        gadgets.append((movers, c.weight * (c.gamma_max - gamma_keep),
-                        c.weight * (c.gamma_max - c.gamma[alpha])))
+        gamma_keep = gamma[labs[0]] \
+            if (uniform and len(movers) == len(members)) else gamma_max
+        gadgets.append((movers, weight * (gamma_max - gamma_keep),
+                        weight * (gamma_max - gamma[alpha])))
 
     inf = net.infinite_capacity() + sum(p + q for _, p, q in gadgets) + 1.0
     for movers, pay_keep, pay_switch in gadgets:
@@ -131,19 +142,57 @@ def build_fusion_instance(model, tree, node, child_labelings):
         meta_unaries[:, j] = model.unaries[np.arange(n), lab]
     gamma_max = diameter(tree, tree.cluster_labels(node))
     cliques = []
-    for c in model.cliques:
-        if c.weight == 0.0:
+    for members, weight in clique_list(model.cliques):
+        if weight == 0.0:
             continue
-        subsets = [sorted(set(lab[c.members_arr].tolist()))
+        subsets = [sorted(set(lab[members].tolist()))
                    for lab in child_labelings]
         if (all(s == subsets[0] for s in subsets) and len(subsets[0]) == 1
-                and all(np.array_equal(child_labelings[0][c.members_arr],
-                                       lab[c.members_arr])
+                and all(np.array_equal(child_labelings[0][members],
+                                       lab[members])
                         for lab in child_labelings[1:])):
             continue
-        cliques.append((c.members, [diameter(tree, s) for s in subsets],
-                        gamma_max, c.weight))
+        cliques.append((members, [diameter(tree, s) for s in subsets],
+                        gamma_max, weight))
     return pn_instance(meta_unaries, cliques)
+
+
+def window_cliques(width, height, window, stride, weight):
+    """tasks.window_cliques as a loop over the window corners."""
+    members = []
+    for y0 in range(0, height - window + 1, stride):
+        for x0 in range(0, width - window + 1, stride):
+            members.append([(y0 + dy) * width + (x0 + dx)
+                            for dy in range(window) for dx in range(window)])
+    return Cliques.from_lists(members, [weight] * len(members))
+
+
+def pairwise_cliques(height, width, weight_fn):
+    """tasks.pairwise_cliques as a loop over the pixels, weight_fn called
+    once per pair."""
+    members, weights = [], []
+    for y in range(height):
+        for x in range(width):
+            p = y * width + x
+            if x + 1 < width:
+                members.append([p, p + 1])
+                weights.append(float(weight_fn(p, p + 1)))
+            if y + 1 < height:
+                members.append([p, p + width])
+                weights.append(float(weight_fn(p, p + width)))
+    return Cliques.from_lists(members, weights)
+
+
+def superpixel_cliques(region_map, intensity, sigma):
+    """tasks.superpixel_cliques as a loop over the region ids."""
+    flat_regions = region_map.reshape(-1)
+    flat_int = intensity.reshape(-1).astype(float)
+    members, weights = [], []
+    for rid in np.unique(flat_regions):
+        members.append(np.flatnonzero(flat_regions == rid))
+        weights.append(float(np.exp(-flat_int[members[-1]].var()
+                                    / sigma ** 2)))
+    return Cliques.from_lists(members, weights)
 
 
 def node_distance(tree, u, v):

@@ -16,7 +16,7 @@ from parsilab import cli
 from parsilab.expansion import alpha_expansion, best_expansion_move, \
     pn_potts_bound
 from parsilab.hst import frt_embed
-from parsilab.model import (Clique, DiameterDiversity, DiversitySpec,
+from parsilab.model import (Cliques, DiameterDiversity, DiversitySpec,
                             EnergyModel, LabelMetric, save_model)
 from parsilab.oracle import (exhaustive_expansion_move, exhaustive_minimize,
                              model_to_pn_potts_instance)
@@ -81,12 +81,12 @@ def test_criterion_3_hierarchical_bound(verdict):
         h = int(rng.integers(2, 5))
         tree = random_rhst(h, r=2.0, depth=int(rng.integers(2, 4)), seed=t)
         unaries = rng.uniform(0, 3, size=(n, h))
-        cliques = []
+        members, weights = [], []
         for _ in range(int(rng.integers(1, 4))):
             size = int(rng.integers(2, min(n, 5) + 1))
-            members = rng.choice(n, size=size, replace=False)
-            cliques.append(Clique(members.tolist(),
-                                  float(rng.uniform(0.3, 2.0))))
+            members.append(rng.choice(n, size=size, replace=False))
+            weights.append(float(rng.uniform(0.3, 2.0)))
+        cliques = Cliques.from_lists(members, weights)
         from parsilab.model import DiameterMetricSpec
         model = EnergyModel(unaries, cliques,
                             DiameterMetricSpec(tree.metric()))
@@ -254,7 +254,8 @@ def test_criterion_9_determinism(tmp_path, verdict):
     rng = np.random.default_rng(107)
     div = random_table_diversity(3, rng)
     model = EnergyModel(rng.uniform(0, 4, size=(6, 3)),
-                        [Clique([0, 1, 2], 1.0), Clique([3, 4, 5], 0.5)],
+                        Cliques.from_lists([[0, 1, 2], [3, 4, 5]],
+                                           [1.0, 0.5]),
                         DiversitySpec(div))
     problem = tmp_path / "problem.json"
     save_model(model, problem)

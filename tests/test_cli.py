@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from parsilab import cli
-from parsilab.model import (Clique, EnergyModel, PnPottsSpec, load_model,
+from parsilab.model import (Cliques, EnergyModel, PnPottsSpec, load_model,
                             save_model)
 from parsilab.oracle import exhaustive_minimize
 from parsilab.solver import theorem_bounds
@@ -17,6 +17,8 @@ from parsilab.tasks import write_raster
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 TINY_PROBLEM = os.path.join(DATA, "tiny_problem.json")
+# wrongly shaped "cliques"; CI also runs it through the installed script
+MALFORMED_PROBLEM = os.path.join(DATA, "malformed_problem.json")
 
 # energy of the committed fixture at k=10, seed 0; equals the exhaustive
 # optimum of that instance (verified when the fixture was generated)
@@ -51,6 +53,21 @@ def test_solve_reports_are_byte_identical(tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+@pytest.mark.parametrize("problem,args,golden", [
+    ("tiny_problem.json", ["--seed", "0"], "tiny_problem.seed0.report.json"),
+    ("tiny_problem.json", ["--seed", "3", "-k", "3"],
+     "tiny_problem.seed3_k3.report.json"),
+    ("pn_problem.json", ["--seed", "0"], "pn_problem.seed0.report.json"),
+])
+def test_report_matches_golden_file(tmp_path, problem, args, golden):
+    """Reports are compared byte for byte with committed ones, so a change
+    of clique order or of summation order shows."""
+    report = tmp_path / "report.json"
+    assert cli.main(["solve", os.path.join(DATA, problem), *args,
+                     "--report", str(report)]) == cli.EXIT_OK
+    assert report.read_bytes() == Path(DATA, golden).read_bytes()
+
+
 def test_solve_timings_flag(tmp_path):
     report = tmp_path / "t.json"
     cli.main(["solve", TINY_PROBLEM, "--report", str(report), "--timings"])
@@ -66,7 +83,7 @@ def test_report_carries_the_bound_of_the_solver_that_ran(tmp_path, capsys):
     model = EnergyModel(
         np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 1.0, 0.0],
                   [0.5, 0.5, 0.5]]),
-        [Clique([0, 1, 2], 1.0), Clique([2, 3], 2.0)],
+        Cliques.from_lists([[0, 1, 2], [2, 3]], [1.0, 2.0]),
         PnPottsSpec([0.5, 1.0, 0.2], 2.0))
     save_model(model, problem)
     assert cli.main(["solve", str(problem), "--oracle",
@@ -91,7 +108,8 @@ def test_oracle_without_a_finite_expansion_bound(tmp_path, capsys):
     scale of the costs."""
     problem, report = tmp_path / "pn.json", tmp_path / "report.json"
     model = EnergyModel(np.array([[0.0, 1.0], [1.0, 0.0]]),
-                        [Clique([0, 1], 1.0)], PnPottsSpec([0.0, 0.0], 0.1))
+                        Cliques.from_lists([[0, 1]], [1.0]),
+                        PnPottsSpec([0.0, 0.0], 0.1))
     save_model(model, problem)
     assert cli.main(["solve", str(problem), "--oracle",
                      "--report", str(report)]) == cli.EXIT_OK
@@ -113,6 +131,31 @@ def test_malformed_problem_exits_2(tmp_path, capsys):
     bad.write_text("{\"unaries\": [[0, 1]]")       # truncated JSON
     assert cli.main(["solve", str(bad)]) == cli.EXIT_INPUT
     assert "error" in capsys.readouterr().err
+
+
+def _tiny_with(**changes):
+    doc = json.loads(Path(TINY_PROBLEM).read_text())
+    doc.update(changes)
+    return doc
+
+
+MALFORMED = {
+    "top-level list": [1, 2, 3],
+    "cliques not a list": json.loads(Path(MALFORMED_PROBLEM).read_text()),
+    "nested members": _tiny_with(cliques=[{"members": [[0], [1]],
+                                           "weight": 1.0}]),
+    "null weight": _tiny_with(cliques=[{"members": [0, 1], "weight": None}]),
+    "potential not an object": _tiny_with(potential=[]),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_wrongly_shaped_problem_exits_2(tmp_path, capsys, command, name):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(MALFORMED[name]))
+    assert cli.main([command, str(bad)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_missing_field_exits_2(tmp_path, capsys):

@@ -8,8 +8,8 @@ import pytest
 import reference
 from conftest import pn_instance, random_pn_instance, random_pn_potts_model
 from parsilab import expansion
-from parsilab.expansion import (alpha_expansion, best_expansion_move,
-                                pn_potts_bound)
+from parsilab.expansion import (PnPottsInstance, alpha_expansion,
+                                best_expansion_move, pn_potts_bound)
 from parsilab.maxflow import FlowNetwork
 from parsilab.model import InvalidInputError
 from parsilab.oracle import (exhaustive_expansion_move, exhaustive_minimize,
@@ -106,6 +106,20 @@ def test_labels_out_of_range_are_rejected(labeling):
         alpha_expansion(inst, init=labeling)
 
 
+def test_instance_takes_the_model_cliques_as_they_are():
+    """The converted instance holds the model's Cliques object itself, and
+    its members are checked against the instance's variable count."""
+    model = random_pn_potts_model(np.random.default_rng(3))
+    inst = model_to_pn_potts_instance(model)
+    assert inst.cliques is model.cliques
+    with pytest.raises(InvalidInputError, match="out of range"):
+        PnPottsInstance(model.unaries[:1], model.cliques, model.potential.gamma,
+                        np.full(len(model.cliques), model.potential.gamma_max))
+    with pytest.raises(InvalidInputError, match="gamma_max"):
+        PnPottsInstance(model.unaries, model.cliques, model.potential.gamma,
+                        [model.potential.gamma_max])
+
+
 def test_gamma_max_must_dominate():
     with pytest.raises(InvalidInputError):
         pn_instance(np.zeros((2, 2)), [([0, 1], [2.0, 1.0], 2.0, 1.0)])
@@ -142,7 +156,7 @@ def test_sweep_satisfies_multiplicative_bound():
         limit = opt.unary_term + bound * opt.clique_term
         assert inst.evaluate(labeling) <= limit + 1e-9
         # accepted moves strictly decrease the energy
-        energies = trace.energies()
+        energies = [trace.initial_energy] + [e for _, _, e in trace.moves]
         assert all(b < a for a, b in zip(energies, energies[1:]))
 
 

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from parsilab import expansion, hst
+from parsilab import expansion, hst, tasks
 from conftest import pn_instance
 from parsilab.expansion import alpha_expansion, best_expansion_move
-from parsilab.model import (Clique, DiameterMetricSpec, Diversity,
+from parsilab.model import (Cliques, DiameterMetricSpec, Diversity,
                             DiversitySpec, EnergyModel, ExplicitTableDiversity,
                             LabelMetric, PnPottsSpec)
 from parsilab.oracle import exhaustive_expansion_move
@@ -109,10 +109,12 @@ def energy_models(draw, kinds=("pn_potts", "table", "diameter", "loop")):
     h = draw(st.integers(1, 5))
     unaries = np.reshape(draw(st.lists(costs, min_size=n * h,
                                        max_size=n * h)), (n, h))
-    cliques = [Clique(draw(st.lists(st.integers(0, n - 1), min_size=1,
-                                    max_size=n, unique=True)),
-                      draw(weights))
-               for _ in range(draw(st.integers(0, 5)))]
+    members, clique_weights = [], []
+    for _ in range(draw(st.integers(0, 5))):
+        members.append(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                     max_size=n, unique=True)))
+        clique_weights.append(draw(weights))
+    cliques = Cliques.from_lists(members, clique_weights)
     kind = draw(st.sampled_from(kinds))
     if kind == "pn_potts":
         gamma = draw(st.lists(costs, min_size=h, max_size=h))
@@ -201,11 +203,12 @@ def test_fusion_instance_matches_clique_loop(data):
     tree = random_rhst(h, depth=data.draw(st.integers(2, 4)),
                        seed=data.draw(st.integers(0, 1000)))
     n = data.draw(st.integers(1, 10))
-    cliques = []
+    members, clique_weights = [], []
     for _ in range(data.draw(st.integers(0, 4))):
-        members = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
-                                     max_size=n, unique=True))
-        cliques.append(Clique(members, data.draw(weights)))
+        members.append(data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                          max_size=n, unique=True)))
+        clique_weights.append(data.draw(weights))
+    cliques = Cliques.from_lists(members, clique_weights)
     model = EnergyModel(np.reshape(data.draw(st.lists(
         costs, min_size=n * h, max_size=n * h)), (n, h)), cliques,
         DiameterMetricSpec(tree.metric()))
@@ -219,10 +222,57 @@ def test_fusion_instance_matches_clique_loop(data):
         children.append(np.array(labeling, dtype=np.intp))
     fast = build_fusion_instance(model, tree, node, children)
     slow = reference.build_fusion_instance(model, tree, node, children)
-    for name in ("unaries", "offsets", "members", "weights", "gamma",
-                 "gamma_max"):
+    for name in ("unaries", "gamma", "gamma_max"):
         np.testing.assert_array_equal(getattr(fast, name),
                                       getattr(slow, name), err_msg=name)
+    assert_same_cliques(fast.cliques, slow.cliques)
+
+
+def assert_same_cliques(fast, slow):
+    """Equal clique arrays, weights bit for bit."""
+    for name in ("offsets", "members"):
+        np.testing.assert_array_equal(getattr(fast, name),
+                                      getattr(slow, name), err_msg=name)
+    assert fast.weights.tobytes() == slow.weights.tobytes()
+
+
+@SETTINGS
+@given(width=st.integers(1, 9), height=st.integers(1, 9),
+       window=st.integers(1, 9), stride=st.integers(1, 4), weight=weights)
+def test_window_cliques_match_corner_loop(width, height, window, stride,
+                                          weight):
+    assert_same_cliques(
+        tasks.window_cliques(width, height, window, stride, weight),
+        reference.window_cliques(width, height, window, stride, weight))
+
+
+@SETTINGS
+@given(st.data())
+def test_grid_cliques_match_pixel_loops(data):
+    """Pairwise cliques weighted by an intensity gradient, and one clique
+    per superpixel of a region map with non-contiguous ids."""
+    height, width = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    intensity = np.reshape(data.draw(st.lists(
+        costs, min_size=height * width, max_size=height * width)),
+        (height, width)) * 40.0
+    flat = intensity.reshape(-1)
+
+    def gradient_weight(p, q):
+        return np.where(np.abs(flat[p] - flat[q]) < 30.0, 2.0, 1.0)
+
+    assert_same_cliques(
+        tasks.pairwise_cliques(height, width, gradient_weight),
+        reference.pairwise_cliques(height, width, gradient_weight))
+    ids = data.draw(st.lists(st.integers(0, 10 ** 6), min_size=1,
+                             max_size=height * width, unique=True))
+    regions = np.reshape(data.draw(st.lists(
+        st.sampled_from(ids), min_size=height * width,
+        max_size=height * width)), (height, width))
+    sigma = data.draw(st.sampled_from([1.0, 10.0, 100.0])
+                      | st.floats(0.5, 1000.0))
+    assert_same_cliques(
+        tasks.superpixel_cliques(regions, intensity, sigma),
+        reference.superpixel_cliques(regions, intensity, sigma))
 
 
 def _scaled(matrix):

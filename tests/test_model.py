@@ -8,7 +8,7 @@ import pytest
 from conftest import random_table_diversity
 from reference import unique_labels
 from parsilab.hst import RHst
-from parsilab.model import (AXIOM_TOL, Clique, DiameterDiversity,
+from parsilab.model import (AXIOM_TOL, Cliques, DiameterDiversity,
                             DiameterMetricSpec, DiversitySpec, EnergyModel,
                             ExplicitTableDiversity, InvalidInputError,
                             LabelMetric, PnPottsSpec, load_model,
@@ -146,7 +146,7 @@ def test_axioms_flag_triangle():
 # ---------------------------------------------------------------------------
 
 def test_unary_only_energy():
-    model = EnergyModel(np.array([[3.0, 7.0]]), [],
+    model = EnergyModel(np.array([[3.0, 7.0]]), Cliques.from_lists([], []),
                         PnPottsSpec([0.0, 0.0], 1.0))
     assert model.evaluate_energy([0]) == 3.0
     assert model.evaluate_energy([1]) == 7.0
@@ -156,8 +156,8 @@ def test_clique_energy_matches_hand_summation():
     rng = np.random.default_rng(2)
     div = random_table_diversity(3, rng)
     unaries = rng.uniform(0, 10, size=(4, 3))
-    clique = Clique([0, 1, 2, 3], 1.7)
-    model = EnergyModel(unaries, [clique], DiversitySpec(div))
+    model = EnergyModel(unaries, Cliques.from_lists([[0, 1, 2, 3]], [1.7]),
+                        DiversitySpec(div))
     labeling = [0, 2, 0, 1]
     by_hand = sum(unaries[i, l] for i, l in enumerate(labeling))
     by_hand += 1.7 * div.value({0, 1, 2})
@@ -171,23 +171,66 @@ def test_pn_potts_subset_value():
 
 
 def test_unique_labels():
-    clique = Clique([0, 1, 2], 1.0)
-    assert unique_labels([2, 2, 2], clique) == (2,)
-    clique4 = Clique([0, 1, 2, 3], 1.0)
-    assert unique_labels([0, 3, 0, 1], clique4) == (0, 1, 3)
+    assert unique_labels([2, 2, 2], [0, 1, 2]) == (2,)
+    assert unique_labels([0, 3, 0, 1], [0, 1, 2, 3]) == (0, 1, 3)
 
 
 def test_clique_must_be_nonempty_and_distinct():
     with pytest.raises(InvalidInputError):
-        Clique([], 1.0)
+        Cliques.from_lists([[]], [1.0])
     with pytest.raises(InvalidInputError):
-        Clique([1, 1], 1.0)
+        Cliques.from_lists([[1, 1]], [1.0])
     with pytest.raises(InvalidInputError):
-        Clique([0, 1], -1.0)
+        Cliques.from_lists([[0, 1]], [-1.0])
+    # a member may repeat across cliques, not within one
+    Cliques.from_lists([[0, 1], [1, 0]], [1.0, 1.0])
+    with pytest.raises(InvalidInputError):
+        Cliques([0, 2, 4], [0, 1, 2, 2], [1.0, 1.0])
+
+
+def test_cliques_arrays():
+    cliques = Cliques.from_lists([[4, 0, 2], [1], [3, 0]], [0.5, 2, 1.0])
+    assert len(cliques) == 3 and cliques.max_size == 3
+    np.testing.assert_array_equal(cliques.offsets, [0, 3, 4, 6])
+    np.testing.assert_array_equal(cliques.members, [4, 0, 2, 1, 3, 0])
+    np.testing.assert_array_equal(cliques.sizes, [3, 1, 2])
+    assert cliques.weights.dtype == float
+    for a in (cliques.offsets, cliques.members, cliques.weights,
+              cliques.sizes):
+        assert not a.flags.writeable
+    empty = Cliques.from_lists([], [])
+    assert len(empty) == 0 and empty.max_size == 0
+    assert empty.members.dtype == np.intp
+
+
+@pytest.mark.parametrize("offsets,members,weights", [
+    ([0, 2], [0, 1], [1.0, 1.0]),       # one offset short
+    ([1, 2], [0, 1], [1.0]),            # not starting at 0
+    ([0, 3], [0, 1], [1.0]),            # past the members
+    ([0, 2, 1, 3], [0, 1, 2], [1.0, 1.0, 1.0]),   # decreasing
+    ([0, 2], [0, -1], [1.0]),           # negative id
+    ([0, 2], [0, 1.5], [1.0]),          # fractional id
+    ([0, 2], [[0], [1]], [1.0]),        # nested ids
+    ([0, 2], ["0", "1"], [1.0]),        # not numbers
+    ([0, 2], [0, 1], [float("nan")]),
+    ([0, 2], [0, 1], [[1.0]]),
+])
+def test_cliques_reject_malformed_arrays(offsets, members, weights):
+    with pytest.raises(InvalidInputError):
+        Cliques(offsets, members, weights)
+
+
+def test_clique_members_checked_against_variable_count():
+    cliques = Cliques.from_lists([[0, 2]], [1.0])
+    spec = PnPottsSpec([0.0, 0.0], 1.0)
+    EnergyModel(np.zeros((3, 2)), cliques, spec)
+    with pytest.raises(InvalidInputError, match="out of range"):
+        EnergyModel(np.zeros((2, 2)), cliques, spec)
 
 
 def test_check_labeling_bounds():
-    model = EnergyModel(np.zeros((2, 2)), [], PnPottsSpec([0, 0], 1.0))
+    model = EnergyModel(np.zeros((2, 2)), Cliques.from_lists([], []),
+                        PnPottsSpec([0, 0], 1.0))
     for labeling in ([0, 2], [-1, 0], [0]):
         with pytest.raises(InvalidInputError):
             model.evaluate_energy(labeling)
@@ -203,7 +246,7 @@ def _roundtrip(model):
 
 def test_json_roundtrip_pn_potts():
     model = EnergyModel(np.array([[1.0, 2.0], [0.5, 0.25]]),
-                        [Clique([0, 1], 1.5)],
+                        Cliques.from_lists([[0, 1]], [1.5]),
                         PnPottsSpec([0.5, 1.0], 3.0))
     back = _roundtrip(model)
     for lab in ([0, 0], [0, 1], [1, 1]):
@@ -212,7 +255,7 @@ def test_json_roundtrip_pn_potts():
 
 def test_json_roundtrip_diameter_metric():
     m = LabelMetric.truncated_linear(4, 2.0, 2)
-    model = EnergyModel(np.eye(3, 4), [Clique([0, 2], 0.5)],
+    model = EnergyModel(np.eye(3, 4), Cliques.from_lists([[0, 2]], [0.5]),
                         DiameterMetricSpec(m))
     back = _roundtrip(model)
     assert back.evaluate_energy([0, 3, 1]) == model.evaluate_energy([0, 3, 1])
@@ -222,14 +265,16 @@ def test_json_roundtrip_diversity_table():
     rng = np.random.default_rng(3)
     div = random_table_diversity(3, rng)
     model = EnergyModel(rng.uniform(0, 1, size=(3, 3)),
-                        [Clique([0, 1, 2], 2.0)], DiversitySpec(div))
+                        Cliques.from_lists([[0, 1, 2]], [2.0]),
+                        DiversitySpec(div))
     back = _roundtrip(model)
     lab = [0, 1, 2]
     assert abs(back.evaluate_energy(lab) - model.evaluate_energy(lab)) <= 1e-12
 
 
 def test_json_unknown_kind_rejected():
-    model = EnergyModel(np.zeros((1, 2)), [], PnPottsSpec([0, 0], 1.0))
+    model = EnergyModel(np.zeros((1, 2)), Cliques.from_lists([], []),
+                        PnPottsSpec([0, 0], 1.0))
     doc = model_to_json(model)
     doc["potential"]["kind"] = "mystery"
     with pytest.raises(InvalidInputError):
@@ -238,7 +283,8 @@ def test_json_unknown_kind_rejected():
 
 def test_save_load_roundtrip(tmp_path):
     m = LabelMetric.truncated_linear(3, 1.0, 2)
-    model = EnergyModel(np.arange(6.0).reshape(2, 3), [Clique([0, 1], 1.0)],
+    model = EnergyModel(np.arange(6.0).reshape(2, 3),
+                        Cliques.from_lists([[0, 1]], [1.0]),
                         DiameterMetricSpec(m))
     path = tmp_path / "problem.json"
     save_model(model, path)
@@ -250,9 +296,9 @@ def test_constructors_reject_non_finite_values():
     nan, inf = float("nan"), float("inf")
     spec = PnPottsSpec([0.0, 1.0], 2.0)
     with pytest.raises(InvalidInputError):
-        EnergyModel([[0.0, nan]], [], spec)
+        EnergyModel([[0.0, nan]], Cliques.from_lists([], []), spec)
     with pytest.raises(InvalidInputError):
-        Clique([0, 1], inf)
+        Cliques.from_lists([[0, 1]], [inf])
     with pytest.raises(InvalidInputError):
         PnPottsSpec([0.0, nan], 2.0)
     with pytest.raises(InvalidInputError):
@@ -265,3 +311,35 @@ def test_constructors_reject_non_finite_values():
         ExplicitTableDiversity(2, [0.0, 0.0, 0.0, nan])
     with pytest.raises(InvalidInputError):
         RHst([-1, 0, 0], [nan, 0.0, 0.0], [None, 0, 1])
+
+
+def _problem(**changes):
+    doc = {"num_variables": 2, "num_labels": 2, "unaries": [0.0] * 4,
+           "cliques": [{"members": [0, 1], "weight": 1.0}],
+           "potential": {"kind": "pn_potts", "gamma": [0.0, 0.5],
+                         "gamma_max": 1.0}}
+    doc.update(changes)
+    return doc
+
+
+def test_json_accepts_integral_float_member_ids():
+    model = model_from_json(_problem(cliques=[{"members": [0.0, 1.0],
+                                               "weight": 1.0}]))
+    np.testing.assert_array_equal(model.cliques.members, [0, 1])
+
+
+def test_json_rejects_fractional_member_ids():
+    with pytest.raises(InvalidInputError, match="integers"):
+        model_from_json(_problem(cliques=[{"members": [0.7, 1.2],
+                                           "weight": 1.0}]))
+
+
+def test_json_rejects_negative_variable_count():
+    # -1 would otherwise reshape the four unaries into 2 variables
+    with pytest.raises(InvalidInputError, match="num_variables"):
+        model_from_json(_problem(num_variables=-1))
+
+
+def test_json_rejects_zero_labels():
+    with pytest.raises(InvalidInputError, match="num_labels"):
+        model_from_json(_problem(num_labels=0, unaries=[]))

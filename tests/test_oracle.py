@@ -5,7 +5,7 @@ import pytest
 
 from conftest import pn_instance, random_pn_instance
 from parsilab.expansion import best_expansion_move
-from parsilab.model import (Clique, DiversitySpec, EnergyModel,
+from parsilab.model import (Cliques, DiversitySpec, EnergyModel,
                             ExplicitTableDiversity, PnPottsSpec)
 from parsilab.oracle import (SizeError, exhaustive_expansion_move,
                              exhaustive_minimize)
@@ -14,7 +14,8 @@ from parsilab.oracle import (SizeError, exhaustive_expansion_move,
 def test_unary_only_minimum():
     rng = np.random.default_rng(0)
     unaries = rng.uniform(0, 5, size=(5, 3))
-    model = EnergyModel(unaries, [], PnPottsSpec([0, 0, 0], 1.0))
+    model = EnergyModel(unaries, Cliques.from_lists([], []),
+                        PnPottsSpec([0, 0, 0], 1.0))
     result = exhaustive_minimize(model)
     np.testing.assert_array_equal(result.labeling, unaries.argmin(axis=1))
     assert result.clique_term == 0.0
@@ -24,7 +25,8 @@ def test_two_variable_hand_enumeration():
     unaries = np.array([[1.0, 4.0], [3.0, 0.0]])
     div = ExplicitTableDiversity.from_entries(
         2, [([0], 0.0), ([1], 0.0), ([0, 1], 5.0)])
-    model = EnergyModel(unaries, [Clique([0, 1], 1.0)], DiversitySpec(div))
+    model = EnergyModel(unaries, Cliques.from_lists([[0, 1]], [1.0]),
+                        DiversitySpec(div))
     # energies: [0,0] -> 4, [0,1] -> 6, [1,0] -> 12, [1,1] -> 4; ties break
     # toward the lexicographically first labeling
     result = exhaustive_minimize(model)
@@ -38,7 +40,8 @@ def test_minimum_beats_sampled_labelings():
     div = ExplicitTableDiversity.from_entries(
         3, [([0], 0.0), ([1], 0.0), ([2], 0.0), ([0, 1], 2.0), ([0, 2], 3.0),
             ([1, 2], 2.5), ([0, 1, 2], 4.0)])
-    model = EnergyModel(unaries, [Clique([0, 2, 4], 1.3), Clique([1, 3], 0.7)],
+    model = EnergyModel(unaries,
+                        Cliques.from_lists([[0, 2, 4], [1, 3]], [1.3, 0.7]),
                         DiversitySpec(div))
     result = exhaustive_minimize(model)
     for _ in range(1000):
@@ -47,7 +50,8 @@ def test_minimum_beats_sampled_labelings():
 
 
 def test_minimize_size_guard():
-    model = EnergyModel(np.zeros((30, 4)), [], PnPottsSpec([0] * 4, 1.0))
+    model = EnergyModel(np.zeros((30, 4)), Cliques.from_lists([], []),
+                        PnPottsSpec([0] * 4, 1.0))
     with pytest.raises(SizeError):
         exhaustive_minimize(model)
 

@@ -10,7 +10,7 @@ from conftest import (random_cliques, random_diversity_model,
                       random_pn_potts_model, random_table_diversity)
 from parsilab.expansion import alpha_expansion, pn_potts_bound
 from parsilab.hst import RHst, frt_embed
-from parsilab.model import (Clique, DiameterMetricSpec, DiversitySpec,
+from parsilab.model import (Cliques, DiameterMetricSpec, DiversitySpec,
                             EnergyModel, InvalidInputError, LabelMetric)
 from parsilab.oracle import exhaustive_minimize, model_to_pn_potts_instance
 from parsilab.solver import (build_fusion_instance, solve,
@@ -29,7 +29,8 @@ def _tree_model(tree, n, rng, num_cliques=2):
 # ---------------------------------------------------------------------------
 
 def test_bound_formula_small_clique():
-    model = EnergyModel(np.zeros((5, 20)), [Clique(range(4), 1.0)],
+    model = EnergyModel(np.zeros((5, 20)),
+                        Cliques.from_lists([range(4)], [1.0]),
                         DiameterMetricSpec(
                             LabelMetric.truncated_linear(20, 1.0, 5)))
     b1, b2 = theorem_bounds(model, r=2.0)
@@ -38,7 +39,8 @@ def test_bound_formula_small_clique():
 
 
 def test_bound_formula_large_clique():
-    model = EnergyModel(np.zeros((100, 20)), [Clique(range(100), 1.0)],
+    model = EnergyModel(np.zeros((100, 20)),
+                        Cliques.from_lists([range(100)], [1.0]),
                         DiameterMetricSpec(
                             LabelMetric.truncated_linear(20, 1.0, 5)))
     b1, _ = theorem_bounds(model, r=2.0)
@@ -47,14 +49,15 @@ def test_bound_formula_large_clique():
 
 def test_bound_formula_general_diversity():
     rng = np.random.default_rng(0)
-    model = EnergyModel(np.zeros((5, 4)), [Clique(range(3), 1.0)],
+    model = EnergyModel(np.zeros((5, 4)),
+                        Cliques.from_lists([range(3)], [1.0]),
                         DiversitySpec(random_table_diversity(4, rng)))
     _, b2 = theorem_bounds(model, r=2.0)
     assert b2 == pytest.approx(2.0 * 3 * math.log(4) * 3)
 
 
 def test_bound_requires_separation():
-    model = EnergyModel(np.zeros((2, 2)), [],
+    model = EnergyModel(np.zeros((2, 2)), Cliques.from_lists([], []),
                         DiameterMetricSpec(LabelMetric.truncated_linear(2, 1, 1)))
     with pytest.raises(InvalidInputError):
         theorem_bounds(model, r=1.0)
@@ -71,14 +74,14 @@ def test_fusion_meta_potentials(reference_tree):
     n = 4
     rng = np.random.default_rng(1)
     unaries = rng.uniform(0, 1, size=(n, 4))
-    model = EnergyModel(unaries, [Clique(range(n), 1.0)],
+    model = EnergyModel(unaries, Cliques.from_lists([range(n)], [1.0]),
                         DiameterMetricSpec(reference_tree.metric()))
     child1 = np.zeros(n, dtype=np.intp)
     child2 = np.array([2, 3, 2, 3], dtype=np.intp)
     inst = build_fusion_instance(model, reference_tree, 0, [child1, child2])
-    clique = inst.cliques[0]
-    np.testing.assert_allclose(clique.gamma, [0.0, 6.0])
-    assert clique.gamma_max == 18.0
+    assert len(inst.cliques) == 1
+    np.testing.assert_allclose(inst.gamma[0], [0.0, 6.0])
+    assert inst.gamma_max[0] == 18.0
     # meta-unaries read the original unaries through the child labelings
     np.testing.assert_allclose(inst.unaries[:, 0], unaries[:, 0])
     np.testing.assert_allclose(inst.unaries[:, 1],
@@ -87,12 +90,12 @@ def test_fusion_meta_potentials(reference_tree):
 
 def test_fusion_drops_undecidable_cliques(reference_tree):
     n = 2
-    model = EnergyModel(np.zeros((n, 4)), [Clique([0, 1], 1.0)],
+    model = EnergyModel(np.zeros((n, 4)), Cliques.from_lists([[0, 1]], [1.0]),
                         DiameterMetricSpec(reference_tree.metric()))
     same = np.array([1, 1], dtype=np.intp)
     child1, child2 = same, same.copy()
     inst = build_fusion_instance(model, reference_tree, 0, [child1, child2])
-    assert inst.cliques == ()
+    assert len(inst.cliques) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +134,7 @@ def test_hierarchical_respects_bound(reference_tree):
 
 
 def test_tree_label_mismatch_rejected(reference_tree):
-    model = EnergyModel(np.zeros((2, 3)), [],
+    model = EnergyModel(np.zeros((2, 3)), Cliques.from_lists([], []),
                         DiameterMetricSpec(LabelMetric.truncated_linear(3, 1, 2)))
     with pytest.raises(InvalidInputError):
         solve_hierarchical(model, reference_tree)
@@ -155,7 +158,7 @@ def test_zero_weights_give_unary_argmin():
     rng = np.random.default_rng(5)
     unaries = rng.uniform(0, 3, size=(6, 4))
     metric = LabelMetric.truncated_linear(4, 1.0, 3)
-    model = EnergyModel(unaries, [Clique([0, 1, 2], 0.0)],
+    model = EnergyModel(unaries, Cliques.from_lists([[0, 1, 2]], [0.0]),
                         DiameterMetricSpec(metric))
     labeling, report = solve_parsimonious(model, k=3, seed=0)
     np.testing.assert_array_equal(labeling, unaries.argmin(axis=1))
@@ -192,7 +195,8 @@ def test_mixture_respects_general_bound():
 
 def test_pn_potts_potential_rejected_by_mixture():
     from parsilab.model import PnPottsSpec
-    model = EnergyModel(np.zeros((2, 2)), [], PnPottsSpec([0, 0], 1.0))
+    model = EnergyModel(np.zeros((2, 2)), Cliques.from_lists([], []),
+                        PnPottsSpec([0, 0], 1.0))
     with pytest.raises(InvalidInputError):
         solve_parsimonious(model, k=1, seed=0)
 

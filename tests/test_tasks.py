@@ -19,7 +19,7 @@ from parsilab.tasks import (GridSpec, ImageTask, block_partition, build_inpaint,
 def test_window_clique_count():
     cliques = window_cliques(100, 100, 10, 1, 1.0)
     assert len(cliques) == 8281
-    assert all(len(c.members) == 100 for c in cliques[:5])
+    assert np.all(cliques.sizes == 100)
 
 
 def test_grid_spec_validation():
@@ -84,11 +84,11 @@ def test_uniform_superpixel_weight_is_one():
     intensity = np.full((4, 4), 7.0)
     cliques = superpixel_cliques(region, intensity, sigma=100.0)
     assert len(cliques) == 1
-    assert cliques[0].weight == 1.0
+    assert cliques.weights[0] == 1.0
 
 
 def test_pairwise_clique_count():
-    cliques = pairwise_cliques(3, 4, lambda p, q: 1.0)
+    cliques = pairwise_cliques(3, 4, lambda p, q: np.ones(p.size))
     # 3 rows x 3 horizontal + 2 x 4 vertical
     assert len(cliques) == 9 + 8
 
@@ -100,7 +100,7 @@ def test_stereo_gradient_weights():
                      grad_threshold=8.0, w_low=1.0, w_high=2.0,
                      superpixels=np.zeros((1, 4), dtype=np.int64))
     model = build_stereo(task)
-    pair_weights = [c.weight for c in model.cliques if len(c.members) == 2]
+    pair_weights = model.cliques.weights[model.cliques.sizes == 2]
     assert sorted(pair_weights) == [1.0, 2.0, 2.0]
 
 
@@ -135,8 +135,7 @@ def test_missing_superpixels_falls_back_with_warning():
                      superpixel_block=2)
     with pytest.warns(UserWarning):
         model = build_inpaint(task)
-    region_cliques = [c for c in model.cliques if len(c.members) == 4]
-    assert len(region_cliques) == 4          # 2x2 tiles
+    assert np.sum(model.cliques.sizes == 4) == 4      # 2x2 tiles
 
 
 def test_block_partition_dense_ids():
