@@ -5,9 +5,13 @@ A clique pays gamma[k] when uniformly labeled l_k and gamma_max otherwise
 optimal expansion move for such an energy is a single min st-cut; the
 sweep over alpha labels then descends monotonically to a local minimum.
 A PnPottsInstance keeps its cliques as a model.Cliques, so energies and
-move networks are built from the CSR clique arrays.
+move networks are built from the CSR clique arrays.  A move network's
+per-node arc lists hold no reference cycles, so each move is built,
+solved and read with the cyclic garbage collector paused: otherwise its
+allocations set off collections that traverse those lists for nothing.
 """
 
+import gc
 import math
 from dataclasses import dataclass, field
 
@@ -86,15 +90,23 @@ def best_expansion_move(instance, current, alpha):
     Ladicky & Torr (IJCV 2009): two auxiliary nodes tied to its movers by
     infinite arcs.  Cut cost equals move energy up to an additive
     constant, and the cut read is the least optimal keep-set, so every
-    encoding gives the same move.
+    encoding gives the same move.  The collector is paused while the move
+    is built, solved and read, and the caller's collector state restored.
     """
     current = check_labeling(current, instance.unaries)
     if not 0 <= alpha < instance.num_labels:
         raise InvalidInputError("alpha out of range")
-    net = _move_network(instance, current, alpha)
-    net.compute_max_flow()
-    return np.where(net.source_side_mask()[:instance.num_variables], current,
-                    alpha)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        net = _move_network(instance, current, alpha)
+        net.compute_max_flow()
+        keep = net.source_side_mask()[:instance.num_variables]
+        del net                           # freed before collections resume
+    finally:
+        if collecting:
+            gc.enable()
+    return np.where(keep, current, alpha)
 
 
 def _move_network(instance, current, alpha):

@@ -162,10 +162,18 @@ class RHst:
 
     @classmethod
     def from_json(cls, doc):
-        nodes = doc["nodes"]
-        return cls([nd["parent"] for nd in nodes],
-                   [nd["edge_to_children"] for nd in nodes],
-                   [nd["label"] for nd in nodes], r=doc["r"])
+        """Parse a tree document (dict); a wrongly shaped one raises
+        InvalidInputError."""
+        try:
+            nodes = doc["nodes"]
+            return cls([nd["parent"] for nd in nodes],
+                       [nd["edge_to_children"] for nd in nodes],
+                       [nd["label"] for nd in nodes], r=doc["r"])
+        except KeyError as e:
+            raise InvalidInputError("malformed tree: missing field %s"
+                                    % e) from e
+        except (TypeError, AttributeError) as e:
+            raise InvalidInputError("malformed tree: %s" % e) from e
 
 
 _PAIR_CHUNK = 1 << 18

@@ -14,7 +14,11 @@ each path costs a local search instead of a scan of the whole graph.
 
 The cut read is the set of nodes reachable from the source in the
 residual graph.  That set is the least minimum cut, the same for every
-maximum flow, so the cut does not depend on the flow algorithm.
+maximum flow, so the cut does not depend on the flow algorithm.  The
+augmentation leaves most of it grown as its final source tree, whose
+nodes are all reachable.  A tree node no longer queued for growth has no
+residual arc leaving the tree, so the read marks the tree as reached and
+searches on only from the tree nodes still queued.
 Capacities are finite non-negative doubles; a residual below FLOW_TOL is
 treated as saturated so that floating-point dust cannot stall the
 augmenting loop.  Arc order is fixed by insertion, and the stable sort
@@ -60,6 +64,7 @@ class FlowNetwork:
         self._head = None              # per node its arc ids, after a solve
         self._res = None               # residual capacities after a solve
         self._flow_value = None
+        self._source_tree = None       # (tree, its queued nodes) of a solve
         self._reachable = None
         self._solved_size = None       # (nodes, arc slots) the solve covers
 
@@ -136,9 +141,11 @@ class FlowNetwork:
         self._head = _arc_lists(self._to, self._nodes + 2)
         res = list(self._cap)
         total = _short_paths(self._head, self._to, res)
-        total += _search_trees(self._head, self._to, res)
+        flow, tree, open_nodes = _search_trees(self._head, self._to, res)
+        total += flow
         self._res = res
         self._flow_value = total
+        self._source_tree = tree, open_nodes
         self._reachable = None
         self._solved_size = (self._nodes, len(self._to))
         return total
@@ -152,17 +159,16 @@ class FlowNetwork:
     def _residual_reachable(self):
         self._require_solved()
         if self._reachable is None:
-            n = len(self._head)
-            seen = [False] * n
-            seen[0] = True
-            queue = [0]
-            qi = 0
-            while qi < len(queue):
-                u = queue[qi]
-                qi += 1
-                for a in self._head[u]:
-                    v = self._to[a]
-                    if self._res[a] > FLOW_TOL and not seen[v]:
+            # the source tree is reached; only its queued nodes can have
+            # residual arcs out of it
+            tree, queue = self._source_tree
+            self._source_tree = None
+            head, to, res = self._head, self._to, self._res
+            seen = [side > 0 for side in tree]
+            for u in queue:
+                for a in head[u]:
+                    v = to[a]
+                    if res[a] > FLOW_TOL and not seen[v]:
                         seen[v] = True
                         queue.append(v)
             self._reachable = seen
@@ -245,7 +251,10 @@ def _short_paths(head, to, res):
 
 
 def _search_trees(head, to, res):
-    """Boykov-Kolmogorov augmentation on the residual; returns the flow.
+    """Boykov-Kolmogorov augmentation on the residual.
+
+    Returns the flow, the final tree of every node and the source-tree
+    nodes still queued for growth.
 
     tree[v] is 1 in the source tree, -1 in the sink tree and 0 when free.
     parent[v] is the arc from v to its parent: in the source tree its
@@ -415,4 +424,6 @@ def _search_trees(head, to, res):
                         if p >= 0 and to[p] == v:
                             parent[w] = _ORPHAN
                             orphans.append(w)
-    return total
+    # the queue holds each node at most once, also nodes freed or moved to
+    # the sink tree since they were queued
+    return total, tree, [v for v in active if tree[v] > 0]

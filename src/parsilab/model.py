@@ -121,14 +121,14 @@ class LabelMetric:
         if not (0 < lam < math.inf) or truncation < 1:
             raise InvalidInputError("need finite lam > 0 and truncation >= 1")
         # d depends on a - b alone: row holds it for a - b = 1-H .. H-1 and
-        # matrix row a is the window of row starting at H-1-a, so building
-        # the matrix takes one H x H array instead of four.  (H = 0 still
-        # yields one empty window, hence the slice.)
-        row = lam * np.minimum(np.abs(np.arange(1 - num_labels, num_labels)),
-                               truncation)
+        # matrix row a is the window of row starting at H-1-a.  The matrix
+        # is that read-only view of row, so it takes O(H) memory, and a
+        # solve's set-up allocates no H x H array.  (H = 0 still yields one
+        # empty window, hence the slice.)
+        row = lam * np.minimum(np.abs(np.arange(1.0 - num_labels,
+                                                num_labels)), truncation)
         windows = sliding_window_view(row, num_labels)[::-1]
-        return LabelMetric(np.array(windows[:num_labels], dtype=float),
-                           validate=False)
+        return LabelMetric(windows[:num_labels], validate=False)
 
     @staticmethod
     def uniform(num_labels, scale):
@@ -429,6 +429,9 @@ class Cliques:
         require_finite(weights, "clique weights")
         if np.any(weights < 0):
             raise InvalidInputError("clique weight must be non-negative")
+        self._set(offsets, members, weights, sizes)
+
+    def _set(self, offsets, members, weights, sizes):
         for a in (offsets, members, weights, sizes):
             a.setflags(write=False)
         self.offsets, self.members, self.weights = offsets, members, weights
@@ -439,6 +442,19 @@ class Cliques:
         """Cliques from one member list and one weight per clique."""
         flat = np.array(list(itertools.chain.from_iterable(members)))
         return cls(np.cumsum([0] + [len(m) for m in members]), flat, weights)
+
+    def select(self, keep):
+        """The cliques where the boolean mask keep is True, in order.
+
+        A subset of valid cliques is valid, so it is not checked again.
+        """
+        sizes = self.sizes[keep]
+        offsets = np.zeros(sizes.size + 1, dtype=np.intp)
+        np.cumsum(sizes, out=offsets[1:])
+        subset = Cliques.__new__(Cliques)
+        subset._set(offsets, self.members[np.repeat(keep, self.sizes)],
+                    self.weights[keep], sizes)
+        return subset
 
     def __len__(self):
         return self.weights.size
@@ -560,9 +576,12 @@ def model_from_json(doc):
             [c["members"] for c in doc["cliques"]],
             [c["weight"] for c in doc["cliques"]])
         potential = _potential_from_json(doc["potential"], h)
+    except InvalidInputError:
+        raise
     except KeyError as e:
         raise InvalidInputError("missing field: %s" % e) from e
-    except (TypeError, AttributeError) as e:
+    except (TypeError, AttributeError, ValueError) as e:
+        # numpy raises ValueError for text, ragged or wrongly sized arrays
         raise InvalidInputError("malformed problem: %s" % e) from e
     return EnergyModel(unaries, cliques, potential)
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import hst
 from .expansion import PnPottsInstance, alpha_expansion, pn_potts_bound
-from .model import (Cliques, DiameterMetricSpec, DiversitySpec,
-                    InvalidInputError, PnPottsSpec, SolverError, per_clique)
+from .model import (DiameterMetricSpec, DiversitySpec, InvalidInputError,
+                    PnPottsSpec, SolverError, per_clique)
 from .oracle import model_to_pn_potts_instance
 
 
@@ -107,10 +107,9 @@ def build_fusion_instance(model, tree, node, child_labelings):
     same = per_clique(np.logical_and, labs == labs[0],
                       cliques.offsets).all(axis=0)
     keep = (cliques.weights > 0) & ~((low[0] == high[0]) & same)
-    kept_members = np.repeat(keep, cliques.sizes)
-    labs, low, high = labs[:, kept_members], low[:, keep], high[:, keep]
-    sizes = cliques.sizes[keep]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    kept = cliques.select(keep)
+    labs, low, high = labelings[:, kept.members], low[:, keep], high[:, keep]
+    sizes, offsets = kept.sizes, kept.offsets
 
     # child j's diameter on clique c: the distance between its smallest
     # and largest label is exact on one or two labels (0 on one); larger
@@ -123,10 +122,8 @@ def build_fusion_instance(model, tree, node, child_labelings):
         gamma[c, j] = tree.hierarchical_pn_potts(
             labs[j, offsets[c]:offsets[c + 1]])
     gamma_max = tree.hierarchical_pn_potts(tree.cluster_labels(node))
-    return PnPottsInstance(
-        meta_unaries,
-        Cliques(offsets, cliques.members[kept_members], cliques.weights[keep]),
-        gamma, np.full(sizes.size, gamma_max))
+    return PnPottsInstance(meta_unaries, kept, gamma,
+                           np.full(sizes.size, gamma_max))
 
 
 def solve_hierarchical(model, tree):

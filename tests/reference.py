@@ -269,6 +269,23 @@ def min_cut_side(net, v):
     return net._residual_reachable()[net._internal(v)]
 
 
+def source_reachable(net):
+    """Per internal node of the solved net, whether the residual graph
+    reaches it: a breadth-first search from the source alone, where
+    FlowNetwork starts from its final source tree."""
+    head, to, res = net._head, net._to, net._res
+    seen = [False] * len(head)
+    seen[0] = True
+    queue = [0]
+    for u in queue:
+        for a in head[u]:
+            v = to[a]
+            if res[a] > FLOW_TOL and not seen[v]:
+                seen[v] = True
+                queue.append(v)
+    return seen
+
+
 def arc_lists(net):
     """Per internal node of net (0 the source, 1 the sink, v + 2 node v),
     the ids of the arcs leaving it in insertion order, read from the flat
@@ -283,7 +300,8 @@ def arc_lists(net):
 class DinicNetwork(FlowNetwork):
     """FlowNetwork solved by Dinic's algorithm instead of the short-path
     pass and Boykov-Kolmogorov augmentation, on per-node arc lists built
-    by arc_lists instead of the solve-time layout."""
+    by arc_lists instead of the solve-time layout.  Without search trees,
+    its cut is read by source_reachable."""
 
     @classmethod
     def copy_of(cls, net):
@@ -358,3 +376,9 @@ class DinicNetwork(FlowNetwork):
         self._reachable = None
         self._solved_size = (self._nodes, len(self._to))
         return total
+
+    def _residual_reachable(self):
+        self._require_solved()
+        if self._reachable is None:
+            self._reachable = source_reachable(self)
+        return self._reachable

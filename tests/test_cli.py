@@ -19,6 +19,8 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 TINY_PROBLEM = os.path.join(DATA, "tiny_problem.json")
 # wrongly shaped "cliques"; CI also runs it through the installed script
 MALFORMED_PROBLEM = os.path.join(DATA, "malformed_problem.json")
+# tree nodes that are not objects; CI also runs it through the script
+MALFORMED_TREE = os.path.join(DATA, "malformed_tree.json")
 
 # energy of the committed fixture at k=10, seed 0; equals the exhaustive
 # optimum of that instance (verified when the fixture was generated)
@@ -217,6 +219,23 @@ def test_validate_tree(tmp_path, capsys, reference_tree):
     bad = tmp_path / "bad_tree.json"
     bad.write_text(json.dumps(doc))
     assert cli.main(["validate", str(bad)]) == cli.EXIT_INPUT
+
+
+MALFORMED_TREES = {
+    "nodes not a list": {"nodes": 5},
+    "node not an object": {"nodes": [5]},
+    "node missing fields": {"nodes": [{"parent": -1}], "r": 2.0},
+    "committed file": json.loads(Path(MALFORMED_TREE).read_text()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_TREES))
+def test_wrongly_shaped_tree_exits_2(tmp_path, capsys, name):
+    bad = tmp_path / "bad_tree.json"
+    bad.write_text(json.dumps(MALFORMED_TREES[name]))
+    assert cli.main(["validate", str(bad)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith(
+        "error: tree invalid: malformed tree: ")
 
 
 def test_synth_bench_csv(tmp_path):

@@ -1,5 +1,6 @@
 """Expansion moves and the sweep solver for consistency-cost instances."""
 
+import gc
 from unittest import mock
 
 import numpy as np
@@ -87,6 +88,45 @@ def test_three_mover_clique_keeps_its_gadget():
     inst = pn_instance(np.zeros((4, 2)), [([0, 1, 2], [0.5, 1.0], 2.0, 1.0)])
     # two auxiliary nodes, each tied to the three movers by an arc
     assert _move_network_shape(inst, [0, 0, 0, 0], 1)[:2] == (4 + 2, 6)
+
+
+@pytest.fixture
+def collector():
+    """Puts the collector state back as it was before the test."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_move_pauses_the_collector_and_restores_it(collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    during = []
+    flow = FlowNetwork.compute_max_flow
+
+    def solve(net):
+        during.append(gc.isenabled())
+        return flow(net)
+
+    with mock.patch.object(FlowNetwork, "compute_max_flow", autospec=True,
+                           side_effect=solve):
+        move = best_expansion_move(_hand_instance(), np.array([0, 1, 0]), 1)
+    assert during == [False]
+    assert gc.isenabled() == enabled
+    np.testing.assert_array_equal(
+        move, reference.best_expansion_move(_hand_instance(), [0, 1, 0], 1))
+
+
+def test_move_restores_the_collector_when_the_flow_raises(collector):
+    gc.enable()
+    with mock.patch.object(FlowNetwork, "compute_max_flow",
+                           side_effect=RuntimeError("flow failed")):
+        with pytest.raises(RuntimeError, match="flow failed"):
+            best_expansion_move(_hand_instance(), np.array([0, 1, 0]), 1)
+    assert gc.isenabled()
 
 
 def test_alpha_out_of_range():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from parsilab.expansion import _move_network
 from parsilab.maxflow import SINK, SOURCE, FlowNetwork, StateError
-from reference import DinicNetwork, arc_lists, min_cut_side
+from reference import DinicNetwork, arc_lists, min_cut_side, source_reachable
 from test_fast_paths import labelings, pn_instances
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
@@ -260,13 +260,31 @@ def test_random_networks_match_dinic(net):
     _assert_same_as_dinic(net)
 
 
+@st.composite
+def move_networks(draw):
+    """The flow networks of expansion moves on random instances."""
+    inst = draw(pn_instances())
+    current = draw(labelings(inst))
+    alpha = draw(st.integers(0, inst.num_labels - 1))
+    return _move_network(inst, current, alpha)
+
+
 @SETTINGS
-@given(st.data())
-def test_move_networks_match_dinic(data):
-    inst = data.draw(pn_instances())
-    current = data.draw(labelings(inst))
-    alpha = data.draw(st.integers(0, inst.num_labels - 1))
-    _assert_same_as_dinic(_move_network(inst, current, alpha))
+@given(move_networks())
+def test_move_networks_match_dinic(net):
+    _assert_same_as_dinic(net)
+
+
+@pytest.mark.parametrize("family", [networks(), move_networks()],
+                         ids=["random", "move"])
+@SETTINGS
+@given(data=st.data())
+def test_cut_read_from_source_tree_matches_source_search(family, data):
+    """The cut read that starts from the final source tree and its queued
+    nodes reaches the same nodes as a search from the source alone."""
+    net = data.draw(family)
+    net.compute_max_flow()
+    assert net._residual_reachable() == source_reachable(net)
 
 
 @SETTINGS

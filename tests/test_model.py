@@ -203,6 +203,25 @@ def test_cliques_arrays():
     assert empty.members.dtype == np.intp
 
 
+def test_cliques_select_matches_the_constructor():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        count = int(rng.integers(0, 8))
+        members = [rng.choice(10, size=int(rng.integers(1, 5)),
+                              replace=False).tolist() for _ in range(count)]
+        cliques = Cliques.from_lists(members, rng.uniform(0, 2, count))
+        keep = rng.random(count) < 0.5
+        subset = cliques.select(keep)
+        expect = Cliques.from_lists(
+            [m for m, k in zip(members, keep) if k], cliques.weights[keep])
+        assert len(subset) == len(expect)
+        assert subset.max_size == expect.max_size
+        for name in ("offsets", "members", "weights", "sizes"):
+            got, want = getattr(subset, name), getattr(expect, name)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype and not got.flags.writeable
+
+
 @pytest.mark.parametrize("offsets,members,weights", [
     ([0, 2], [0, 1], [1.0, 1.0]),       # one offset short
     ([1, 2], [0, 1], [1.0]),            # not starting at 0
@@ -343,3 +362,19 @@ def test_json_rejects_negative_variable_count():
 def test_json_rejects_zero_labels():
     with pytest.raises(InvalidInputError, match="num_labels"):
         model_from_json(_problem(num_labels=0, unaries=[]))
+
+
+@pytest.mark.parametrize("doc", [
+    _problem(cliques=[{"members": [0, 1], "weight": "heavy"}]),
+    _problem(unaries=["a", "b", "c", "d"]),
+], ids=["text weight", "text unaries"])
+def test_json_rejects_values_that_are_not_numbers(doc):
+    with pytest.raises(InvalidInputError, match="malformed problem"):
+        model_from_json(doc)
+
+
+@pytest.mark.parametrize("unaries", [[[0.0, 1.0], [2.0]], [0.0] * 3],
+                         ids=["ragged", "wrongly sized"])
+def test_json_rejects_misshapen_unaries(unaries):
+    with pytest.raises(InvalidInputError, match="malformed problem"):
+        model_from_json(_problem(unaries=unaries))
