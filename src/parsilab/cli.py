@@ -179,9 +179,8 @@ def cmd_validate(args):
     # a metric is checked when it is built (or is one by construction), and
     # its diameter is always a diversity, so only explicit tables (at most
     # MAX_TABLE_LABELS labels) need the axiom check
-    diversity = getattr(model.potential, "diversity", None)
-    if isinstance(diversity, mdl.ExplicitTableDiversity):
-        report = validate_diversity_axioms(diversity, model.num_labels)
+    if isinstance(model.potential, mdl.ExplicitTableDiversity):
+        report = validate_diversity_axioms(model.potential, model.num_labels)
         if report:
             for axiom, witness in report[:20]:
                 print("violation: %s at %r" % (axiom, witness))

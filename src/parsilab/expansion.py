@@ -175,7 +175,6 @@ def _move_network(instance, current, alpha):
 @dataclass
 class MoveTrace:
     """Accepted moves in sweep order: (sweep index, alpha, energy after)."""
-    initial_energy: float
     moves: list = field(default_factory=list)
     sweeps: int = 0
 
@@ -202,7 +201,7 @@ def alpha_expansion(instance, init=None):
     else:
         labeling = check_labeling(init, instance.unaries).copy()
     energy = instance.evaluate(labeling)
-    trace = MoveTrace(initial_energy=energy)
+    trace = MoveTrace()
     h = instance.num_labels
     tried = [-1] * h      # accepted-move count when alpha was last tried
     accepted = 0

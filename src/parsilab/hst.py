@@ -314,13 +314,12 @@ def frt_embed(metric, k, seed):
     returned as a tuple of RHst.
 
     Every returned tree metric dominates the input metric entrywise, and
-    in expectation distorts it by an O(log H) factor.
+    in expectation distorts it by an O(log H) factor.  The metric axioms
+    are not checked again here: a LabelMetric was checked when it was
+    built, or is a metric by construction.
     """
     if k < 1:
         raise InvalidInputError("need at least one tree")
-    err = metric.check()
-    if err is not None:
-        raise InvalidInputError("cannot embed: %s" % err)
     d = metric.matrix
     h = metric.num_labels
     if h >= 2:

@@ -1,10 +1,15 @@
 """Data model for parsimonious labeling problems.
 
-Holds the label set, metrics, diversity functions, cliques and the
-energy functional.  Every model keeps its cliques as one Cliques, CSR
-arrays of members and weights that also carry all clique validation;
-potentials evaluate every clique at once from those arrays.  Everything
-here is immutable after construction and evaluation is deterministic.
+Holds the label metrics, diversities, cliques and the energy functional.
+A model's clique potential is a consistency cost (PnPottsSpec) or a
+Diversity: the diameter diversity of a label metric, an explicit subset
+table, or a subclass.  Each has num_labels, value(subset) and
+clique_values(labs, offsets).  Every model keeps its cliques as one
+Cliques, CSR arrays of members and weights that also carry all clique
+validation; potentials evaluate every clique at once from those arrays.
+A LabelMetric is checked once, when it is built, or is a metric by
+construction.  Everything here is immutable after construction and
+evaluation is deterministic.
 """
 
 import itertools
@@ -73,7 +78,12 @@ def ordered_sum(start, costs):
 # ---------------------------------------------------------------------------
 
 class LabelMetric:
-    """A metric d(l_i, l_j) over label indices, stored as a dense matrix."""
+    """A metric d(l_i, l_j) over label indices, stored as a dense matrix.
+
+    The axioms are checked when the metric is built; with validate=False
+    the caller vouches that the matrix is a metric, and nothing later
+    checks it again.
+    """
 
     def __init__(self, matrix, validate=True):
         m = np.asarray(matrix, dtype=float)
@@ -89,9 +99,6 @@ class LabelMetric:
     @property
     def num_labels(self):
         return self.matrix.shape[0]
-
-    def __call__(self, i, j):
-        return float(self.matrix[i, j])
 
     def check(self, tol=AXIOM_TOL):
         """Return a description of the first violated metric axiom, or None."""
@@ -152,7 +159,9 @@ def _subset_mask(subset):
 
 
 class Diversity:
-    """A set function over non-empty label subsets (see validate_diversity_axioms)."""
+    """A set function over non-empty label subsets (see
+    validate_diversity_axioms); as a model's potential, each clique pays
+    the diversity of its label set."""
 
     num_labels = None
 
@@ -229,7 +238,7 @@ class DiameterDiversity(Diversity):
 
     def induced_metric(self):
         # diameter of a pair is its distance
-        return LabelMetric(self.metric.matrix)
+        return self.metric
 
 
 class ExplicitTableDiversity(Diversity):
@@ -336,8 +345,6 @@ class PnPottsSpec:
     """Clique potential: gamma[k] when the clique is uniformly labeled l_k,
     gamma_max otherwise."""
 
-    kind = "pn_potts"
-
     def __init__(self, gamma, gamma_max):
         self.gamma = np.asarray(gamma, dtype=float)
         self.gamma_max = float(gamma_max)
@@ -353,7 +360,7 @@ class PnPottsSpec:
     def num_labels(self):
         return self.gamma.shape[0]
 
-    def subset_value(self, subset):
+    def value(self, subset):
         subset = set(subset)
         if not subset:
             raise InvalidInputError("empty clique labeling")
@@ -366,35 +373,6 @@ class PnPottsSpec:
         gamma_max (labs in CSR order, see per_clique)."""
         uniform, low = uniform_label(labs, offsets)
         return np.where(uniform, self.gamma[low], self.gamma_max)
-
-
-class DiversitySpec:
-    """Clique potential: the diversity of the unique clique labels."""
-
-    kind = "diversity_table"
-
-    def __init__(self, diversity):
-        self.diversity = diversity
-
-    @property
-    def num_labels(self):
-        return self.diversity.num_labels
-
-    def subset_value(self, subset):
-        return self.diversity.value(subset)
-
-    def clique_values(self, labs, offsets):
-        return self.diversity.clique_values(labs, offsets)
-
-
-class DiameterMetricSpec(DiversitySpec):
-    """Clique potential: diameter diversity over a label metric."""
-
-    kind = "diameter_metric"
-
-    def __init__(self, metric):
-        super().__init__(DiameterDiversity(metric))
-        self.metric = metric
 
 
 # ---------------------------------------------------------------------------
@@ -519,11 +497,10 @@ def _potential_from_json(spec, num_labels):
     if kind == "pn_potts":
         return PnPottsSpec(spec["gamma"], spec["gamma_max"])
     if kind == "diversity_table":
-        div = ExplicitTableDiversity.from_entries(
+        return ExplicitTableDiversity.from_entries(
             num_labels, [(e["labels"], e["value"]) for e in spec["entries"]])
-        return DiversitySpec(div)
     if kind == "diameter_metric":
-        return DiameterMetricSpec(_metric_from_json(spec["metric"], num_labels))
+        return DiameterDiversity(_metric_from_json(spec["metric"], num_labels))
     raise InvalidInputError("unknown potential kind: %r" % kind)
 
 
@@ -545,21 +522,20 @@ def _potential_to_json(potential):
     if isinstance(potential, PnPottsSpec):
         return {"kind": "pn_potts", "gamma": potential.gamma.tolist(),
                 "gamma_max": potential.gamma_max}
-    if isinstance(potential, DiameterMetricSpec):
+    if isinstance(potential, DiameterDiversity):
         return {"kind": "diameter_metric",
                 "metric": {"kind": "explicit",
                            "matrix": potential.metric.matrix.tolist()}}
-    if isinstance(potential, DiversitySpec):
-        div = potential.diversity
-        if not isinstance(div, ExplicitTableDiversity):
-            raise InvalidInputError("only table diversities serialize")
-        h = div.num_labels
+    if isinstance(potential, ExplicitTableDiversity):
+        h = potential.num_labels
         entries = []
         for mask in range(1, 1 << h):
             labels = [i for i in range(h) if mask >> i & 1]
-            entries.append({"labels": labels, "value": float(div.table[mask])})
+            entries.append({"labels": labels,
+                            "value": float(potential.table[mask])})
         return {"kind": "diversity_table", "entries": entries}
-    raise InvalidInputError("unknown potential type")
+    raise InvalidInputError("only consistency costs, diameter and table "
+                            "diversities serialize")
 
 
 def model_from_json(doc):

@@ -8,10 +8,9 @@ so ties always break toward the lexicographically smallest labeling.
 import numpy as np
 
 from .expansion import PnPottsInstance
-from .model import InvalidInputError, PnPottsSpec, SolverError, check_labeling
+from .model import InvalidInputError, PnPottsSpec, SolverError
 
 MAX_LABELINGS = 10 ** 7
-MAX_MOVE_SPACE = 10 ** 6
 
 
 class SizeError(InvalidInputError):
@@ -35,7 +34,7 @@ def _mask_potential_table(model):
     table = np.zeros(1 << h)
     for mask in range(1, 1 << h):
         subset = tuple(i for i in range(h) if mask >> i & 1)
-        table[mask] = model.potential.subset_value(subset)
+        table[mask] = model.potential.value(subset)
     return table
 
 
@@ -73,26 +72,6 @@ def exhaustive_minimize(model):
     if not abs(model.evaluate_energy(result.labeling) - result.energy) <= 1e-9:
         raise SolverError("enumerated energy does not match the model's")
     return result
-
-
-def exhaustive_expansion_move(instance, current, alpha):
-    """Best labeling in the binary move space, by enumerating all 2^N moves."""
-    current = check_labeling(current, instance.unaries)
-    n = instance.num_variables
-    if 2 ** n > MAX_MOVE_SPACE:
-        raise SizeError("move space too large to enumerate (2^%d)" % n)
-    best_lab = None
-    best_e = np.inf
-    for bits in range(2 ** n):
-        lab = current.copy()
-        for i in range(n):
-            if bits >> (n - 1 - i) & 1:
-                lab[i] = alpha
-        e = instance.evaluate(lab)
-        if e < best_e:
-            best_e = e
-            best_lab = lab
-    return best_lab
 
 
 def model_to_pn_potts_instance(model):

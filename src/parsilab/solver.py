@@ -17,7 +17,7 @@ import numpy as np
 
 from . import hst
 from .expansion import PnPottsInstance, alpha_expansion, pn_potts_bound
-from .model import (DiameterMetricSpec, DiversitySpec, InvalidInputError,
+from .model import (DiameterDiversity, Diversity, InvalidInputError,
                     PnPottsSpec, SolverError, per_clique)
 from .oracle import model_to_pn_potts_instance
 
@@ -80,7 +80,7 @@ def theorem_bounds(model, r=2.0):
     h = model.num_labels
     m = model.cliques.max_size
     bound1 = r / (r - 1.0) * min(m, h)
-    shrink = isinstance(model.potential, DiameterMetricSpec)
+    shrink = isinstance(model.potential, DiameterDiversity)
     bound2 = bound1 * math.log(h) * (1 if shrink else h - 1)
     return bound1, bound2
 
@@ -164,16 +164,6 @@ def solve_hierarchical(model, tree):
     return labeling, report
 
 
-def _source_metric(model):
-    potential = model.potential
-    if isinstance(potential, DiameterMetricSpec):
-        return potential.metric
-    if isinstance(potential, DiversitySpec):
-        return potential.diversity.induced_metric()
-    raise InvalidInputError(
-        "parsimonious solve needs a diversity-based potential")
-
-
 def solve_parsimonious(model, k=10, seed=0):
     """Mixture-of-trees solve of a general diversity energy.
 
@@ -181,8 +171,10 @@ def solve_parsimonious(model, k=10, seed=0):
     hierarchical solve on each surrogate, evaluates every candidate under
     the original potential, and returns the best.
     """
+    if not isinstance(model.potential, Diversity):
+        raise InvalidInputError("parsimonious solve needs a diversity")
     t0 = time.perf_counter()
-    metric = _source_metric(model)
+    metric = model.potential.induced_metric()
     t_embed = time.perf_counter()
     mixture = hst.frt_embed(metric, k, seed)
     t_solve = time.perf_counter()

@@ -1,13 +1,13 @@
-"""Instance builders: synthetic lattices, random r-HSTs, stereo matching
-and inpainting models, plus PGM/PPM raster I/O."""
+"""Instance builders: synthetic lattices, stereo matching and inpainting
+models, plus PGM/PPM raster I/O."""
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hst import RHst
-from .model import (Cliques, DiameterMetricSpec, EnergyModel,
+from .model import (Cliques, DiameterDiversity, EnergyModel,
                     InvalidInputError, LabelMetric)
 
 
@@ -32,12 +32,18 @@ class GridSpec:
     tree: RHst = None
 
     def validate(self):
+        _check_label_count(self.num_labels)
         if self.window > min(self.width, self.height):
             raise InvalidInputError("clique window does not fit in the grid")
         if self.stride < 1:
             raise InvalidInputError("stride must be at least one")
         if not np.isfinite([self.unary_low, self.unary_high]).all():
             raise InvalidInputError("unary bounds must be finite")
+
+
+def _check_label_count(num_labels):
+    if num_labels < 1:
+        raise InvalidInputError("need at least one label")
 
 
 def window_cliques(width, height, window, stride, weight):
@@ -68,51 +74,7 @@ def generate_synthetic(spec):
     else:
         metric = LabelMetric.truncated_linear(spec.num_labels, spec.lam,
                                               spec.truncation)
-    return EnergyModel(unaries, cliques, DiameterMetricSpec(metric))
-
-
-def random_rhst(label_count, r=2.0, depth=3, seed=0):
-    """A random r-HST with the given label set as leaves.
-
-    Labels are recursively partitioned; every chain of edge lengths
-    shrinks by a factor of at least r, and all invariants are checked
-    before returning.
-    """
-    if r <= 1:
-        raise InvalidInputError("separation parameter r must exceed 1")
-    if depth < 1 or (label_count > 1 and depth < 2):
-        raise InvalidInputError("tree too shallow for this many labels")
-    rng = np.random.default_rng(seed)
-    parents = [-1]
-    child_edge = [0.0]
-    leaf_label = [None]
-
-    def grow(node, labels, edge, levels_left):
-        if len(labels) == 1:
-            child_edge[node] = 0.0
-            leaf_label[node] = int(labels[0])
-            return
-        child_edge[node] = edge
-        if levels_left <= 2:
-            parts = [[l] for l in labels]     # forced full split at the bottom
-        else:
-            count = int(rng.integers(2, len(labels) + 1))
-            assign = rng.integers(0, count, size=len(labels))
-            assign[rng.permutation(len(labels))[:count]] = np.arange(count)
-            parts = [[l for l, a in zip(labels, assign) if a == g]
-                     for g in range(count)]
-            parts = [p for p in parts if p]
-        child_len = edge / (r * float(rng.uniform(1.0, 1.5)))
-        for part in parts:
-            child = len(parents)
-            parents.append(node)
-            child_edge.append(0.0)
-            leaf_label.append(None)
-            grow(child, part, child_len, levels_left - 1)
-
-    top_edge = float(rng.uniform(4.0, 16.0))
-    grow(0, list(range(label_count)), top_edge, depth)
-    return RHst(parents, child_edge, leaf_label, r=r)
+    return EnergyModel(unaries, cliques, DiameterDiversity(metric))
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +102,8 @@ class ImageTask:
 
 def block_partition(height, width, block):
     """Fallback superpixel map: a raster of B x B tiles with dense ids."""
+    if block < 1:
+        raise InvalidInputError("superpixel block size must be at least one")
     ys = np.arange(height) // block
     xs = np.arange(width) // block
     per_row = (width + block - 1) // block
@@ -159,6 +123,8 @@ def _ensure_superpixels(task, height, width):
 def superpixel_cliques(region_map, intensity, sigma):
     """One clique per region in ascending id order, its pixels in raster
     order, weighted by exp(-var(intensity)/sigma^2)."""
+    if not 0 < sigma < np.inf:
+        raise InvalidInputError("sigma must be positive and finite")
     members = np.argsort(region_map.reshape(-1), kind="stable")
     flat_int = intensity.reshape(-1).astype(float)
     _, sizes = np.unique(region_map, return_counts=True)
@@ -196,7 +162,7 @@ def _grid_model(task, unaries, pair_weight, intensity):
         np.append(pairs.weights, regions.weights))
     metric = LabelMetric.truncated_linear(unaries.shape[1], task.lam,
                                           task.truncation)
-    return EnergyModel(unaries, cliques, DiameterMetricSpec(metric))
+    return EnergyModel(unaries, cliques, DiameterDiversity(metric))
 
 
 def _intensity(img):
@@ -217,6 +183,7 @@ def build_stereo(task):
     height, width = left.shape[:2]
     n = height * width
     h = task.num_labels
+    _check_label_count(h)
 
     # right-image column is the left column minus the disparity, edge-clamped
     unaries = np.empty((n, h))
@@ -248,6 +215,7 @@ def build_inpaint(task):
     height, width = img.shape
     n = height * width
     h = task.num_labels
+    _check_label_count(h)
     mask = np.zeros((height, width), dtype=bool) if task.mask is None \
         else np.asarray(task.mask, dtype=bool)
     if mask.shape != img.shape:

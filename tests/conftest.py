@@ -5,8 +5,8 @@ import pytest
 
 from parsilab.expansion import PnPottsInstance
 from parsilab.hst import RHst
-from parsilab.model import (Cliques, DiversitySpec, EnergyModel,
-                            ExplicitTableDiversity, PnPottsSpec)
+from parsilab.model import (Cliques, EnergyModel, ExplicitTableDiversity,
+                            PnPottsSpec)
 
 
 @pytest.fixture
@@ -84,7 +84,7 @@ def random_diversity_model(rng, n_max=8, h_max=4):
     diversity = random_table_diversity(h, rng)
     unaries = rng.uniform(0.0, 3.0, size=(n, h))
     return EnergyModel(unaries, random_cliques(n, rng),
-                       DiversitySpec(diversity))
+                       diversity)
 
 
 def random_pn_potts_model(rng, n_max=8, h_max=4):

@@ -9,9 +9,12 @@ import numpy as np
 
 from conftest import pn_instance
 from parsilab.expansion import ACCEPT_TOL, MoveTrace
-from parsilab.model import Cliques, check_labeling
-from parsilab.hst import ROOT
+from parsilab.model import Cliques, InvalidInputError, check_labeling
+from parsilab.hst import ROOT, RHst
 from parsilab.maxflow import FLOW_TOL, FlowNetwork
+from parsilab.oracle import SizeError
+
+MAX_MOVE_SPACE = 10 ** 6
 
 
 def clique_list(cliques):
@@ -35,7 +38,7 @@ def evaluate_energy(model, labeling):
     for members, weight in clique_list(model.cliques):
         if weight == 0.0:
             continue
-        total += weight * model.potential.subset_value(
+        total += weight * model.potential.value(
             unique_labels(labeling, members))
     labeling = check_labeling(labeling, model.unaries)
     unary = model.unaries[np.arange(model.num_variables), labeling].sum()
@@ -113,7 +116,7 @@ def alpha_expansion(instance, init=None):
     else:
         labeling = check_labeling(init, instance.unaries).copy()
     energy = evaluate(instance, labeling)
-    trace = MoveTrace(initial_energy=energy)
+    trace = MoveTrace()
     improved = True
     while improved:
         improved = False
@@ -126,6 +129,70 @@ def alpha_expansion(instance, init=None):
                 trace.moves.append((trace.sweeps, alpha, e))
                 improved = True
     return labeling, trace
+
+
+def exhaustive_expansion_move(instance, current, alpha):
+    """Best labeling in the binary move space, by enumerating all 2^N moves."""
+    current = check_labeling(current, instance.unaries)
+    n = instance.num_variables
+    if 2 ** n > MAX_MOVE_SPACE:
+        raise SizeError("move space too large to enumerate (2^%d)" % n)
+    best_lab = None
+    best_e = np.inf
+    for bits in range(2 ** n):
+        lab = current.copy()
+        for i in range(n):
+            if bits >> (n - 1 - i) & 1:
+                lab[i] = alpha
+        e = instance.evaluate(lab)
+        if e < best_e:
+            best_e = e
+            best_lab = lab
+    return best_lab
+
+
+def random_rhst(label_count, r=2.0, depth=3, seed=0):
+    """A random r-HST with the given label set as leaves.
+
+    Labels are recursively partitioned; every chain of edge lengths
+    shrinks by a factor of at least r, and all invariants are checked
+    before returning.
+    """
+    if r <= 1:
+        raise InvalidInputError("separation parameter r must exceed 1")
+    if depth < 1 or (label_count > 1 and depth < 2):
+        raise InvalidInputError("tree too shallow for this many labels")
+    rng = np.random.default_rng(seed)
+    parents = [-1]
+    child_edge = [0.0]
+    leaf_label = [None]
+
+    def grow(node, labels, edge, levels_left):
+        if len(labels) == 1:
+            child_edge[node] = 0.0
+            leaf_label[node] = int(labels[0])
+            return
+        child_edge[node] = edge
+        if levels_left <= 2:
+            parts = [[l] for l in labels]     # forced full split at the bottom
+        else:
+            count = int(rng.integers(2, len(labels) + 1))
+            assign = rng.integers(0, count, size=len(labels))
+            assign[rng.permutation(len(labels))[:count]] = np.arange(count)
+            parts = [[l for l, a in zip(labels, assign) if a == g]
+                     for g in range(count)]
+            parts = [p for p in parts if p]
+        child_len = edge / (r * float(rng.uniform(1.0, 1.5)))
+        for part in parts:
+            child = len(parents)
+            parents.append(node)
+            child_edge.append(0.0)
+            leaf_label.append(None)
+            grow(child, part, child_len, levels_left - 1)
+
+    top_edge = float(rng.uniform(4.0, 16.0))
+    grow(0, list(range(label_count)), top_edge, depth)
+    return RHst(parents, child_edge, leaf_label, r=r)
 
 
 def diameter(tree, subset):

@@ -16,15 +16,14 @@ from parsilab import cli
 from parsilab.expansion import alpha_expansion, best_expansion_move, \
     pn_potts_bound
 from parsilab.hst import frt_embed
-from parsilab.model import (Cliques, DiameterDiversity, DiversitySpec,
-                            EnergyModel, LabelMetric, save_model)
-from parsilab.oracle import (exhaustive_expansion_move, exhaustive_minimize,
-                             model_to_pn_potts_instance)
+from parsilab.model import (Cliques, DiameterDiversity, EnergyModel,
+                            LabelMetric, save_model)
+from parsilab.oracle import exhaustive_minimize, model_to_pn_potts_instance
 from parsilab.solver import solve_hierarchical, solve_parsimonious, \
     theorem_bounds
 from parsilab.tasks import (GridSpec, ImageTask, block_partition,
-                            build_inpaint, build_stereo, generate_synthetic,
-                            random_rhst)
+                            build_inpaint, build_stereo, generate_synthetic)
+from reference import exhaustive_expansion_move, random_rhst
 
 TOL = 1e-9
 
@@ -87,9 +86,8 @@ def test_criterion_3_hierarchical_bound(verdict):
             members.append(rng.choice(n, size=size, replace=False))
             weights.append(float(rng.uniform(0.3, 2.0)))
         cliques = Cliques.from_lists(members, weights)
-        from parsilab.model import DiameterMetricSpec
         model = EnergyModel(unaries, cliques,
-                            DiameterMetricSpec(tree.metric()))
+                            DiameterDiversity(tree.metric()))
         _, report = solve_hierarchical(model, tree)
         opt = exhaustive_minimize(model)
         limit = opt.unary_term + report.bound_hierarchical * opt.clique_term
@@ -256,7 +254,7 @@ def test_criterion_9_determinism(tmp_path, verdict):
     model = EnergyModel(rng.uniform(0, 4, size=(6, 3)),
                         Cliques.from_lists([[0, 1, 2], [3, 4, 5]],
                                            [1.0, 0.5]),
-                        DiversitySpec(div))
+                        div)
     problem = tmp_path / "problem.json"
     save_model(model, problem)
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"

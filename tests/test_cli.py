@@ -252,7 +252,8 @@ def test_synth_bench_csv(tmp_path):
     assert float(rows[-1]["unique_labels"]) == 1    # w_c = 100 collapses
 
 
-@pytest.mark.parametrize("bad", [["--window", "4"], ["--trees", "0"]])
+@pytest.mark.parametrize("bad", [["--window", "4"], ["--trees", "0"],
+                                 ["--labels", "0"], ["--labels", "-3"]])
 def test_synth_bench_bad_input_exits_2(tmp_path, capsys, bad):
     out = tmp_path / "bench.csv"
     assert cli.main(["synth-bench", "--csv", str(out), "--size", "3",
@@ -306,6 +307,56 @@ def test_inpaint_command(tmp_path):
                          "--trees", "2", "--block", "3"])
     assert code == cli.EXIT_OK
     assert out.exists()
+
+
+def _image_files(tmp_path, flat):
+    """A 6 x 8 stereo pair and a grayscale image, flat or random."""
+    rng = np.random.default_rng(0)
+    left = rng.integers(0, 255, size=(6, 8, 3)).astype(np.uint8)
+    if flat:
+        left[:] = 9
+    gray = left[:, :, 0]
+    paths = [tmp_path / "l.ppm", tmp_path / "r.ppm", tmp_path / "img.pgm"]
+    for path, image in zip(paths, (left, np.roll(left, -1, axis=1), gray)):
+        write_raster(path, image)
+    return [str(p) for p in paths]
+
+
+@pytest.mark.filterwarnings("ignore:no superpixel map given")
+@pytest.mark.parametrize("command,bad,flat,message", [
+    pytest.param("stereo", ["--labels", "0"], False, "at least one label",
+                 id="stereo-labels-0"),
+    pytest.param("inpaint", ["--labels", "-3"], False, "at least one label",
+                 id="inpaint-labels-neg3"),
+    pytest.param("stereo", ["--block", "0"], False, "block size",
+                 id="stereo-block-0"),
+    pytest.param("inpaint", ["--block", "0"], False, "block size",
+                 id="inpaint-block-0"),
+    pytest.param("stereo", ["--sigma", "0"], False, "sigma",
+                 id="stereo-sigma-0"),
+    pytest.param("inpaint", ["--sigma", "0"], True, "sigma",
+                 id="inpaint-sigma-0-flat"),
+    pytest.param("inpaint", ["--sigma", "nan"], False, "sigma",
+                 id="inpaint-sigma-nan"),
+    pytest.param("inpaint", ["--sigma", "-1"], False, "sigma",
+                 id="inpaint-sigma-neg1"),
+    pytest.param("stereo", ["--sigma", "inf"], False, "sigma",
+                 id="stereo-sigma-inf"),
+])
+def test_image_command_bad_input_exits_2(tmp_path, capsys, command, bad,
+                                         flat, message):
+    """Label counts below one, an empty fallback tile and a sigma that is
+    not positive and finite are input errors: exit 2 with a message, no
+    traceback and no output."""
+    left, right, gray = _image_files(tmp_path, flat)
+    inputs = [left, right] if command == "stereo" else [gray]
+    out = tmp_path / "out.pgm"
+    code = cli.main([command] + inputs + ["--out", str(out), "--labels", "4",
+                                          "--trees", "1"] + bad)
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 def test_malformed_raster_header_exits_2(tmp_path, capsys):

@@ -13,8 +13,8 @@ from parsilab.expansion import (PnPottsInstance, alpha_expansion,
                                 best_expansion_move, pn_potts_bound)
 from parsilab.maxflow import FlowNetwork
 from parsilab.model import InvalidInputError
-from parsilab.oracle import (exhaustive_expansion_move, exhaustive_minimize,
-                             model_to_pn_potts_instance)
+from parsilab.oracle import exhaustive_minimize, model_to_pn_potts_instance
+from reference import exhaustive_expansion_move
 
 
 def _hand_instance():
@@ -196,7 +196,8 @@ def test_sweep_satisfies_multiplicative_bound():
         limit = opt.unary_term + bound * opt.clique_term
         assert inst.evaluate(labeling) <= limit + 1e-9
         # accepted moves strictly decrease the energy
-        energies = [trace.initial_energy] + [e for _, _, e in trace.moves]
+        energies = [inst.evaluate(np.zeros(inst.num_variables, np.intp))] \
+            + [e for _, _, e in trace.moves]
         assert all(b < a for a, b in zip(energies, energies[1:]))
 
 

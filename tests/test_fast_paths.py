@@ -15,12 +15,11 @@ import reference
 from parsilab import expansion, hst, tasks
 from conftest import pn_instance
 from parsilab.expansion import alpha_expansion, best_expansion_move
-from parsilab.model import (Cliques, DiameterMetricSpec, Diversity,
-                            DiversitySpec, EnergyModel, ExplicitTableDiversity,
-                            LabelMetric, PnPottsSpec)
-from parsilab.oracle import exhaustive_expansion_move
+from parsilab.model import (Cliques, DiameterDiversity, Diversity,
+                            EnergyModel, ExplicitTableDiversity, LabelMetric,
+                            PnPottsSpec)
 from parsilab.solver import build_fusion_instance
-from parsilab.tasks import random_rhst
+from reference import exhaustive_expansion_move, random_rhst
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -100,7 +99,7 @@ class _LoopedDiameter(Diversity):
         self.num_labels = metric.num_labels
 
     def value(self, subset):
-        return max(self.metric(a, b) for a in subset for b in subset)
+        return max(self.metric.matrix[a, b] for a in subset for b in subset)
 
 
 @st.composite
@@ -122,15 +121,15 @@ def energy_models(draw, kinds=("pn_potts", "table", "diameter", "loop")):
             st.sampled_from([0.1, 1.0]) | st.floats(0.01, 3.0)))
     elif kind == "table":
         table = draw(st.lists(costs, min_size=1 << h, max_size=1 << h))
-        potential = DiversitySpec(ExplicitTableDiversity(h, table))
+        potential = ExplicitTableDiversity(h, table)
     else:
         # any symmetric non-negative matrix: evaluation does not rely on
         # the metric axioms
         upper = np.triu(np.reshape(draw(st.lists(
             costs, min_size=h * h, max_size=h * h)), (h, h)))
         metric = LabelMetric(upper + upper.T, validate=False)
-        potential = DiameterMetricSpec(metric) if kind == "diameter" \
-            else DiversitySpec(_LoopedDiameter(metric))
+        potential = DiameterDiversity(metric) if kind == "diameter" \
+            else _LoopedDiameter(metric)
     return EnergyModel(unaries, cliques, potential)
 
 
@@ -149,7 +148,7 @@ def test_diameter_energy_in_blocks_matches_clique_loop(data):
     """Blocks of at most 1, 2, 3 or 5 members: the cliques span several
     blocks, and a clique larger than a block goes alone."""
     model = data.draw(energy_models(kinds=("diameter",)))
-    diversity = model.potential.diversity
+    diversity = model.potential
     diversity.block_entries = diversity.num_labels * data.draw(
         st.sampled_from([1, 2, 3, 5]))
     labeling = data.draw(labelings(model))
@@ -211,7 +210,7 @@ def test_fusion_instance_matches_clique_loop(data):
     cliques = Cliques.from_lists(members, clique_weights)
     model = EnergyModel(np.reshape(data.draw(st.lists(
         costs, min_size=n * h, max_size=n * h)), (n, h)), cliques,
-        DiameterMetricSpec(tree.metric()))
+        DiameterDiversity(tree.metric()))
     node = data.draw(st.just(hst.ROOT) | st.sampled_from(
         [v for v in range(tree.num_nodes) if not tree.is_leaf(v)]))
     children = []

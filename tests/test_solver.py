@@ -10,8 +10,8 @@ from conftest import (random_cliques, random_diversity_model,
                       random_pn_potts_model, random_table_diversity)
 from parsilab.expansion import alpha_expansion, pn_potts_bound
 from parsilab.hst import RHst, frt_embed
-from parsilab.model import (Cliques, DiameterMetricSpec, DiversitySpec,
-                            EnergyModel, InvalidInputError, LabelMetric)
+from parsilab.model import (Cliques, DiameterDiversity, EnergyModel,
+                            InvalidInputError, LabelMetric)
 from parsilab.oracle import exhaustive_minimize, model_to_pn_potts_instance
 from parsilab.solver import (build_fusion_instance, solve,
                              solve_hierarchical, solve_parsimonious,
@@ -21,7 +21,7 @@ from parsilab.solver import (build_fusion_instance, solve,
 def _tree_model(tree, n, rng, num_cliques=2):
     unaries = rng.uniform(0, 3, size=(n, tree.num_labels))
     return EnergyModel(unaries, random_cliques(n, rng, num_cliques),
-                       DiameterMetricSpec(tree.metric()))
+                       DiameterDiversity(tree.metric()))
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +31,7 @@ def _tree_model(tree, n, rng, num_cliques=2):
 def test_bound_formula_small_clique():
     model = EnergyModel(np.zeros((5, 20)),
                         Cliques.from_lists([range(4)], [1.0]),
-                        DiameterMetricSpec(
+                        DiameterDiversity(
                             LabelMetric.truncated_linear(20, 1.0, 5)))
     b1, b2 = theorem_bounds(model, r=2.0)
     assert b1 == 8.0
@@ -41,7 +41,7 @@ def test_bound_formula_small_clique():
 def test_bound_formula_large_clique():
     model = EnergyModel(np.zeros((100, 20)),
                         Cliques.from_lists([range(100)], [1.0]),
-                        DiameterMetricSpec(
+                        DiameterDiversity(
                             LabelMetric.truncated_linear(20, 1.0, 5)))
     b1, _ = theorem_bounds(model, r=2.0)
     assert b1 == 40.0
@@ -51,14 +51,14 @@ def test_bound_formula_general_diversity():
     rng = np.random.default_rng(0)
     model = EnergyModel(np.zeros((5, 4)),
                         Cliques.from_lists([range(3)], [1.0]),
-                        DiversitySpec(random_table_diversity(4, rng)))
+                        random_table_diversity(4, rng))
     _, b2 = theorem_bounds(model, r=2.0)
     assert b2 == pytest.approx(2.0 * 3 * math.log(4) * 3)
 
 
 def test_bound_requires_separation():
     model = EnergyModel(np.zeros((2, 2)), Cliques.from_lists([], []),
-                        DiameterMetricSpec(LabelMetric.truncated_linear(2, 1, 1)))
+                        DiameterDiversity(LabelMetric.truncated_linear(2, 1, 1)))
     with pytest.raises(InvalidInputError):
         theorem_bounds(model, r=1.0)
 
@@ -75,7 +75,7 @@ def test_fusion_meta_potentials(reference_tree):
     rng = np.random.default_rng(1)
     unaries = rng.uniform(0, 1, size=(n, 4))
     model = EnergyModel(unaries, Cliques.from_lists([range(n)], [1.0]),
-                        DiameterMetricSpec(reference_tree.metric()))
+                        DiameterDiversity(reference_tree.metric()))
     child1 = np.zeros(n, dtype=np.intp)
     child2 = np.array([2, 3, 2, 3], dtype=np.intp)
     inst = build_fusion_instance(model, reference_tree, 0, [child1, child2])
@@ -91,7 +91,7 @@ def test_fusion_meta_potentials(reference_tree):
 def test_fusion_drops_undecidable_cliques(reference_tree):
     n = 2
     model = EnergyModel(np.zeros((n, 4)), Cliques.from_lists([[0, 1]], [1.0]),
-                        DiameterMetricSpec(reference_tree.metric()))
+                        DiameterDiversity(reference_tree.metric()))
     same = np.array([1, 1], dtype=np.intp)
     child1, child2 = same, same.copy()
     inst = build_fusion_instance(model, reference_tree, 0, [child1, child2])
@@ -135,7 +135,7 @@ def test_hierarchical_respects_bound(reference_tree):
 
 def test_tree_label_mismatch_rejected(reference_tree):
     model = EnergyModel(np.zeros((2, 3)), Cliques.from_lists([], []),
-                        DiameterMetricSpec(LabelMetric.truncated_linear(3, 1, 2)))
+                        DiameterDiversity(LabelMetric.truncated_linear(3, 1, 2)))
     with pytest.raises(InvalidInputError):
         solve_hierarchical(model, reference_tree)
 
@@ -159,17 +159,32 @@ def test_zero_weights_give_unary_argmin():
     unaries = rng.uniform(0, 3, size=(6, 4))
     metric = LabelMetric.truncated_linear(4, 1.0, 3)
     model = EnergyModel(unaries, Cliques.from_lists([[0, 1, 2]], [0.0]),
-                        DiameterMetricSpec(metric))
+                        DiameterDiversity(metric))
     labeling, report = solve_parsimonious(model, k=3, seed=0)
     np.testing.assert_array_equal(labeling, unaries.argmin(axis=1))
     assert report.energy == pytest.approx(unaries.min(axis=1).sum())
+
+
+def test_truncated_linear_solve_never_checks_the_metric(monkeypatch):
+    """A truncated-linear metric is one by construction: neither the model
+    nor the solve checks its axioms."""
+    def refuse(self, tol=None):
+        raise AssertionError("LabelMetric.check was called")
+
+    monkeypatch.setattr(LabelMetric, "check", refuse)
+    rng = np.random.default_rng(13)
+    metric = LabelMetric.truncated_linear(12, 1.0, 4)
+    model = EnergyModel(rng.uniform(0, 3, size=(6, 12)),
+                        random_cliques(6, rng), DiameterDiversity(metric))
+    labeling, report = solve_parsimonious(model, k=3, seed=0)
+    assert report.energy == model.evaluate_energy(labeling)
 
 
 def test_report_invariants():
     rng = np.random.default_rng(6)
     model = EnergyModel(rng.uniform(0, 3, size=(5, 3)),
                         random_cliques(5, rng),
-                        DiversitySpec(random_table_diversity(3, rng)))
+                        random_table_diversity(3, rng))
     labeling, report = solve_parsimonious(model, k=4, seed=1)
     assert report.energy == min(report.component_energies)
     assert report.energy == pytest.approx(model.evaluate_energy(labeling))
@@ -186,7 +201,7 @@ def test_mixture_respects_general_bound():
         h = int(rng.integers(2, 5))
         model = EnergyModel(rng.uniform(0, 3, size=(n, h)),
                             random_cliques(n, rng),
-                            DiversitySpec(random_table_diversity(h, rng)))
+                            random_table_diversity(h, rng))
         labeling, report = solve_parsimonious(model, k=10, seed=t)
         opt = exhaustive_minimize(model)
         limit = opt.unary_term + report.bound_general * opt.clique_term

@@ -7,9 +7,10 @@ from parsilab.model import InvalidInputError
 from parsilab.solver import solve_parsimonious
 from parsilab.tasks import (GridSpec, ImageTask, block_partition, build_inpaint,
                             build_stereo, generate_synthetic,
-                            labeling_to_raster, pairwise_cliques, random_rhst,
+                            labeling_to_raster, pairwise_cliques,
                             read_raster, superpixel_cliques, window_cliques,
                             write_labeling_text, write_raster)
+from reference import random_rhst
 
 
 # ---------------------------------------------------------------------------
