@@ -4,12 +4,15 @@ An r-HST is a rooted tree whose leaves are the labels, whose child edges
 share one length per node, and whose edge lengths shrink by a factor of
 at least r > 1 along every root-to-leaf path.  The shortest-path metric
 of such a tree, together with its diameter diversity, is the label-
-consistency potential the hierarchical solver minimizes.
+consistency potential the hierarchical solver minimizes.  frt_embed
+draws random FRT trees (Fakcharoenphol, Rao and Talwar, STOC 2003) in
+two passes: clusters depth-first, then edge lengths bottom-up.
 """
 
 import numpy as np
 
-from .model import InvalidInputError, LabelMetric, require_finite
+from .model import (InvalidInputError, LabelMetric, index_array,
+                    require_finite)
 
 ROOT = 0
 
@@ -23,7 +26,12 @@ class RHst:
     """
 
     def __init__(self, parents, child_edge, leaf_label, r=2.0, validate=True):
-        self.parents = tuple(int(p) for p in parents)
+        ids = index_array(parents, "malformed tree: parent ids")
+        if ids.size and not -1 <= ids.min() <= ids.max() < ids.size:
+            raise InvalidInputError("malformed tree: parent id out of range")
+        index_array([l for l in leaf_label if l is not None],
+                    "malformed tree: leaf labels")
+        self.parents = tuple(ids.tolist())
         self.child_edge = tuple(float(e) for e in child_edge)
         self.leaf_label = tuple(None if l is None else int(l) for l in leaf_label)
         self.r = float(r)
@@ -65,7 +73,7 @@ class RHst:
         """Return a description of the first violated invariant, or None."""
         if self.r <= 1:
             return "separation parameter r must exceed 1"
-        if self.parents[ROOT] != -1:
+        if not self.parents or self.parents[ROOT] != -1:
             return "node 0 must be the root"
         roots = [v for v, p in enumerate(self.parents) if p == -1]
         if len(roots) != 1:
@@ -152,14 +160,6 @@ class RHst:
 
     # -- serialization ---------------------------------------------------------
 
-    def to_json(self):
-        return {
-            "r": self.r,
-            "nodes": [{"parent": p, "edge_to_children": e, "label": l}
-                      for p, e, l in zip(self.parents, self.child_edge,
-                                         self.leaf_label)],
-        }
-
     @classmethod
     def from_json(cls, doc):
         """Parse a tree document (dict); a wrongly shaped one raises
@@ -202,14 +202,21 @@ def _climb(u, v, parents, edge, depth):
     return dist
 
 
-def _frt_decompose(dist, rng):
-    """Raw FRT laminar decomposition: (parents, leaf_label) of a cluster
-    tree whose level-i clusters have radius beta * 2^(i-1).
+def _frt_tree(dist, rng, r=2.0):
+    """One FRT tree over a scaled metric, built in two passes.
 
-    Level-0 clusters are singletons because beta/2 < 1 (the metric is
-    scaled so the minimum nonzero distance is 1).
+    Clusters, depth-first: at level i each label joins the first center,
+    in a random order, within beta * 2^(i-1).  A cluster that does not
+    split stays one node and tries the next level, and one label is a
+    leaf; level 0 makes singletons, as the least nonzero distance is 1.
+    The last group gets the next id, which fixes RHst.children order.
+
+    Edges, bottom-up: each is the least length that keeps the factor-r
+    decrease and dominance d_tree >= d for every pair split at its node.
     """
     h = dist.shape[0]
+    if h == 1:
+        return RHst([-1], [0.0], [0], r=r)
     beta = float(rng.uniform(1.0, 2.0))
     order = rng.permutation(h)
     diameter = float(dist.max())
@@ -217,96 +224,49 @@ def _frt_decompose(dist, rng):
     while beta * 2.0 ** (top - 1) < diameter:
         top += 1
 
-    parents = [-1]
-    leaf_label = [None]
-    clusters = [(ROOT, np.arange(h))]       # open clusters at current level
-    for level in range(top - 1, -1, -1):
-        radius = beta * 2.0 ** (level - 1)
-        next_clusters = []
-        for parent_node, pts in clusters:
+    parents, leaf_label = [], []
+    stack = [(-1, np.arange(h), top - 1)]   # (parent, labels, first level)
+    while stack:
+        parent, pts, level = stack.pop()
+        node = len(parents)
+        parents.append(parent)
+        leaf_label.append(int(pts[0]) if pts.size == 1 else None)
+        while pts.size > 1:
             # each point joins the first center in order within radius;
             # every point is within radius of itself, so all are assigned
+            radius = beta * 2.0 ** (level - 1)
             rank = (dist[np.ix_(order, pts)] <= radius).argmax(axis=0)
             by_rank = np.argsort(rank, kind="stable")
             groups = np.flatnonzero(np.diff(rank[by_rank])) + 1
-            for members in np.split(by_rank, groups):
-                sub = pts[members]
-                node = len(parents)
-                parents.append(parent_node)
-                if level > 0:
-                    leaf_label.append(None)
-                    next_clusters.append((node, sub))
-                else:
-                    leaf_label.append(int(sub[0]))
-        clusters = next_clusters
-    return parents, leaf_label
+            level -= 1
+            if groups.size:
+                stack.extend((node, pts[members], level)
+                             for members in np.split(by_rank, groups))
+                break
 
-
-def _frt_tree(dist, rng, r=2.0):
-    """One FRT tree over a scaled metric, chain-collapsed and tightened.
-
-    Single-child chains of the laminar decomposition are spliced out, and
-    each remaining edge length is then set to the smallest value that
-    keeps (a) the factor-r decrease toward the parent and (b) dominance
-    d_tree >= d for every pair split at that node.  Tightening can only
-    lower the distortion; dominance holds by construction.
-    """
-    h = dist.shape[0]
-    if h == 1:
-        return RHst([-1], [0.0], [0], r=r)
-    parents, leaf_label = _frt_decompose(dist, rng)
-
-    children = [[] for _ in parents]
-    for v, p in enumerate(parents):
-        if p >= 0:
-            children[p].append(v)
-    # splice out single-child internal nodes (the child takes its place)
-    root = ROOT
-    for v in range(len(parents)):
-        while len(children[v]) == 1:
-            only = children[v][0]
-            children[v] = children[only]
-            children[only] = []
-            leaf_label[v] = leaf_label[only]
-            for grand in children[v]:
-                parents[grand] = v
-
-    # bottom-up edge tightening over the spliced tree
-    order = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(children[v])
+    # below[v]: per child of v in split order, (labels, distances down, edge)
     edge = [0.0] * len(parents)
-    up = [None] * len(parents)              # leaf -> distance to this node
-    for v in reversed(order):
-        if not children[v]:
-            up[v] = {leaf_label[v]: 0.0}
-            continue
-        floor = r * max(edge[c] for c in children[v])
-        need = 0.0
-        kids = children[v]
-        for a in range(len(kids)):
-            for b in range(a + 1, len(kids)):
-                for u, du in up[kids[a]].items():
-                    for w, dw in up[kids[b]].items():
-                        need = max(need, (dist[u, w] - du - dw) / 2.0)
-        edge[v] = max(floor, need)
-        up[v] = {}
-        for c in kids:
-            for u, du in up[c].items():
-                up[v][u] = du + edge[v]
-
-    # compact to the surviving nodes
-    remap = {}
-    new_parents, new_edge, new_label = [], [], []
-    for v in order:
-        remap[v] = len(new_parents)
-        new_parents.append(remap[parents[v]] if parents[v] >= 0 else -1)
-        new_edge.append(edge[v])
-        new_label.append(leaf_label[v])
-    return RHst(new_parents, new_edge, new_label, r=r)
+    below = [[] for _ in parents]
+    for v in reversed(range(len(parents))):
+        if leaf_label[v] is None:
+            labs, lows, edges = zip(*below[v])
+            below[v] = None
+            lab, low = np.concatenate(labs), np.concatenate(lows)
+            group = np.repeat(np.arange(len(labs)), [l.size for l in labs])
+            # u from the earlier child: d - du - dw rounds in that order
+            gap = dist[np.ix_(lab, lab)]
+            gap -= low[:, None]
+            gap -= low[None, :]
+            split = group[:, None] < group[None, :]
+            need = float(gap.max(where=split, initial=-np.inf)) / 2.0
+            del labs, lows, gap, split       # one block alive at a time
+            edge[v] = max(r * max(edges), max(0.0, need))
+            low = low + edge[v]
+        else:
+            lab, low = np.array([leaf_label[v]]), np.zeros(1)
+        if v:
+            below[parents[v]].append((lab, low, edge[v]))
+    return RHst(parents, edge, leaf_label, r=r)
 
 
 def frt_embed(metric, k, seed):

@@ -388,8 +388,8 @@ class Cliques:
     """
 
     def __init__(self, offsets, members, weights):
-        offsets = _index_array(offsets, "clique offsets")
-        members = _index_array(members, "clique members")
+        offsets = index_array(offsets, "clique offsets")
+        members = index_array(members, "clique members")
         weights = np.asarray(weights, dtype=float)
         count = weights.size
         if (weights.ndim != 1 or offsets.shape != (count + 1,)
@@ -443,7 +443,7 @@ class Cliques:
             raise InvalidInputError("clique member out of range")
 
 
-def _index_array(values, what):
+def index_array(values, what):
     """values as a flat intp array; integral floats are taken, anything
     else but a flat list of integers raises InvalidInputError."""
     a = np.asarray(values)

@@ -211,6 +211,8 @@ def solve(model, k=10, seed=0):
     which needs no trees: k is unused and seed only goes into the report.
     Any other potential goes to the mixture-of-trees solve.
     """
+    if seed < 0:
+        raise InvalidInputError("seed must be non-negative")
     if not isinstance(model.potential, PnPottsSpec):
         return solve_parsimonious(model, k=k, seed=seed)
     instance = model_to_pn_potts_instance(model)

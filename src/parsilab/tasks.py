@@ -39,6 +39,8 @@ class GridSpec:
             raise InvalidInputError("stride must be at least one")
         if not np.isfinite([self.unary_low, self.unary_high]).all():
             raise InvalidInputError("unary bounds must be finite")
+        if self.seed < 0:
+            raise InvalidInputError("seed must be non-negative")
 
 
 def _check_label_count(num_labels):

@@ -282,8 +282,20 @@ def node_distance(tree, u, v):
     return dist
 
 
+def tree_to_json(tree):
+    """The tree document RHst.from_json reads."""
+    return {
+        "r": tree.r,
+        "nodes": [{"parent": p, "edge_to_children": e, "label": l}
+                  for p, e, l in zip(tree.parents, tree.child_edge,
+                                     tree.leaf_label)],
+    }
+
+
 def frt_decompose(dist, rng):
-    """hst._frt_decompose with the centers visited one at a time."""
+    """FRT laminar decomposition with the centers visited one at a time:
+    (parents, leaf_label) of a cluster tree with a node for every cluster
+    at every level, whose level-i clusters have radius beta * 2^(i-1)."""
     h = dist.shape[0]
     beta = float(rng.uniform(1.0, 2.0))
     order = rng.permutation(h)
@@ -315,6 +327,66 @@ def frt_decompose(dist, rng):
                     leaf_label.append(int(sub[0]))
         clusters = next_clusters
     return parents, leaf_label
+
+
+def frt_tree(dist, rng, r=2.0):
+    """hst._frt_tree in four passes: decompose, splice out single-child
+    chains, tighten the edges over every split label pair, renumber."""
+    h = dist.shape[0]
+    if h == 1:
+        return RHst([-1], [0.0], [0], r=r)
+    parents, leaf_label = frt_decompose(dist, rng)
+
+    children = [[] for _ in parents]
+    for v, p in enumerate(parents):
+        if p >= 0:
+            children[p].append(v)
+    # splice out single-child internal nodes (the child takes its place)
+    for v in range(len(parents)):
+        while len(children[v]) == 1:
+            only = children[v][0]
+            children[v] = children[only]
+            children[only] = []
+            leaf_label[v] = leaf_label[only]
+            for grand in children[v]:
+                parents[grand] = v
+
+    # bottom-up edge tightening over the spliced tree
+    order = []
+    stack = [ROOT]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(children[v])
+    edge = [0.0] * len(parents)
+    up = [None] * len(parents)              # leaf -> distance to this node
+    for v in reversed(order):
+        if not children[v]:
+            up[v] = {leaf_label[v]: 0.0}
+            continue
+        floor = r * max(edge[c] for c in children[v])
+        need = 0.0
+        kids = children[v]
+        for a in range(len(kids)):
+            for b in range(a + 1, len(kids)):
+                for u, du in up[kids[a]].items():
+                    for w, dw in up[kids[b]].items():
+                        need = max(need, (dist[u, w] - du - dw) / 2.0)
+        edge[v] = max(floor, need)
+        up[v] = {}
+        for c in kids:
+            for u, du in up[c].items():
+                up[v][u] = du + edge[v]
+
+    # compact to the surviving nodes
+    remap = {}
+    new_parents, new_edge, new_label = [], [], []
+    for v in order:
+        remap[v] = len(new_parents)
+        new_parents.append(remap[parents[v]] if parents[v] >= 0 else -1)
+        new_edge.append(edge[v])
+        new_label.append(leaf_label[v])
+    return RHst(new_parents, new_edge, new_label, r=r)
 
 
 def truncated_linear(num_labels, lam, truncation):

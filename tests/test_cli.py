@@ -14,6 +14,7 @@ from parsilab.model import (Cliques, EnergyModel, PnPottsSpec, load_model,
 from parsilab.oracle import exhaustive_minimize
 from parsilab.solver import theorem_bounds
 from parsilab.tasks import write_raster
+from reference import tree_to_json
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 TINY_PROBLEM = os.path.join(DATA, "tiny_problem.json")
@@ -21,6 +22,8 @@ TINY_PROBLEM = os.path.join(DATA, "tiny_problem.json")
 MALFORMED_PROBLEM = os.path.join(DATA, "malformed_problem.json")
 # tree nodes that are not objects; CI also runs it through the script
 MALFORMED_TREE = os.path.join(DATA, "malformed_tree.json")
+# a parent id out of range; CI also runs it through the script
+BAD_PARENT_TREE = os.path.join(DATA, "bad_parent_tree.json")
 
 # energy of the committed fixture at k=10, seed 0; equals the exhaustive
 # optimum of that instance (verified when the fixture was generated)
@@ -167,6 +170,15 @@ def test_missing_field_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("problem", ["tiny_problem.json", "pn_problem.json"])
+def test_negative_seed_exits_2(capsys, problem):
+    """Both solvers refuse a negative seed, also the expansion, which
+    draws no trees."""
+    assert cli.main(["solve", os.path.join(DATA, problem),
+                     "--seed", "-1"]) == cli.EXIT_INPUT
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field,value", [("unary", float("nan")),
                                          ("weight", float("inf"))])
 def test_non_finite_input_exits_2(tmp_path, capsys, field, value):
@@ -210,11 +222,11 @@ def test_validate_flags_bad_diversity(tmp_path, capsys):
 
 def test_validate_tree(tmp_path, capsys, reference_tree):
     path = tmp_path / "tree.json"
-    path.write_text(json.dumps(reference_tree.to_json()))
+    path.write_text(json.dumps(tree_to_json(reference_tree)))
     assert cli.main(["validate", str(path)]) == cli.EXIT_OK
     assert "tree ok" in capsys.readouterr().out
 
-    doc = reference_tree.to_json()
+    doc = tree_to_json(reference_tree)
     doc["nodes"][1]["edge_to_children"] = 100.0    # breaks the ratio rule
     bad = tmp_path / "bad_tree.json"
     bad.write_text(json.dumps(doc))
@@ -226,6 +238,15 @@ MALFORMED_TREES = {
     "node not an object": {"nodes": [5]},
     "node missing fields": {"nodes": [{"parent": -1}], "r": 2.0},
     "committed file": json.loads(Path(MALFORMED_TREE).read_text()),
+    "parent out of range": json.loads(Path(BAD_PARENT_TREE).read_text()),
+    "fractional parent": {"r": 2.0, "nodes": [
+        {"parent": -1, "edge_to_children": 1.0, "label": None},
+        {"parent": 0.7, "edge_to_children": 0.0, "label": 0},
+        {"parent": 0, "edge_to_children": 0.0, "label": 1}]},
+    "fractional label": {"r": 2.0, "nodes": [
+        {"parent": -1, "edge_to_children": 1.0, "label": None},
+        {"parent": 0, "edge_to_children": 0.0, "label": 0},
+        {"parent": 0, "edge_to_children": 0.0, "label": 1.5}]},
 }
 
 
@@ -253,7 +274,8 @@ def test_synth_bench_csv(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [["--window", "4"], ["--trees", "0"],
-                                 ["--labels", "0"], ["--labels", "-3"]])
+                                 ["--labels", "0"], ["--labels", "-3"],
+                                 ["--seed", "-1"]])
 def test_synth_bench_bad_input_exits_2(tmp_path, capsys, bad):
     out = tmp_path / "bench.csv"
     assert cli.main(["synth-bench", "--csv", str(out), "--size", "3",
@@ -342,12 +364,14 @@ def _image_files(tmp_path, flat):
                  id="inpaint-sigma-neg1"),
     pytest.param("stereo", ["--sigma", "inf"], False, "sigma",
                  id="stereo-sigma-inf"),
+    pytest.param("stereo", ["--seed", "-1"], False, "seed",
+                 id="stereo-seed-neg1"),
 ])
 def test_image_command_bad_input_exits_2(tmp_path, capsys, command, bad,
                                          flat, message):
-    """Label counts below one, an empty fallback tile and a sigma that is
-    not positive and finite are input errors: exit 2 with a message, no
-    traceback and no output."""
+    """Label counts below one, an empty fallback tile, a sigma that is
+    not positive and finite and a negative seed are input errors: exit 2
+    with a message, no traceback and no output."""
     left, right, gray = _image_files(tmp_path, flat)
     inputs = [left, right] if command == "stereo" else [gray]
     out = tmp_path / "out.pgm"

@@ -8,7 +8,7 @@ arbitrary floats.
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -276,26 +276,34 @@ def test_grid_cliques_match_pixel_loops(data):
 
 def _scaled(matrix):
     """A metric matrix scaled to minimum nonzero distance 1, as frt_embed
-    hands it to the decomposition."""
+    hands it to _frt_tree."""
     off = matrix[~np.eye(matrix.shape[0], dtype=bool)]
     return matrix / off.min() if off.size else matrix
 
 
 @SETTINGS
-@given(h=st.integers(1, 14), seed=st.integers(0, 2 ** 32 - 1),
-       kind=st.sampled_from(["truncated", "points"]))
-def test_frt_decompose_matches_center_loop(h, seed, kind):
+@given(h=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["truncated", "uniform", "points"]))
+@example(h=256, seed=0, kind="inpaint-h256")
+def test_frt_tree_matches_reference(h, seed, kind):
     rng = np.random.default_rng(seed)
-    if kind == "truncated":
+    if kind == "inpaint-h256":          # the inpaint-h256 workload's metric
+        dist = LabelMetric.truncated_linear(h, 4.0, 40).matrix
+    elif kind == "truncated":
         dist = LabelMetric.truncated_linear(
             h, 1.0, int(rng.integers(1, h + 1))).matrix
+    elif kind == "uniform":
+        dist = LabelMetric.uniform(h, 1.0).matrix
     else:
         pts = rng.uniform(0.0, 10.0, size=(h, 2))
         dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
     dist = _scaled(dist)
-    fast = hst._frt_decompose(dist, np.random.default_rng(seed))
-    slow = reference.frt_decompose(dist, np.random.default_rng(seed))
-    assert fast == slow
+    fast = hst._frt_tree(dist, np.random.default_rng(seed))
+    slow = reference.frt_tree(dist, np.random.default_rng(seed))
+    assert fast.parents == slow.parents
+    assert fast.leaf_label == slow.leaf_label
+    assert np.array(fast.child_edge).tobytes() \
+        == np.array(slow.child_edge).tobytes()
 
 
 @SETTINGS

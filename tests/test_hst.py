@@ -8,7 +8,7 @@ import pytest
 
 from parsilab.hst import RHst, frt_embed
 from parsilab.model import InvalidInputError, LabelMetric
-from reference import random_rhst
+from reference import random_rhst, tree_to_json
 
 # mean distortion of the k=64 embedding of TruncatedLinear(1, 20) on 20
 # labels at seed 0, measured once (4.94) and frozen with a little slack
@@ -59,6 +59,14 @@ def test_invalid_trees_rejected():
         RHst([-1, 0, 0], [1.0, 0.0, 0.0], [None, 0, 0])
     with pytest.raises(InvalidInputError):        # negative edge
         RHst([-1, 0, 0], [-1.0, 0.0, 0.0], [None, 0, 1])
+    with pytest.raises(InvalidInputError):        # parent out of range
+        RHst([-1, 5], [1.0, 0.0], [None, 0])
+    with pytest.raises(InvalidInputError):        # fractional parent
+        RHst([-1, 0.7, 0], [1.0, 0.0, 0.0], [None, 0, 1])
+    with pytest.raises(InvalidInputError):        # fractional label
+        RHst([-1, 0, 0], [1.0, 0.0, 0.0], [None, 0, 1.5])
+    with pytest.raises(InvalidInputError):        # no nodes
+        RHst([], [], [])
 
 
 def test_tree_metric_is_a_valid_metric():
@@ -70,7 +78,7 @@ def test_tree_metric_is_a_valid_metric():
 
 
 def test_tree_json_roundtrip(reference_tree):
-    doc = json.loads(json.dumps(reference_tree.to_json()))
+    doc = json.loads(json.dumps(tree_to_json(reference_tree)))
     assert "nodes" in doc
     back = RHst.from_json(doc)
     assert back.num_nodes == reference_tree.num_nodes
