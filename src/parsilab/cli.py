@@ -180,7 +180,7 @@ def cmd_validate(args):
     # its diameter is always a diversity, so only explicit tables (at most
     # MAX_TABLE_LABELS labels) need the axiom check
     if isinstance(model.potential, mdl.ExplicitTableDiversity):
-        report = validate_diversity_axioms(model.potential, model.num_labels)
+        report = validate_diversity_axioms(model.potential)
         if report:
             for axiom, witness in report[:20]:
                 print("violation: %s at %r" % (axiom, witness))

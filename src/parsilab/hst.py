@@ -29,6 +29,9 @@ class RHst:
         ids = index_array(parents, "malformed tree: parent ids")
         if ids.size and not -1 <= ids.min() <= ids.max() < ids.size:
             raise InvalidInputError("malformed tree: parent id out of range")
+        if not len(child_edge) == len(leaf_label) == ids.size:
+            raise InvalidInputError(
+                "malformed tree: need one edge length and label per node")
         index_array([l for l in leaf_label if l is not None],
                     "malformed tree: leaf labels")
         self.parents = tuple(ids.tolist())
@@ -202,7 +205,7 @@ def _climb(u, v, parents, edge, depth):
     return dist
 
 
-def _frt_tree(dist, rng, r=2.0):
+def _frt_tree(dist, rng):
     """One FRT tree over a scaled metric, built in two passes.
 
     Clusters, depth-first: at level i each label joins the first center,
@@ -211,12 +214,12 @@ def _frt_tree(dist, rng, r=2.0):
     leaf; level 0 makes singletons, as the least nonzero distance is 1.
     The last group gets the next id, which fixes RHst.children order.
 
-    Edges, bottom-up: each is the least length that keeps the factor-r
+    Edges, bottom-up: each is the least length that keeps the factor-2
     decrease and dominance d_tree >= d for every pair split at its node.
     """
     h = dist.shape[0]
     if h == 1:
-        return RHst([-1], [0.0], [0], r=r)
+        return RHst([-1], [0.0], [0])
     beta = float(rng.uniform(1.0, 2.0))
     order = rng.permutation(h)
     diameter = float(dist.max())
@@ -260,13 +263,13 @@ def _frt_tree(dist, rng, r=2.0):
             split = group[:, None] < group[None, :]
             need = float(gap.max(where=split, initial=-np.inf)) / 2.0
             del labs, lows, gap, split       # one block alive at a time
-            edge[v] = max(r * max(edges), max(0.0, need))
+            edge[v] = max(2.0 * max(edges), max(0.0, need))
             low = low + edge[v]
         else:
             lab, low = np.array([leaf_label[v]]), np.zeros(1)
         if v:
             below[parents[v]].append((lab, low, edge[v]))
-    return RHst(parents, edge, leaf_label, r=r)
+    return RHst(parents, edge, leaf_label)
 
 
 def frt_embed(metric, k, seed):

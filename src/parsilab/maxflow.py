@@ -32,9 +32,6 @@ import numpy as np
 
 FLOW_TOL = 1e-11
 
-SOURCE = -1
-SINK = -2
-
 # parent-arc markers of the search trees
 _ROOT = -1                             # the source or the sink itself
 _ORPHAN = -2                           # lost its parent arc, not re-attached
@@ -45,12 +42,15 @@ class StateError(RuntimeError):
 
 
 class FlowNetwork:
-    """Directed capacitated graph with distinguished source and sink.
+    """Directed capacitated graph between a source and a sink.
 
-    Arcs are stored flat, in insertion order: arc a runs to the internal
-    node _to[a] with capacity _cap[a], and its reverse twin is arc a ^ 1,
-    so the tail of a is _to[a ^ 1].  Building the network only appends to
-    those two lists.  compute_max_flow lays the arcs out per node, and
+    add_arc joins two nodes the caller added; the terminals are reached
+    only through add_terminal_arc.  Internally node 0 is the source, 1
+    the sink and v + 2 the caller's node v.  Arcs are stored flat, in
+    insertion order: arc a runs to the internal node _to[a] with capacity
+    _cap[a], and its reverse twin is arc a ^ 1, of capacity 0, so the
+    tail of a is _to[a ^ 1].  Building the network only appends to those
+    two lists.  compute_max_flow lays the arcs out per node, and
     the residual array lives separately from the capacities, so the
     network can be re-solved (or grown, laid out and solved again) at any
     time.  Terminal capacities accumulate across repeated
@@ -83,34 +83,27 @@ class FlowNetwork:
     def num_nodes(self):
         return self._nodes
 
-    def _internal(self, v):
-        if 0 <= v < self._nodes:
-            return v + 2
-        if v == SOURCE:
-            return 0
-        if v == SINK:
-            return 1
-        raise ValueError("unknown node id %r" % v)
-
-    def add_arc(self, u, v, cap_forward, cap_backward=0.0):
+    def add_arc(self, u, v, cap):
         # the chained comparisons also reject NaN
-        if not (0 <= cap_forward < inf and 0 <= cap_backward < inf):
-            raise ValueError("arc capacities must be finite and non-negative")
-        n = self._nodes                # inline _internal for user nodes
-        iu = u + 2 if 0 <= u < n else self._internal(u)
-        iv = v + 2 if 0 <= v < n else self._internal(v)
+        if not 0 <= cap < inf:
+            raise ValueError("arc capacity must be finite and non-negative")
+        n = self._nodes
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError("unknown node id %r" % (v if 0 <= u < n else u))
         to = self._to                  # list.append is the fastest way in
-        to.append(iv)
-        to.append(iu)
-        cap = self._cap
-        cap.append(float(cap_forward))
-        cap.append(float(cap_backward))
+        to.append(v + 2)
+        to.append(u + 2)
+        caps = self._cap
+        caps.append(float(cap))
+        caps.append(0.0)
 
     def add_terminal_arc(self, v, cap_from_source, cap_to_sink):
         if not (0 <= cap_from_source < inf and 0 <= cap_to_sink < inf):
             raise ValueError(
                 "terminal capacities must be finite and non-negative")
-        iv = v + 2 if 0 <= v < self._nodes else self._internal(v)
+        if not 0 <= v < self._nodes:
+            raise ValueError("unknown node id %r" % v)
+        iv = v + 2
         to, cap = self._to, self._cap
         if cap_from_source > 0:
             to.append(iv)
@@ -212,18 +205,12 @@ def _short_paths(head, to, res):
     sink_arc = [-1] * len(head)        # per node, one arc into the sink
     for b in head[1]:
         sink_arc[to[b]] = b ^ 1
-    sink_arc[0] = sink_arc[1] = -1
     total = 0.0
     for a in head[0]:
         r = res[a]
+        if r <= tol:
+            continue
         u = to[a]
-        if r <= tol or u == 0:
-            continue
-        if u == 1:                     # a direct source -> sink arc
-            res[a] = 0.0
-            res[a ^ 1] += r
-            total += r
-            continue
         t = sink_arc[u]
         if t >= 0 and res[t] > tol:
             d = min(r, res[t])

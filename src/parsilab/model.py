@@ -282,17 +282,17 @@ class ExplicitTableDiversity(Diversity):
         return self.table[per_clique(np.bitwise_or, 1 << labs, offsets)]
 
 
-def validate_diversity_axioms(diversity, num_labels=None, tol=AXIOM_TOL,
-                              rng=None, num_samples=20000):
+def validate_diversity_axioms(diversity):
     """Check the diversity axioms, returning a list of violations.
 
     Each violation is a (axiom_name, witness_subsets) pair; an empty list
     means the function passed.  Non-negativity and monotonicity are checked
     over all subsets; the union triangle inequality needs a triple of
     subsets, so it is exhaustive only for small label sets (H <= 6) and
-    randomly sampled otherwise.
+    checked on 20000 seeded random triples otherwise.
     """
-    h = num_labels if num_labels is not None else diversity.num_labels
+    h = diversity.num_labels
+    tol = AXIOM_TOL
     nsub = 1 << h
     vals = np.empty(nsub)
     vals[0] = 0.0
@@ -328,8 +328,7 @@ def validate_diversity_axioms(diversity, num_labels=None, tol=AXIOM_TOL,
                         violations.append(
                             ("triangle", (members[g1], members[g2], members[g3])))
     else:
-        rng = np.random.default_rng(0) if rng is None else rng
-        trip = rng.integers(0, nsub, size=(num_samples, 3))
+        trip = np.random.default_rng(0).integers(0, nsub, size=(20000, 3))
         for g1, g2, g3 in trip:
             if g2 and not triangle_ok(g1, g2, g3):
                 violations.append(

@@ -35,7 +35,6 @@ class SolveReport:
     bound_expansion: float = None
     seed: object = None
     num_trees: int = 1
-    log_base: str = "natural"
     timings: dict = field(default_factory=dict)
 
     @property
@@ -53,7 +52,7 @@ class SolveReport:
         else:
             bounds = {"hierarchical": self.bound_hierarchical,
                       "general_diversity": self.bound_general,
-                      "log_base": self.log_base}
+                      "log_base": "natural"}
         doc = {
             "energy": self.energy,
             "labeling": [int(x) for x in self.labeling],
@@ -92,24 +91,18 @@ def build_fusion_instance(model, tree, node, child_labelings):
     are the original unaries read through each child's labeling; each
     clique pays the diameter diversity of child k's labels on it when
     all members choose k, and the diameter diversity of the node's whole
-    cluster otherwise.  Cliques whose resolution cannot depend on the
-    choice (all children identical and uniform on the clique) are dropped.
+    cluster otherwise.  Cliques of weight 0 are dropped.
     """
     n = model.num_variables
     labelings = np.stack(child_labelings)                            # k x n
     meta_unaries = np.ascontiguousarray(
         model.unaries[np.arange(n), labelings].T)
 
-    cliques = model.cliques
-    labs = labelings[:, cliques.members]      # k x (members of all cliques)
-    low = per_clique(np.minimum, labs, cliques.offsets)
-    high = per_clique(np.maximum, labs, cliques.offsets)
-    same = per_clique(np.logical_and, labs == labs[0],
-                      cliques.offsets).all(axis=0)
-    keep = (cliques.weights > 0) & ~((low[0] == high[0]) & same)
-    kept = cliques.select(keep)
-    labs, low, high = labelings[:, kept.members], low[:, keep], high[:, keep]
+    kept = model.cliques.select(model.cliques.weights > 0)
     sizes, offsets = kept.sizes, kept.offsets
+    labs = labelings[:, kept.members]         # k x (members of kept cliques)
+    low = per_clique(np.minimum, labs, offsets)
+    high = per_clique(np.maximum, labs, offsets)
 
     # child j's diameter on clique c: the distance between its smallest
     # and largest label is exact on one or two labels (0 on one); larger

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hst import RHst
 from .model import (Cliques, DiameterDiversity, EnergyModel,
                     InvalidInputError, LabelMetric)
 
@@ -21,24 +20,16 @@ class GridSpec:
     height: int = 100
     num_labels: int = 20
     window: int = 10
-    stride: int = 1
-    unary_low: float = 0.0
-    unary_high: float = 100.0
     clique_weight: float = 1.0
     seed: int = 0
-    # potential: truncated linear metric by default, or a caller-given tree
+    # potential: diameter of a truncated linear metric
     lam: float = 1.0
     truncation: int = 5
-    tree: RHst = None
 
     def validate(self):
         _check_label_count(self.num_labels)
         if self.window > min(self.width, self.height):
             raise InvalidInputError("clique window does not fit in the grid")
-        if self.stride < 1:
-            raise InvalidInputError("stride must be at least one")
-        if not np.isfinite([self.unary_low, self.unary_high]).all():
-            raise InvalidInputError("unary bounds must be finite")
         if self.seed < 0:
             raise InvalidInputError("seed must be non-negative")
 
@@ -61,21 +52,16 @@ def window_cliques(width, height, window, stride, weight):
 
 
 def generate_synthetic(spec):
-    """Random lattice instance: uniform unaries, sliding-window cliques,
-    diameter diversity over a truncated linear metric (or a given tree)."""
+    """Random lattice instance: U(0, 100) unaries, one clique per window
+    position, diameter diversity over a truncated linear metric."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     n = spec.width * spec.height
-    unaries = rng.uniform(spec.unary_low, spec.unary_high, size=(n, spec.num_labels))
-    cliques = window_cliques(spec.width, spec.height, spec.window, spec.stride,
+    unaries = rng.uniform(0.0, 100.0, size=(n, spec.num_labels))
+    cliques = window_cliques(spec.width, spec.height, spec.window, 1,
                              spec.clique_weight)
-    if spec.tree is not None:
-        if spec.tree.num_labels != spec.num_labels:
-            raise InvalidInputError("tree labels do not match the grid spec")
-        metric = spec.tree.metric()
-    else:
-        metric = LabelMetric.truncated_linear(spec.num_labels, spec.lam,
-                                              spec.truncation)
+    metric = LabelMetric.truncated_linear(spec.num_labels, spec.lam,
+                                          spec.truncation)
     return EnergyModel(unaries, cliques, DiameterDiversity(metric))
 
 

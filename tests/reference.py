@@ -214,11 +214,6 @@ def build_fusion_instance(model, tree, node, child_labelings):
             continue
         subsets = [sorted(set(lab[members].tolist()))
                    for lab in child_labelings]
-        if (all(s == subsets[0] for s in subsets) and len(subsets[0]) == 1
-                and all(np.array_equal(child_labelings[0][members],
-                                       lab[members])
-                        for lab in child_labelings[1:])):
-            continue
         cliques.append((members, [diameter(tree, s) for s in subsets],
                         gamma_max, weight))
     return pn_instance(meta_unaries, cliques)
@@ -405,7 +400,7 @@ def metric_violation(m, tol):
 def min_cut_side(net, v):
     """True if node v of the solved network lies on the source side of
     the minimum cut."""
-    return net._residual_reachable()[net._internal(v)]
+    return net._residual_reachable()[v + 2]
 
 
 def source_reachable(net):

@@ -67,6 +67,12 @@ def test_invalid_trees_rejected():
         RHst([-1, 0, 0], [1.0, 0.0, 0.0], [None, 0, 1.5])
     with pytest.raises(InvalidInputError):        # no nodes
         RHst([], [], [])
+    with pytest.raises(InvalidInputError):        # one edge length, 3 nodes
+        RHst([-1, 0, 0], [1.0], [None, 0, 1])
+    with pytest.raises(InvalidInputError):        # one edge length, 5 nodes
+        RHst([-1, 0, 1, 1, 0], [4.0], [None, None, 0, 1, 2])
+    with pytest.raises(InvalidInputError):        # a label missing
+        RHst([-1, 0, 0], [1.0, 0.0, 0.0], [None, 0])
 
 
 def test_tree_metric_is_a_valid_metric():

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parsilab.expansion import _move_network
-from parsilab.maxflow import SINK, SOURCE, FlowNetwork, StateError
-from reference import DinicNetwork, arc_lists, min_cut_side, source_reachable
+from parsilab.maxflow import FlowNetwork, StateError
+from reference import DinicNetwork, arc_lists, source_reachable
 from test_fast_paths import labelings, pn_instances
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
@@ -58,7 +58,8 @@ def _build(terminal, arcs):
     for v, (cs, ct) in enumerate(terminal):
         net.add_terminal_arc(nodes[v], cs, ct)
     for u, v, cf, cb in arcs:
-        net.add_arc(nodes[u], nodes[v], cf, cb)
+        net.add_arc(nodes[u], nodes[v], cf)
+        net.add_arc(nodes[v], nodes[u], cb)
     return net, nodes
 
 
@@ -169,11 +170,10 @@ def test_terminal_arcs_accumulate():
 def test_source_side_nodes():
     terminal = [(10.0, 0.0), (0.0, 1.0)]
     arcs = [(0, 1, 1.0, 0.0)]
-    net, nodes = _build(terminal, arcs)
+    net, _ = _build(terminal, arcs)
     net.compute_max_flow()
     assert net.source_side_mask().tolist() == [True, False]
-    assert min_cut_side(net, SOURCE)
-    assert not min_cut_side(net, SINK)
+    assert net._residual_reachable()[:2] == [True, False]   # source, sink
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
@@ -181,7 +181,6 @@ def test_non_finite_or_negative_capacities_are_rejected(bad):
     net = FlowNetwork()
     a, b = net.add_nodes(2)
     for add in (lambda: net.add_arc(a, b, bad),
-                lambda: net.add_arc(a, b, 1.0, bad),
                 lambda: net.add_terminal_arc(a, bad, 0.0),
                 lambda: net.add_terminal_arc(a, 0.0, bad)):
         with pytest.raises(ValueError):
@@ -190,14 +189,21 @@ def test_non_finite_or_negative_capacities_are_rejected(bad):
 
 
 def test_unknown_node_is_rejected():
+    """Arcs join nodes the caller added: no id outside 0..n-1 names a
+    terminal, and a rejected arc leaves the network as it was."""
     net = FlowNetwork()
     net.add_nodes(2)
-    for add in (lambda: net.add_arc(0, 2, 1.0), lambda: net.add_arc(2, 0, 1.0),
-                lambda: net.add_arc(SOURCE - 2, 1, 1.0),
-                lambda: net.add_terminal_arc(-3, 1.0, 1.0)):
-        with pytest.raises(ValueError):
-            add()
-    assert net._to == [] and net._cap == []   # nothing was added
+    net.add_arc(0, 1, 1.0)
+    net.add_terminal_arc(1, 2.0, 3.0)
+    before = (list(net._to), list(net._cap))
+    for bad in (2, -1, -2, -3):
+        for add in (lambda: net.add_arc(0, bad, 1.0),
+                    lambda: net.add_arc(bad, 0, 1.0),
+                    lambda: net.add_terminal_arc(bad, 5.0, 0.0),
+                    lambda: net.add_terminal_arc(bad, 0.0, 5.0)):
+            with pytest.raises(ValueError):
+                add()
+    assert (net._to, net._cap) == before and net.num_nodes == 2
 
 
 def test_negative_node_count_is_rejected():
@@ -221,19 +227,20 @@ capacities = st.sampled_from([0.0, 1.0, 2.0, 3.0]) \
 @st.composite
 def networks(draw, max_nodes=14, caps=capacities):
     """Random networks with every kind of arc the solver must handle:
-    direct source -> sink arcs, arcs into the source and out of the sink,
-    parallel arcs, backward and zero capacities, and repeated terminal
-    arcs on one node."""
+    parallel and antiparallel arcs, self-loops, zero capacities, and
+    repeated terminal arcs on one node."""
     n = draw(st.integers(0, max_nodes))
     net = FlowNetwork()
     net.add_nodes(n)
-    ends = st.sampled_from([SOURCE, SINK] + list(range(n)))
-    for _ in range(draw(st.integers(0, 4 * n + 2))):
-        if n and draw(st.booleans()):
-            net.add_terminal_arc(draw(st.integers(0, n - 1)), draw(caps),
-                                 draw(caps))
-        else:
-            net.add_arc(draw(ends), draw(ends), draw(caps), draw(caps))
+    for _ in range(draw(st.integers(0, 4 * n))):
+        u = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            net.add_terminal_arc(u, draw(caps), draw(caps))
+            continue
+        v = draw(st.integers(0, n - 1))
+        net.add_arc(u, v, draw(caps))
+        if draw(st.booleans()):
+            net.add_arc(v, u, draw(caps))     # an antiparallel arc
     return net
 
 
@@ -314,16 +321,17 @@ def growth(draw, max_nodes=8, caps=capacities):
     n = first = draw(st.integers(0, max_nodes))
     for _ in range(draw(st.integers(1, 3 * max_nodes))):
         kind = draw(st.sampled_from(["node", "terminal", "arc"]))
-        if kind == "node":
+        if kind == "node" or not n:
             steps.append(("node",))
             n += 1
-        elif kind == "terminal" and n:
+        elif kind == "terminal":
             steps.append(("terminal", draw(st.integers(0, n - 1)),
                           draw(caps), draw(caps)))
         else:
-            ends = st.sampled_from([SOURCE, SINK] + list(range(n)))
-            steps.append(("arc", draw(ends), draw(ends), draw(caps),
-                          draw(caps)))
+            u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            steps.append(("arc", u, v, draw(caps)))
+            if draw(st.booleans()):
+                steps.append(("arc", v, u, draw(caps)))
     return first, steps, draw(st.integers(0, len(steps) - 1))
 
 

@@ -88,16 +88,6 @@ def test_fusion_meta_potentials(reference_tree):
                                unaries[np.arange(n), [2, 3, 2, 3]])
 
 
-def test_fusion_drops_undecidable_cliques(reference_tree):
-    n = 2
-    model = EnergyModel(np.zeros((n, 4)), Cliques.from_lists([[0, 1]], [1.0]),
-                        DiameterDiversity(reference_tree.metric()))
-    same = np.array([1, 1], dtype=np.intp)
-    child1, child2 = same, same.copy()
-    inst = build_fusion_instance(model, reference_tree, 0, [child1, child2])
-    assert len(inst.cliques) == 0
-
-
 # ---------------------------------------------------------------------------
 # hierarchical solve
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ def test_grid_spec_validation():
     with pytest.raises(InvalidInputError):
         GridSpec(width=3, height=3, window=4).validate()
     with pytest.raises(InvalidInputError):
-        GridSpec(stride=0).validate()
+        GridSpec(seed=-1).validate()
 
 
 def test_zero_weight_grid_solves_to_unary_argmin():
