@@ -5,7 +5,10 @@ A clique pays gamma[k] when uniformly labeled l_k and gamma_max otherwise
 optimal expansion move for such an energy is a single min st-cut; the
 sweep over alpha labels then descends monotonically to a local minimum.
 A PnPottsInstance keeps its cliques as a model.Cliques, so energies and
-move networks are built from the CSR clique arrays.  A move network's
+move networks are built from the CSR clique arrays.  Before a move's
+network is built, every variable whose own costs decide it (it keeps, or
+switches, in every optimal move) is fixed, and only the free variables
+get nodes; on lattices that removes most of the network.  A move network's
 per-node arc lists hold no reference cycles, so each move is built,
 solved and read with the cyclic garbage collector paused: otherwise its
 allocations set off collections that traverse those lists for nothing.
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maxflow import FlowNetwork
+from .maxflow import FLOW_TOL, FlowNetwork
 from .model import (InvalidInputError, check_labeling, ordered_sum,
                     per_clique, require_finite, uniform_label)
 
@@ -81,17 +84,31 @@ class PnPottsInstance:
 def best_expansion_move(instance, current, alpha):
     """Exact minimum over the move space {keep current label, switch to alpha}.
 
-    Per variable a binary node (source side = keep).  A clique's movers
-    are its members not yet labeled alpha; it pays pay_keep unless every
-    mover keeps and pay_switch unless every mover switches.  With one
-    mover that is a unary cost; with two it is a submodular pairwise term,
-    one arc between the movers (Kolmogorov & Zabih, PAMI 2004).  A clique
-    with three or more movers gets the robust P^n gadget of Kohli,
-    Ladicky & Torr (IJCV 2009): two auxiliary nodes tied to its movers by
-    infinite arcs.  Cut cost equals move energy up to an additive
-    constant, and the cut read is the least optimal keep-set, so every
-    encoding gives the same move.  The collector is paused while the move
-    is built, solved and read, and the caller's collector state restored.
+    A clique's movers are its members not yet labeled alpha; it pays
+    pay_keep unless every mover keeps and pay_switch unless every mover
+    switches.  First the movers forced by their own costs are fixed
+    (Kovtun, DAGM 2003; the "reduce" step of Alahari, Kohli & Torr, PAMI
+    2010).  Let uk and us be mover i's unaries for keeping and switching,
+    and sum_keep, sum_switch its cliques' pay_keep and pay_switch summed.
+    Switching i changes a clique's cost by at most +pay_keep or
+    -pay_switch, whatever the other movers do, so i switches in every
+    optimal move when us + sum_keep < uk - margin, and keeps in every
+    optimal move when uk + sum_switch < us - margin.
+
+    The free movers get one binary node each (source side = keep).  A
+    clique with a mover forced to switch pays pay_keep in every move, and
+    one with a mover forced to keep pays pay_switch in every move, so both
+    drop out; what is left is a clique over the free movers.  With one
+    free mover that is a unary cost; with two it is a submodular pairwise
+    term, one arc between them (Kolmogorov & Zabih, PAMI 2004).  A clique
+    with three or more gets the robust P^n gadget of Kohli, Ladicky & Torr
+    (IJCV 2009): two auxiliary nodes tied to its movers by infinite arcs.
+    Cut cost equals move energy up to an additive constant, and the cut
+    read is the least optimal keep-set.  Every optimal move agrees on the
+    forced movers, so the move is the least optimal keep-set of the full
+    move space, whatever the encoding; a move without free movers is not
+    cut at all.  The collector is paused while the move is built, solved
+    and read, and the caller's collector state restored.
     """
     current = check_labeling(current, instance.unaries)
     if not 0 <= alpha < instance.num_labels:
@@ -99,46 +116,76 @@ def best_expansion_move(instance, current, alpha):
     collecting = gc.isenabled()
     gc.disable()
     try:
-        net = _move_network(instance, current, alpha)
-        net.compute_max_flow()
-        keep = net.source_side_mask()[:instance.num_variables]
+        net, free, switch = _move_network(instance, current, alpha)
+        if free.size:
+            net.compute_max_flow()
+            switch[free] = ~net.source_side_mask()[:free.size]
         del net                           # freed before collections resume
     finally:
         if collecting:
             gc.enable()
-    return np.where(keep, current, alpha)
+    return np.where(switch, alpha, current)
 
 
 def _move_network(instance, current, alpha):
     """The flow network of one expansion move (see best_expansion_move).
 
-    Built apart from the flow, so its working lists are freed before it."""
-    n = instance.num_variables
-    net = FlowNetwork()
-    net.add_nodes(n)                      # variable i is node i
+    Returns the network, the free movers in node order (node k is variable
+    free[k]) and the mask of the variables forced to switch.  The network
+    is built apart from the flow, so its working lists are freed before it.
 
-    # a clique without movers (already uniformly alpha) or weight costs
-    # the same in every move
+    The fixing margin is at least FLOW_TOL, so no fixed mover's gap is one
+    the flow would read as zero, and grows with the mover's cost magnitude
+    (2**-40 of it), so rounding in the sums cannot fake a gap and scaling
+    every cost leaves the fixed set as it is.  A mover on an exact tie
+    stays free: some optimal moves keep it and some switch it, and only
+    the cut picks the least keep-set among them.
+    """
+    n = instance.num_variables
     cliques = instance.cliques
-    moving = current[cliques.members] != alpha
+    mover = current != alpha
+    moving = mover[cliques.members]
     movers = cliques.members[moving]
-    num_movers = per_clique(np.add, moving, cliques.offsets)
+    owner = np.repeat(np.arange(len(cliques)),   # the clique of each mover
+                      per_clique(np.add, moving, cliques.offsets))
     # what the clique pays if every mover keeps its label
     gamma_keep = instance.clique_gamma(current)
     pay_keep = cliques.weights * (instance.gamma_max - gamma_keep)
     pay_switch = cliques.weights * (instance.gamma_max
                                     - instance.gamma[:, alpha])
-    active = (num_movers > 0) & (cliques.weights > 0)
+
+    keep_cost = instance.unaries[np.arange(n), current]
+    switch_cost = instance.unaries[:, alpha]
+    sum_keep = np.bincount(movers, pay_keep[owner], n)
+    sum_switch = np.bincount(movers, pay_switch[owner], n)
+    margin = np.maximum(FLOW_TOL, 2.0 ** -40 * (
+        np.abs(keep_cost) + np.abs(switch_cost) + sum_keep + sum_switch))
+    switch = mover & (switch_cost + sum_keep < keep_cost - margin)
+    keep = mover & (keep_cost + sum_switch < switch_cost - margin)
+    free = np.flatnonzero(mover & ~switch & ~keep)
+
+    # each clique over its free movers, renumbered as nodes; a clique
+    # without them or without weight costs the same in every move
+    pay_keep[owner[switch[movers]]] = 0.0
+    pay_switch[owner[keep[movers]]] = 0.0
+    loose = ~(switch | keep)[movers]
+    node = np.empty(n, dtype=np.intp)
+    node[free] = np.arange(free.size)
+    movers = node[movers[loose]]
+    num_movers = np.bincount(owner[loose], minlength=len(cliques))
+    active = (num_movers > 0) & (pay_keep + pay_switch > 0)
     ends = np.cumsum(num_movers)
     starts = ends - num_movers
+    net = FlowNetwork()
+    net.add_nodes(free.size)
 
     # one or two movers i, j (i = j for one): pay_keep when i switches,
     # pay_switch when j keeps, and both when exactly one of them switches,
     # which the arc i -> j charges
     small = np.flatnonzero(active & (num_movers <= 2))
     first, last = movers[starts[small]], movers[ends[small] - 1]
-    keep_cost = instance.unaries[np.arange(n), current]
-    switch_cost = instance.unaries[:, alpha].copy()
+    keep_cost = keep_cost[free]
+    switch_cost = switch_cost[free]
     np.add.at(switch_cost, first, pay_keep[small])
     np.add.at(keep_cost, last, pay_switch[small])
     base = np.minimum(keep_cost, switch_cost)  # offset keeps capacities >= 0
@@ -169,7 +216,7 @@ def _move_network(instance, current, alpha):
             net.add_terminal_arc(a, 0.0, pay_switch[c])
             for i in clique_movers:
                 net.add_arc(i, a, inf)
-    return net
+    return net, free, switch
 
 
 @dataclass

@@ -3,8 +3,9 @@
 Holds the label metrics, diversities, cliques and the energy functional.
 A model's clique potential is a consistency cost (PnPottsSpec) or a
 Diversity: the diameter diversity of a label metric, an explicit subset
-table, or a subclass.  Each has num_labels, value(subset) and
-clique_values(labs, offsets).  Every model keeps its cliques as one
+table, or a subclass.  Each has num_labels, value(subset),
+clique_values(labs, offsets) and value_bound(), at least its largest
+value, which bounds a model's energies.  Every model keeps its cliques as one
 Cliques, CSR arrays of members and weights that also carry all clique
 validation; potentials evaluate every clique at once from those arrays.
 A LabelMetric is checked once, when it is built, or is a metric by
@@ -15,11 +16,17 @@ evaluation is deterministic.
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 AXIOM_TOL = 1e-9
+
+# the most a model's energy may reach: move networks add a few times a
+# move's costs into their infinite arcs, and tree metrics stretch the
+# potential's values, so a model keeps 2**32 of headroom below overflow
+ENERGY_LIMIT = sys.float_info.max / 2.0 ** 32
 
 # explicit subset tables are enumerated over all 2^H - 1 subsets
 MAX_TABLE_LABELS = 20
@@ -168,6 +175,11 @@ class Diversity:
     def value(self, subset):
         raise NotImplementedError
 
+    def value_bound(self):
+        """At least the value of every label set: a diversity is monotone,
+        so the whole label set has the largest value."""
+        return self.value(range(self.num_labels))
+
     def clique_values(self, labs, offsets):
         """The value of each clique's label set, where labs holds the
         members' labels in CSR order (see per_clique)."""
@@ -236,6 +248,11 @@ class DiameterDiversity(Diversity):
         return np.where(present.sum(axis=0) == 1, 0.0,
                         per_clique(np.maximum, reach, offsets))
 
+    def value_bound(self):
+        # by the triangle inequality no distance is more than twice the
+        # largest from label 0, which takes one row rather than H^2 entries
+        return 2.0 * float(self.metric.matrix[:1].max(initial=0.0))
+
     def induced_metric(self):
         # diameter of a pair is its distance
         return self.metric
@@ -277,6 +294,10 @@ class ExplicitTableDiversity(Diversity):
         if mask == 0:
             raise InvalidInputError("diversity of the empty set is undefined")
         return float(self.table[mask])
+
+    def value_bound(self):
+        # a table is not checked to be monotone
+        return float(self.table[1:].max(initial=0.0))
 
     def clique_values(self, labs, offsets):
         return self.table[per_clique(np.bitwise_or, 1 << labs, offsets)]
@@ -365,6 +386,10 @@ class PnPottsSpec:
             raise InvalidInputError("empty clique labeling")
         if len(subset) == 1:
             return float(self.gamma[next(iter(subset))])
+        return self.gamma_max
+
+    def value_bound(self):
+        """At least the value of every label set."""
         return self.gamma_max
 
     def clique_values(self, labs, offsets):
@@ -465,6 +490,15 @@ class EnergyModel:
         if potential.num_labels != h:
             raise InvalidInputError("potential label count does not match unaries")
         cliques.check_members(n)
+        # at least every energy's magnitude; the sum over all unaries costs
+        # a tenth of per-variable maxima on narrow tables
+        with np.errstate(over="ignore"):
+            bound = (np.abs(unaries).sum()
+                     + cliques.weights.sum() * potential.value_bound())
+        if not bound <= ENERGY_LIMIT:
+            raise InvalidInputError(
+                "costs too large: energies could reach %g, above %g"
+                % (bound, ENERGY_LIMIT))
         self.unaries = unaries
         self.unaries.setflags(write=False)
         self.cliques = cliques

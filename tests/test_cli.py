@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,8 @@ MALFORMED_PROBLEM = os.path.join(DATA, "malformed_problem.json")
 MALFORMED_TREE = os.path.join(DATA, "malformed_tree.json")
 # a parent id out of range; CI also runs it through the script
 BAD_PARENT_TREE = os.path.join(DATA, "bad_parent_tree.json")
+# tiny_problem.json with a clique weight of 1e308; CI also runs it
+OVERFLOW_PROBLEM = os.path.join(DATA, "overflow_problem.json")
 
 # energy of the committed fixture at k=10, seed 0; equals the exhaustive
 # optimum of that instance (verified when the fixture was generated)
@@ -192,6 +195,36 @@ def test_non_finite_input_exits_2(tmp_path, capsys, field, value):
     bad.write_text(json.dumps(doc))               # writes NaN / Infinity
     assert cli.main(["solve", str(bad)]) == cli.EXIT_INPUT
     assert "finite" in capsys.readouterr().err
+
+
+def _overflowing(problem, name):
+    doc = json.loads(Path(DATA, problem).read_text())
+    if name == "unaries":
+        doc["unaries"] = [1e308] * len(doc["unaries"])
+    else:
+        doc["cliques"][0]["weight"] = 1e308
+    return doc
+
+
+OVERFLOWING = {
+    "table weight": json.loads(Path(OVERFLOW_PROBLEM).read_text()),
+    "consistency weight": _overflowing("pn_problem.json", "weight"),
+    "unaries": _overflowing("tiny_problem.json", "unaries"),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+@pytest.mark.parametrize("name", sorted(OVERFLOWING))
+def test_overflowing_finite_input_exits_2(tmp_path, capsys, command, name):
+    """Finite costs whose energies could overflow a double are an input
+    error, refused before any overflow warning."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(OVERFLOWING[name]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main([command, str(bad)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "costs too large" in err
 
 
 def test_failed_energy_recheck_exits_1(monkeypatch, capsys):

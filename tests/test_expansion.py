@@ -11,7 +11,7 @@ from conftest import pn_instance, random_pn_instance, random_pn_potts_model
 from parsilab import expansion
 from parsilab.expansion import (PnPottsInstance, alpha_expansion,
                                 best_expansion_move, pn_potts_bound)
-from parsilab.maxflow import FlowNetwork
+from parsilab.maxflow import FLOW_TOL, FlowNetwork
 from parsilab.model import InvalidInputError
 from parsilab.oracle import exhaustive_minimize, model_to_pn_potts_instance
 from reference import exhaustive_expansion_move
@@ -54,13 +54,13 @@ def test_move_matches_oracle_on_random_instances():
 
 def _move_network_shape(inst, current, alpha):
     """(nodes, add_arc calls, add_terminal_arc arguments) of one move's
-    network; the move itself must match the reference build, which gives
-    every clique a gadget."""
+    network; the move itself must match the reference build, which fixes
+    no mover and gives every clique a gadget."""
     with mock.patch.object(FlowNetwork, "add_arc", autospec=True,
                            side_effect=FlowNetwork.add_arc) as arc, \
             mock.patch.object(FlowNetwork, "add_terminal_arc", autospec=True,
                               side_effect=FlowNetwork.add_terminal_arc) as term:
-        net = expansion._move_network(inst, np.asarray(current), alpha)
+        net, _, _ = expansion._move_network(inst, np.asarray(current), alpha)
     np.testing.assert_array_equal(
         best_expansion_move(inst, current, alpha),
         reference.best_expansion_move(inst, current, alpha))
@@ -80,14 +80,107 @@ def test_two_mover_cliques_become_one_arc_each():
 def test_one_mover_clique_adds_only_terminal_capacity():
     inst = pn_instance(np.zeros((3, 2)), [([0, 1, 2], [0.5, 1.0], 2.0, 1.0)])
     # the clique is mixed, so its one mover, variable 1, pays nothing to
-    # switch and gamma_max - gamma[alpha] = 1 to keep
-    assert _move_network_shape(inst, [1, 0, 1], 1) == (3, 0, [(1, 0.0, 1.0)])
+    # switch and gamma_max - gamma[alpha] = 1 to keep; it is node 0, the
+    # only node, since the other variables already hold alpha
+    assert _move_network_shape(inst, [1, 0, 1], 1) == (1, 0, [(0, 0.0, 1.0)])
 
 
 def test_three_mover_clique_keeps_its_gadget():
     inst = pn_instance(np.zeros((4, 2)), [([0, 1, 2], [0.5, 1.0], 2.0, 1.0)])
     # two auxiliary nodes, each tied to the three movers by an arc
     assert _move_network_shape(inst, [0, 0, 0, 0], 1)[:2] == (4 + 2, 6)
+
+
+def _chain_instance(unaries):
+    """Three variables, two labels and one clique over all of them: from
+    all 0 towards label 1 it pays pay_keep = 2 - 0.5 = 1.5 unless every
+    mover keeps and pay_switch = 2 - 1 = 1 unless every mover switches."""
+    return pn_instance(unaries, [([0, 1, 2], [0.5, 1.0], 2.0, 1.0)])
+
+
+def test_mover_whose_unary_gap_beats_its_clique_bound_gets_no_node():
+    # variable 0 gains 5 by switching and the clique can cost it at most
+    # pay_keep = 1.5, so it switches; variable 2 loses 5 by switching and
+    # the clique can save it at most pay_switch = 1, so it keeps.  The
+    # clique then pays both in every move and drops out: variable 1 is a
+    # lone node with its unaries
+    inst = _chain_instance([[5.0, 0.0], [0.0, 0.25], [0.0, 5.0]])
+    net, free, switch = expansion._move_network(inst, np.zeros(3, np.intp), 1)
+    np.testing.assert_array_equal(free, [1])
+    np.testing.assert_array_equal(switch, [True, False, False])
+    assert net.num_nodes == 1
+    assert _move_network_shape(inst, [0, 0, 0], 1) == (1, 0, [(0, 0.25, 0.0)])
+
+
+@pytest.mark.parametrize("gap", [0.0, FLOW_TOL / 2])
+def test_mover_on_a_tie_stays_free(gap):
+    # keeping variable 2 costs at most 0 + pay_switch = 1, its switch cost
+    # less the gap.  On an exact tie some optimal moves may switch it, and
+    # a gap below FLOW_TOL is one the flow reads as zero, so only variable
+    # 0 is fixed
+    inst = _chain_instance([[5.0, 0.0], [0.0, 0.25], [0.0, 1.0 + gap]])
+    _, free, switch = expansion._move_network(inst, np.zeros(3, np.intp), 1)
+    np.testing.assert_array_equal(free, [1, 2])
+    np.testing.assert_array_equal(switch, [True, False, False])
+    np.testing.assert_array_equal(
+        best_expansion_move(inst, [0, 0, 0], 1),
+        reference.best_expansion_move(inst, [0, 0, 0], 1))
+
+
+@pytest.mark.parametrize("current,expected", [
+    ([1, 1, 1], [1, 1, 1]),            # every variable holds alpha
+    ([0, 0, 0], [1, 0, 0]),            # every mover is forced
+    ([0, 1, 0], [1, 1, 0]),            # forced movers beside an alpha
+])
+def test_move_without_free_movers_is_not_cut(current, expected):
+    """The move is current with the forced switches applied, read without
+    a flow."""
+    # variable 0 gains 5 by switching, 1 and 2 lose 5, and the clique can
+    # change that by at most 1.5
+    inst = _chain_instance([[5.0, 0.0], [0.0, 5.0], [0.0, 5.0]])
+    with mock.patch.object(FlowNetwork, "compute_max_flow") as flow:
+        move = best_expansion_move(inst, np.array(current), 1)
+    assert flow.call_count == 0
+    np.testing.assert_array_equal(move, expected)
+    np.testing.assert_array_equal(
+        move, reference.best_expansion_move(inst, current, 1))
+
+
+def _fixed_movers(inst, current, alpha):
+    _, free, switch = expansion._move_network(inst, current, alpha)
+    fixed = current != alpha
+    fixed[free] = False
+    return fixed, switch
+
+
+def test_fixed_movers_do_not_depend_on_the_cost_scale():
+    """Every cost is a multiple of 100, so a mover's gap is 0 or at least
+    100: scaled down by 3 * 10**12 it still clears the margin's floor, the
+    flow's absolute FLOW_TOL of 1e-11, below which a gap stays free at
+    every scale.  Above the floor the margin scales with the costs, so the
+    rounding of a scaled tie never reads as a gap."""
+    rng = np.random.default_rng(12)
+    n, h = 40, 3
+    # a small grid, on which 7 of the 80 movers of the three moves tie
+    unaries = 100.0 * rng.integers(0, 10, size=(n, h))
+    cliques = [(rng.choice(n, size=int(rng.integers(1, 5)), replace=False),
+                100.0 * rng.integers(0, 3, size=h), 300.0,
+                float(rng.integers(0, 3))) for _ in range(30)]
+    current = rng.integers(0, h, size=n)
+    seen = []
+    for k in range(-12, 13):
+        s = 10.0 ** k / 3
+        inst = pn_instance(unaries * s, [(m, g * s, gm * s, w)
+                                         for m, g, gm, w in cliques])
+        seen.append([_fixed_movers(inst, current, alpha)
+                     for alpha in range(h)])
+    fixed, _ = zip(*seen[12])
+    assert 0 < sum(f.sum() for f in fixed) < sum((current != a).sum()
+                                                 for a in range(h))
+    for scaled in seen:
+        for (f, sw), (f0, sw0) in zip(scaled, seen[12]):
+            np.testing.assert_array_equal(f, f0)
+            np.testing.assert_array_equal(sw, sw0)
 
 
 @pytest.fixture

@@ -31,12 +31,13 @@ weights = st.sampled_from([0.0, 0.5, 1.0, 2.0]) \
 
 
 @st.composite
-def pn_instances(draw, labels=None, max_vars=7, clique_size=None):
+def pn_instances(draw, labels=None, max_vars=7, clique_size=None,
+                 unary_costs=costs):
     """Random consistency-cost instances; clique_size fixes the number of
     members of every clique."""
     n = draw(st.integers(clique_size or 1, max_vars))
     h = labels or draw(st.integers(2, 4))
-    unaries = np.reshape(draw(st.lists(costs, min_size=n * h,
+    unaries = np.reshape(draw(st.lists(unary_costs, min_size=n * h,
                                        max_size=n * h)), (n, h))
     cliques = []
     for _ in range(draw(st.integers(0, 4))):
@@ -73,6 +74,25 @@ def test_move_matches_clique_by_clique_build(data):
     np.testing.assert_array_equal(
         best_expansion_move(inst, current, alpha),
         reference.best_expansion_move(inst, current, alpha))
+
+
+# unaries spread far wider than the clique costs, so that many movers
+# are forced and get no node
+wide_costs = st.sampled_from([0.0, 1.0, 5.0, 20.0, 50.0]) \
+    | st.floats(0.0, 50.0, allow_nan=False)
+
+
+@SETTINGS
+@given(st.data())
+def test_move_with_forced_movers_matches_unreduced_build(data):
+    inst = data.draw(pn_instances(unary_costs=wide_costs))
+    current = data.draw(labelings(inst))
+    alpha = data.draw(st.integers(0, inst.num_labels - 1))
+    move = best_expansion_move(inst, current, alpha)
+    np.testing.assert_array_equal(
+        move, reference.best_expansion_move(inst, current, alpha))
+    best = exhaustive_expansion_move(inst, current, alpha)
+    assert abs(inst.evaluate(move) - inst.evaluate(best)) <= 1e-9
 
 
 @SETTINGS

@@ -273,7 +273,8 @@ def move_networks(draw):
     inst = draw(pn_instances())
     current = draw(labelings(inst))
     alpha = draw(st.integers(0, inst.num_labels - 1))
-    return _move_network(inst, current, alpha)
+    net, _, _ = _move_network(inst, current, alpha)
+    return net
 
 
 @SETTINGS

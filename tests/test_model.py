@@ -1,19 +1,21 @@
 """Energy model, metrics, diversities, axiom validation, problem files."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import random_table_diversity
+from conftest import random_cliques, random_table_diversity
 from reference import unique_labels
 from parsilab.hst import RHst
-from parsilab.model import (AXIOM_TOL, Cliques, DiameterDiversity,
-                            EnergyModel, ExplicitTableDiversity,
-                            InvalidInputError,
+from parsilab.model import (AXIOM_TOL, ENERGY_LIMIT, Cliques,
+                            DiameterDiversity, EnergyModel,
+                            ExplicitTableDiversity, InvalidInputError,
                             LabelMetric, PnPottsSpec, load_model,
                             model_from_json, model_to_json, save_model,
                             validate_diversity_axioms)
+from parsilab.solver import solve
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +332,43 @@ def test_constructors_reject_non_finite_values():
         ExplicitTableDiversity(2, [0.0, 0.0, 0.0, nan])
     with pytest.raises(InvalidInputError):
         RHst([-1, 0, 0], [nan, 0.0, 0.0], [None, 0, 1])
+
+
+def _scaled_potential(kind, scale, rng):
+    h = 4
+    if kind == "consistency":
+        return PnPottsSpec(scale * rng.uniform(0.0, 1.0, h), scale * 2.0)
+    if kind == "table":
+        return ExplicitTableDiversity(
+            h, scale * random_table_diversity(h, rng).table)
+    points = rng.uniform(0.0, 5.0, size=(h, 2))
+    return DiameterDiversity(LabelMetric(scale * np.linalg.norm(
+        points[:, None] - points[None, :], axis=-1)))
+
+
+@pytest.mark.parametrize("kind", ["consistency", "table", "diameter"])
+def test_energy_limit_leaves_room_for_the_solve(kind):
+    """Finite costs whose energy bound is above ENERGY_LIMIT are refused;
+    just below it every solver runs without an overflow."""
+    rng = np.random.default_rng(5)
+    unaries = rng.uniform(-3.0, 3.0, size=(12, 4))
+    cliques = random_cliques(12, rng, count_max=6)
+    potential = _scaled_potential(kind, 1.0, np.random.default_rng(6))
+    bound = (np.abs(unaries).sum()
+             + cliques.weights.sum() * potential.value_bound())
+    for share in (0.99, 1.01):
+        scale = share * ENERGY_LIMIT / bound
+        potential = _scaled_potential(kind, scale, np.random.default_rng(6))
+        if share > 1:
+            with pytest.raises(InvalidInputError, match="too large"):
+                EnergyModel(scale * unaries, cliques, potential)
+            continue
+        model = EnergyModel(scale * unaries, cliques, potential)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            labeling, report = solve(model, k=3)
+        assert np.isfinite(report.energy)
+        assert report.energy == model.evaluate_energy(labeling)
 
 
 def _problem(**changes):
