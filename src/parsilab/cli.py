@@ -94,68 +94,54 @@ def cmd_synth_bench(args):
     return EXIT_OK
 
 
-def _load_superpixels(path):
-    if path is None:
-        return None
+def _read_raster(path, what):
     try:
-        return tasks.read_raster(path).astype(np.int64)
+        return tasks.read_raster(path)
     except (OSError, ValueError) as e:
-        print("warning: superpixel map unusable (%s); using block partition"
-              % e, file=sys.stderr)
+        raise InvalidInputError("cannot read %s: %s" % (what, e)) from e
+
+
+def _read_superpixels(args):
+    # without a map the task falls back to a block partition
+    if args.superpixels is None:
         return None
+    return _read_raster(args.superpixels, "superpixel map").astype(np.int64)
+
+
+def _solve_image(args, model, height, width):
+    labeling, report = solver.solve(model, args.trees, args.seed)
+    tasks.write_raster(args.out, tasks.labeling_to_raster(
+        labeling, height, width, args.labels))
+    if args.report:
+        _write_report(report, model, args.report, args.timings)
+    print("energy %.9g" % report.energy)
+    return EXIT_OK
 
 
 def cmd_stereo(args):
-    try:
-        left = tasks.read_raster(args.left)
-        right = tasks.read_raster(args.right)
-    except (OSError, ValueError) as e:
-        return _fail("cannot read images: %s" % e)
+    left = _read_raster(args.left, "images")
+    right = _read_raster(args.right, "images")
     task = tasks.ImageTask(
         kind="stereo", left=left, right=right,
-        superpixels=_load_superpixels(args.superpixels),
+        superpixels=_read_superpixels(args),
         num_labels=args.labels, lam=args.lam, truncation=args.truncation,
         sigma=args.sigma, unary_truncation=args.unary_truncation,
         grad_threshold=args.grad_threshold, w_low=args.w_low,
         w_high=args.w_high, superpixel_block=args.block)
-    model = tasks.build_stereo(task)
-    labeling, report = solver.solve(model, args.trees, args.seed)
-    height, width = left.shape[:2]
-    tasks.write_raster(args.out, tasks.labeling_to_raster(
-        labeling, height, width, args.labels))
-    if args.report:
-        _write_report(report, model, args.report, args.timings)
-    print("energy %.9g" % report.energy)
-    return EXIT_OK
+    return _solve_image(args, tasks.build_stereo(task), *left.shape[:2])
 
 
 def cmd_inpaint(args):
-    try:
-        image = tasks.read_raster(args.image)
-    except (OSError, ValueError) as e:
-        return _fail("cannot read image: %s" % e)
+    image = _read_raster(args.image, "image")
     if image.ndim != 2:
         return _fail("inpainting expects a grayscale (PGM) image")
-    mask = None
-    if args.mask:
-        try:
-            mask = tasks.read_raster(args.mask) > 0
-        except (OSError, ValueError) as e:
-            return _fail("cannot read mask: %s" % e)
+    mask = _read_raster(args.mask, "mask") > 0 if args.mask else None
     task = tasks.ImageTask(
         kind="inpaint", image=image, mask=mask,
-        superpixels=_load_superpixels(args.superpixels),
+        superpixels=_read_superpixels(args),
         num_labels=args.labels, lam=args.lam, truncation=args.truncation,
         sigma=args.sigma, superpixel_block=args.block)
-    model = tasks.build_inpaint(task)
-    labeling, report = solver.solve(model, args.trees, args.seed)
-    height, width = image.shape
-    tasks.write_raster(args.out, tasks.labeling_to_raster(
-        labeling, height, width, args.labels))
-    if args.report:
-        _write_report(report, model, args.report, args.timings)
-    print("energy %.9g" % report.energy)
-    return EXIT_OK
+    return _solve_image(args, tasks.build_inpaint(task), *image.shape)
 
 
 def cmd_validate(args):

@@ -4,9 +4,12 @@ An r-HST is a rooted tree whose leaves are the labels, whose child edges
 share one length per node, and whose edge lengths shrink by a factor of
 at least r > 1 along every root-to-leaf path.  The shortest-path metric
 of such a tree, together with its diameter diversity, is the label-
-consistency potential the hierarchical solver minimizes.  frt_embed
-draws random FRT trees (Fakcharoenphol, Rao and Talwar, STOC 2003) in
-two passes: clusters depth-first, then edge lengths bottom-up.
+consistency potential the hierarchical solver minimizes.  Each tree is
+walked once, parents first, when it is built (RHst.order); its metric
+and the diameter of every node's label cluster are read off that walk.
+frt_embed draws random FRT trees (Fakcharoenphol, Rao and Talwar, STOC
+2003) in two passes, clusters depth-first and then edge lengths
+bottom-up, and builds each tree once, at the input metric's scale.
 """
 
 import numpy as np
@@ -22,10 +25,12 @@ class RHst:
 
     parents[v] is the parent node (-1 for the root), child_edge[v] the
     length of the edges from v to each of its children (0.0 at leaves),
-    leaf_label[v] the label at leaf v (None for internal nodes).
+    leaf_label[v] the label at leaf v (None for internal nodes).  Every
+    tree is checked when it is built; order then lists each node once,
+    parents before children.
     """
 
-    def __init__(self, parents, child_edge, leaf_label, r=2.0, validate=True):
+    def __init__(self, parents, child_edge, leaf_label, r=2.0):
         ids = index_array(parents, "malformed tree: parent ids")
         if ids.size and not -1 <= ids.min() <= ids.max() < ids.size:
             raise InvalidInputError("malformed tree: parent id out of range")
@@ -43,16 +48,12 @@ class RHst:
         for v, p in enumerate(self.parents):
             if p >= 0:
                 self.children[p].append(v)
-        if validate:
-            err = self.check()
-            if err is not None:
-                raise InvalidInputError("not an r-HST: %s" % err)
+        err = self.check()
+        if err is not None:
+            raise InvalidInputError("not an r-HST: %s" % err)
+        self.order = tuple(_parents_first(self.children))
         self._metric = None
-        self._diameters = {}              # sorted label tuple -> diameter
-        self._leaf_of_label = {}
-        for v, l in enumerate(self.leaf_label):
-            if l is not None:
-                self._leaf_of_label[l] = v
+        self._diameter = None
 
     @property
     def num_nodes(self):
@@ -64,13 +65,6 @@ class RHst:
 
     def is_leaf(self, v):
         return not self.children[v]
-
-    def depth(self, v):
-        d = 1
-        while self.parents[v] >= 0:
-            v = self.parents[v]
-            d += 1
-        return d
 
     def check(self):
         """Return a description of the first violated invariant, or None."""
@@ -97,16 +91,9 @@ class RHst:
                             "at node %d" % v)
         if sorted(labels) != list(range(len(labels))):
             return "leaf labels must be the dense set 0..H-1, each exactly once"
-        # reachability from the root (no cycles / detached nodes)
-        seen = set()
-        stack = [ROOT]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                return "cycle detected"
-            seen.add(v)
-            stack.extend(self.children[v])
-        if len(seen) != self.num_nodes:
+        # every node has one parent, so a node off the root's walk sits on
+        # a cycle or under one
+        if len(_parents_first(self.children)) != self.num_nodes:
             return "nodes not reachable from the root"
         return None
 
@@ -121,10 +108,16 @@ class RHst:
         """
         if self._metric is None:
             h = self.num_labels
+            depth = [0] * self.num_nodes
+            leaf = [0] * h                      # label -> its leaf node
+            for v in self.order:
+                if v != ROOT:
+                    depth[v] = depth[self.parents[v]] + 1
+                if self.leaf_label[v] is not None:
+                    leaf[self.leaf_label[v]] = v
             parents = np.asarray(self.parents)
             edge = np.asarray(self.child_edge)
-            depth = np.array([self.depth(v) for v in range(self.num_nodes)])
-            leaf = np.array([self._leaf_of_label[l] for l in range(h)])
+            depth, leaf = np.array(depth), np.array(leaf)
             m = np.zeros((h, h))
             rows, cols = np.triu_indices(h, 1)
             for start in range(0, rows.size, _PAIR_CHUNK):
@@ -135,31 +128,30 @@ class RHst:
             self._metric = LabelMetric(m, validate=False)
         return self._metric
 
-    def cluster_labels(self, node):
-        """Sorted labels at the leaves of the subtree rooted at node."""
-        if not 0 <= node < self.num_nodes:
-            raise InvalidInputError("unknown node id %r" % node)
-        out = []
-        stack = [node]
-        while stack:
-            v = stack.pop()
-            if self.leaf_label[v] is not None:
-                out.append(self.leaf_label[v])
-            stack.extend(self.children[v])
-        return tuple(sorted(out))
+    def diameter(self, node):
+        """The largest tree distance between two labels below node (0.0
+        at a leaf).
 
-    def hierarchical_pn_potts(self, subset):
-        """Diameter diversity of a label subset under the tree metric
-        (memoised per subset)."""
-        key = tuple(sorted(set(int(l) for l in subset)))
-        if not key:
-            raise InvalidInputError("empty label subset")
-        value = self._diameters.get(key)
-        if value is None:
-            idx = np.asarray(key, dtype=int)
-            value = float(self.metric().matrix[np.ix_(idx, idx)].max())
-            self._diameters[key] = value
-        return value
+        One children-first pass sets it for every node: the largest of
+        the children's diameters and of the metric blocks between each
+        child's labels and those of the children before it.
+        """
+        if self._diameter is None:
+            m = self.metric().matrix
+            self._diameter = [0.0] * self.num_nodes
+            below = [None] * self.num_nodes     # labels under each node
+            for v in reversed(self.order):
+                kids = self.children[v]
+                if not kids:
+                    below[v] = np.array([self.leaf_label[v]])
+                    continue
+                labs, diam = below[kids[0]], self._diameter[kids[0]]
+                for c in kids[1:]:
+                    diam = max(diam, self._diameter[c],
+                               float(m[np.ix_(labs, below[c])].max()))
+                    labs = np.concatenate((labs, below[c]))
+                below[v], self._diameter[v] = labs, diam
+        return self._diameter[node]
 
     # -- serialization ---------------------------------------------------------
 
@@ -180,6 +172,14 @@ class RHst:
 
 
 _PAIR_CHUNK = 1 << 18
+
+
+def _parents_first(children):
+    """The nodes reachable from the root, parents before children."""
+    order = [ROOT]
+    for v in order:                     # the root is no node's child
+        order.extend(children[v])
+    return order
 
 
 def _climb(u, v, parents, edge, depth):
@@ -205,8 +205,9 @@ def _climb(u, v, parents, edge, depth):
     return dist
 
 
-def _frt_tree(dist, rng):
-    """One FRT tree over a scaled metric, built in two passes.
+def _frt_tree(dist, rng, scale):
+    """One FRT tree over a scaled metric, built in two passes, with its
+    edge lengths multiplied by scale.
 
     Clusters, depth-first: at level i each label joins the first center,
     in a random order, within beta * 2^(i-1).  A cluster that does not
@@ -269,7 +270,7 @@ def _frt_tree(dist, rng):
             lab, low = np.array([leaf_label[v]]), np.zeros(1)
         if v:
             below[parents[v]].append((lab, low, edge[v]))
-    return RHst(parents, edge, leaf_label)
+    return RHst(parents, [e * scale for e in edge], leaf_label)
 
 
 def frt_embed(metric, k, seed):
@@ -289,16 +290,11 @@ def frt_embed(metric, k, seed):
         dmin = float(d[~np.eye(h, dtype=bool)].min())
         if dmin <= 0:
             raise InvalidInputError("cannot embed: degenerate metric")
+        # the top level's radius beta * 2^(top-1) must stay a double
+        if not float(d.max()) / dmin < 2.0 ** 1023:
+            raise InvalidInputError("cannot embed: the largest distance "
+                                    "over the smallest exceeds 2^1023")
     else:
         dmin = 1.0
-    scaled = d / dmin
-
-    return tuple(_rescale(_frt_tree(scaled, np.random.default_rng(seq)), dmin)
+    return tuple(_frt_tree(d / dmin, np.random.default_rng(seq), dmin)
                  for seq in np.random.SeedSequence(seed).spawn(k))
-
-
-def _rescale(tree, factor):
-    if factor == 1.0:
-        return tree
-    return RHst(tree.parents, [e * factor for e in tree.child_edge],
-                tree.leaf_label, r=tree.r, validate=False)

@@ -90,8 +90,8 @@ def build_fusion_instance(model, tree, node, child_labelings):
     Meta-label k means "take variable i's label from child k".  Unaries
     are the original unaries read through each child's labeling; each
     clique pays the diameter diversity of child k's labels on it when
-    all members choose k, and the diameter diversity of the node's whole
-    cluster otherwise.  Cliques of weight 0 are dropped.
+    all members choose k, and the diameter of the node's whole cluster
+    (tree.diameter) otherwise.  Cliques of weight 0 are dropped.
     """
     n = model.num_variables
     labelings = np.stack(child_labelings)                            # k x n
@@ -105,18 +105,20 @@ def build_fusion_instance(model, tree, node, child_labelings):
     high = per_clique(np.maximum, labs, offsets)
 
     # child j's diameter on clique c: the distance between its smallest
-    # and largest label is exact on one or two labels (0 on one); larger
-    # label sets go through the tree's memoised subset diameters
+    # and largest label is exact on one or two labels (0 on one); the
+    # (child, clique) pairs with more labels go through one clique_values
     gamma = tree.metric().matrix[low, high].T           # cliques x k
-    at_most_two = per_clique(
+    wide = ~per_clique(
         np.logical_and, (labs == np.repeat(low, sizes, axis=1))
-        | (labs == np.repeat(high, sizes, axis=1)), offsets)
-    for j, c in zip(*np.nonzero(~at_most_two)):
-        gamma[c, j] = tree.hierarchical_pn_potts(
-            labs[j, offsets[c]:offsets[c + 1]])
-    gamma_max = tree.hierarchical_pn_potts(tree.cluster_labels(node))
+        | (labs == np.repeat(high, sizes, axis=1)), offsets)   # k x cliques
+    if wide.any():
+        j, c = np.nonzero(wide)
+        wide_offsets = np.zeros(c.size + 1, dtype=np.intp)
+        np.cumsum(sizes[c], out=wide_offsets[1:])
+        gamma[c, j] = DiameterDiversity(tree.metric()).clique_values(
+            labs[np.repeat(wide, sizes, axis=1)], wide_offsets)
     return PnPottsInstance(meta_unaries, kept, gamma,
-                           np.full(sizes.size, gamma_max))
+                           np.full(sizes.size, tree.diameter(node)))
 
 
 def solve_hierarchical(model, tree):
@@ -131,8 +133,7 @@ def solve_hierarchical(model, tree):
     t0 = time.perf_counter()
     n = model.num_variables
     labelings = {}                        # tree node -> its labeling
-    order = sorted(range(tree.num_nodes), key=tree.depth, reverse=True)
-    for node in order:
+    for node in reversed(tree.order):
         if tree.is_leaf(node):
             lab = np.full(n, tree.leaf_label[node], dtype=np.intp)
         else:

@@ -195,6 +195,19 @@ def random_rhst(label_count, r=2.0, depth=3, seed=0):
     return RHst(parents, child_edge, leaf_label, r=r)
 
 
+def cluster_labels(tree, node):
+    """Sorted labels at the leaves of the subtree rooted at node, by one
+    depth-first walk from node."""
+    out = []
+    stack = [node]
+    while stack:
+        v = stack.pop()
+        if tree.leaf_label[v] is not None:
+            out.append(tree.leaf_label[v])
+        stack.extend(tree.children[v])
+    return tuple(sorted(out))
+
+
 def diameter(tree, subset):
     """Tree-metric diameter of a label subset, computed afresh."""
     idx = np.asarray(sorted(set(int(l) for l in subset)), dtype=int)
@@ -207,7 +220,7 @@ def build_fusion_instance(model, tree, node, child_labelings):
     meta_unaries = np.empty((n, len(child_labelings)))
     for j, lab in enumerate(child_labelings):
         meta_unaries[:, j] = model.unaries[np.arange(n), lab]
-    gamma_max = diameter(tree, tree.cluster_labels(node))
+    gamma_max = diameter(tree, cluster_labels(tree, node))
     cliques = []
     for members, weight in clique_list(model.cliques):
         if weight == 0.0:
@@ -257,10 +270,19 @@ def superpixel_cliques(region_map, intensity, sigma):
     return Cliques.from_lists(members, weights)
 
 
+def depth(tree, v):
+    """Number of nodes on the path from v up to the root, v included."""
+    d = 1
+    while tree.parents[v] >= 0:
+        v = tree.parents[v]
+        d += 1
+    return d
+
+
 def node_distance(tree, u, v):
     """Shortest-path distance between two nodes of an r-HST, one edge at
     a time: the deeper node climbs first, then both in lockstep."""
-    du, dv = tree.depth(u), tree.depth(v)
+    du, dv = depth(tree, u), depth(tree, v)
     dist = 0.0
     while du > dv:
         dist += tree.child_edge[tree.parents[u]]

@@ -27,6 +27,9 @@ MALFORMED_TREE = os.path.join(DATA, "malformed_tree.json")
 BAD_PARENT_TREE = os.path.join(DATA, "bad_parent_tree.json")
 # tiny_problem.json with a clique weight of 1e308; CI also runs it
 OVERFLOW_PROBLEM = os.path.join(DATA, "overflow_problem.json")
+# a diameter metric whose largest distance over its smallest (1e302 over
+# 1e-8) overflows a double; CI also runs it
+OVERFLOW_RATIO_PROBLEM = os.path.join(DATA, "overflow_ratio_problem.json")
 
 # energy of the committed fixture at k=10, seed 0; equals the exhaustive
 # optimum of that instance (verified when the fixture was generated)
@@ -227,6 +230,17 @@ def test_overflowing_finite_input_exits_2(tmp_path, capsys, command, name):
     assert err.startswith("error: ") and "costs too large" in err
 
 
+def test_overflowing_distance_ratio_exits_2(capsys):
+    """A metric whose distances no FRT level can span is refused before
+    the embedding, with no traceback; validate still accepts the file."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["solve", OVERFLOW_RATIO_PROBLEM]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot embed") and "2^1023" in err
+    assert cli.main(["validate", OVERFLOW_RATIO_PROBLEM]) == cli.EXIT_OK
+
+
 def test_failed_energy_recheck_exits_1(monkeypatch, capsys):
     """The energy rechecks are explicit, so they also run under python -O."""
     from parsilab.model import EnergyModel
@@ -399,12 +413,19 @@ def _image_files(tmp_path, flat):
                  id="stereo-sigma-inf"),
     pytest.param("stereo", ["--seed", "-1"], False, "seed",
                  id="stereo-seed-neg1"),
+    pytest.param("stereo", ["--superpixels", "/nonexistent/regions.pgm"],
+                 False, "cannot read superpixel map",
+                 id="stereo-superpixels-missing"),
+    pytest.param("inpaint", ["--superpixels", "/nonexistent/regions.pgm"],
+                 False, "cannot read superpixel map",
+                 id="inpaint-superpixels-missing"),
 ])
 def test_image_command_bad_input_exits_2(tmp_path, capsys, command, bad,
                                          flat, message):
     """Label counts below one, an empty fallback tile, a sigma that is
-    not positive and finite and a negative seed are input errors: exit 2
-    with a message, no traceback and no output."""
+    not positive and finite, a negative seed and an unreadable superpixel
+    map are input errors: exit 2 with a message, no traceback and no
+    output."""
     left, right, gray = _image_files(tmp_path, flat)
     inputs = [left, right] if command == "stereo" else [gray]
     out = tmp_path / "out.pgm"

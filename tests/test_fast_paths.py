@@ -215,30 +215,57 @@ def test_two_label_expansion_from_mixed_start_matches_full_sweeps(data):
     assert trace == ref_trace
 
 
-@SETTINGS
-@given(st.data())
-def test_fusion_instance_matches_clique_loop(data):
-    h = data.draw(st.integers(2, 10))
-    tree = random_rhst(h, depth=data.draw(st.integers(2, 4)),
-                       seed=data.draw(st.integers(0, 1000)))
-    n = data.draw(st.integers(1, 10))
+@st.composite
+def fusion_cases(draw):
+    """(model, tree, node, child labelings): a diameter-diversity model
+    over a random r-HST and, for each child of an internal node, a
+    labeling drawn from that child's cluster."""
+    h = draw(st.integers(2, 10))
+    tree = random_rhst(h, depth=draw(st.integers(2, 4)),
+                       seed=draw(st.integers(0, 1000)))
+    n = draw(st.integers(1, 10))
     members, clique_weights = [], []
-    for _ in range(data.draw(st.integers(0, 4))):
-        members.append(data.draw(st.lists(st.integers(0, n - 1), min_size=1,
-                                          max_size=n, unique=True)))
-        clique_weights.append(data.draw(weights))
+    for _ in range(draw(st.integers(0, 4))):
+        members.append(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                     max_size=n, unique=True)))
+        clique_weights.append(draw(weights))
     cliques = Cliques.from_lists(members, clique_weights)
-    model = EnergyModel(np.reshape(data.draw(st.lists(
+    model = EnergyModel(np.reshape(draw(st.lists(
         costs, min_size=n * h, max_size=n * h)), (n, h)), cliques,
         DiameterDiversity(tree.metric()))
-    node = data.draw(st.just(hst.ROOT) | st.sampled_from(
+    node = draw(st.just(hst.ROOT) | st.sampled_from(
         [v for v in range(tree.num_nodes) if not tree.is_leaf(v)]))
     children = []
     for child in tree.children[node]:
-        cluster = tree.cluster_labels(child)
-        labeling = data.draw(st.lists(st.sampled_from(cluster), min_size=n,
-                                      max_size=n))
+        cluster = reference.cluster_labels(tree, child)
+        labeling = draw(st.lists(st.sampled_from(cluster), min_size=n,
+                                 max_size=n))
         children.append(np.array(labeling, dtype=np.intp))
+    return model, tree, node, children
+
+
+def _three_label_fusion_case():
+    """The root of a tree whose first child holds labels {0, 1, 2}, where
+    labels 0 and 2 share a leaf cluster: on the first clique that child
+    puts all three labels, whose diameter d(0, 1) = 7 is not the
+    distance d(0, 2) = 2 between the smallest and largest."""
+    tree = hst.RHst([-1, 0, 0, 1, 1, 3, 3], [8.0, 3.0, 0.0, 1.0, 0.0, 0.0,
+                                              0.0],
+                    [None, None, 3, None, 1, 0, 2])
+    unaries = np.arange(16.0).reshape(4, 4) % 5.0
+    model = EnergyModel(unaries, Cliques.from_lists(
+        [[0, 1, 2, 3], [1, 3], [2]], [1.0, 0.5, 2.0]),
+        DiameterDiversity(tree.metric()))
+    children = [np.array([0, 1, 2, 0], dtype=np.intp),
+                np.full(4, 3, dtype=np.intp)]
+    return model, tree, hst.ROOT, children
+
+
+@SETTINGS
+@given(case=fusion_cases())
+@example(case=_three_label_fusion_case())
+def test_fusion_instance_matches_clique_loop(case):
+    model, tree, node, children = case
     fast = build_fusion_instance(model, tree, node, children)
     slow = reference.build_fusion_instance(model, tree, node, children)
     for name in ("unaries", "gamma", "gamma_max"):
@@ -318,7 +345,7 @@ def test_frt_tree_matches_reference(h, seed, kind):
         pts = rng.uniform(0.0, 10.0, size=(h, 2))
         dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
     dist = _scaled(dist)
-    fast = hst._frt_tree(dist, np.random.default_rng(seed))
+    fast = hst._frt_tree(dist, np.random.default_rng(seed), scale=1.0)
     slow = reference.frt_tree(dist, np.random.default_rng(seed))
     assert fast.parents == slow.parents
     assert fast.leaf_label == slow.leaf_label
@@ -338,6 +365,50 @@ def test_tree_metric_matches_node_distance(h, depth, seed):
             lo, hi = min(i, j), max(i, j)
             assert m[i, j] == reference.node_distance(tree, leaf[lo],
                                                       leaf[hi])
+
+
+def assert_walks_tree_once(tree):
+    """order lists every node once, parents first, and every node's
+    diameter equals the largest distance within its cluster, bit for bit."""
+    assert sorted(tree.order) == list(range(tree.num_nodes))
+    position = {v: i for i, v in enumerate(tree.order)}
+    assert tree.order[0] == hst.ROOT
+    assert all(position[tree.parents[v]] < position[v]
+               for v in tree.order[1:])
+    for v in tree.order:
+        expected = reference.diameter(tree, reference.cluster_labels(tree, v))
+        assert np.float64(tree.diameter(v)).tobytes() \
+            == np.float64(expected).tobytes()
+
+
+def _lopsided_rhst():
+    """A 1.1-HST whose root diameter 2 * (0.72 + 0.81 + 0.9) = 4.86 lies
+    inside its deep child: across the root no pair is more than 4.43
+    apart.  Below r = 1.5 a child's own diameter can win this way."""
+    return hst.RHst([-1, 0, 0, 2, 2, 3, 3, 4, 4, 5, 5, 7, 7],
+                    [1.0, 0.0, 0.9, 0.81, 0.81, 0.72, 0.0, 0.72, 0.0, 0.0,
+                     0.0, 0.0, 0.0],
+                    [None, 0, None, None, None, None, 1, None, 2, 3, 4, 5,
+                     6], r=1.1)
+
+
+@SETTINGS
+@given(tree=st.builds(random_rhst, st.integers(1, 12),
+                      r=st.sampled_from([1.1, 2.0, 3.0]),
+                      depth=st.integers(2, 5), seed=st.integers(0, 10 ** 6)))
+@example(tree=_lopsided_rhst())
+def test_random_rhst_walk_and_diameters_match_reference(tree):
+    assert_walks_tree_once(tree)
+
+
+@SETTINGS
+@given(h=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1.0, 0.25, 3.0]) | st.floats(1e-3, 1e3))
+def test_frt_walk_and_diameters_match_reference(h, seed, scale):
+    pts = np.random.default_rng(seed).uniform(0.0, 10.0, size=(h, 2))
+    dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1) * scale
+    (tree,) = hst.frt_embed(LabelMetric(dist), k=1, seed=seed)
+    assert_walks_tree_once(tree)
 
 
 @SETTINGS

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from parsilab.hst import RHst, frt_embed
-from parsilab.model import InvalidInputError, LabelMetric
+from parsilab.model import (DiameterDiversity, InvalidInputError,
+                            LabelMetric)
 from reference import random_rhst, tree_to_json
 
 # mean distortion of the k=64 embedding of TruncatedLinear(1, 20) on 20
@@ -28,24 +29,29 @@ def test_reference_tree_distances(reference_tree):
 
 
 def test_reference_tree_clusters(reference_tree):
-    assert reference_tree.cluster_labels(0) == (0, 1, 2, 3)
+    """A node's diameter spans the labels below it: 18 across the root's
+    two clusters, 6 within {0, 1} or {2, 3}, 0 at a leaf."""
+    assert reference_tree.order == (0, 1, 2, 3, 4, 5, 6)
+    assert reference_tree.diameter(0) == 18.0
+    assert reference_tree.diameter(1) == reference_tree.diameter(2) == 6.0
     leaf = next(v for v in range(reference_tree.num_nodes)
                 if reference_tree.leaf_label[v] == 1)
-    assert reference_tree.cluster_labels(leaf) == (1,)
-    assert reference_tree.cluster_labels(2) == (2, 3)
+    assert reference_tree.diameter(leaf) == 0.0
 
 
 def test_reference_tree_potentials(reference_tree):
-    assert reference_tree.hierarchical_pn_potts((0, 1, 2, 3)) == 18.0
-    assert reference_tree.hierarchical_pn_potts((2, 3)) == 6.0
-    assert reference_tree.hierarchical_pn_potts((1,)) == 0.0
+    potential = DiameterDiversity(reference_tree.metric())
+    assert potential.value((0, 1, 2, 3)) == 18.0
+    assert potential.value((2, 3)) == 6.0
+    assert potential.value((1,)) == 0.0
     with pytest.raises(InvalidInputError):
-        reference_tree.hierarchical_pn_potts(())
+        potential.value(())
 
 
 def test_potential_is_monotone(reference_tree):
     subsets = [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 3)]
-    vals = [reference_tree.hierarchical_pn_potts(s) for s in subsets]
+    potential = DiameterDiversity(reference_tree.metric())
+    vals = [potential.value(s) for s in subsets]
     assert vals == sorted(vals)
 
 
@@ -115,6 +121,17 @@ def test_embed_two_points():
 def test_embed_rejects_degenerate_metric():
     with pytest.raises(InvalidInputError):
         frt_embed(LabelMetric(np.zeros((3, 3)), validate=False), k=2, seed=0)
+
+
+@pytest.mark.parametrize("largest", [1e302, 1.7e300])
+def test_embed_rejects_overflowing_distance_ratio(largest):
+    """1e302 over 1e-8 overflows a double; 1.7e300 over 1e-8 does not,
+    but no level radius beta * 2^(i-1) that is a double reaches it."""
+    d = np.full((3, 3), largest)
+    d[0, 1] = d[1, 0] = 1e-8
+    np.fill_diagonal(d, 0.0)
+    with pytest.raises(InvalidInputError, match="2\\^1023"):
+        frt_embed(LabelMetric(d), k=1, seed=0)
 
 
 def test_embed_trees_pass_invariants_and_dominate():
