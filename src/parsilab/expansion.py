@@ -7,11 +7,13 @@ sweep over alpha labels then descends monotonically to a local minimum.
 A PnPottsInstance keeps its cliques as a model.Cliques, so energies and
 move networks are built from the CSR clique arrays.  Before a move's
 network is built, every variable whose own costs decide it (it keeps, or
-switches, in every optimal move) is fixed, and only the free variables
-get nodes; on lattices that removes most of the network.  A move network's
-per-node arc lists hold no reference cycles, so each move is built,
-solved and read with the cyclic garbage collector paused: otherwise its
-allocations set off collections that traverse those lists for nothing.
+switches, in every optimal move) is fixed.  Each fixed variable takes a
+clique term off its neighbours' costs, so the rule is applied again until
+a pass takes no further term off; only the free variables get nodes, and
+on lattices most moves are left with none.  A move network's per-node arc
+lists hold no reference cycles, so each move is built, solved and read
+with the cyclic garbage collector paused: otherwise its allocations set
+off collections that traverse those lists for nothing.
 """
 
 import gc
@@ -22,7 +24,7 @@ import numpy as np
 
 from .maxflow import FLOW_TOL, FlowNetwork
 from .model import (InvalidInputError, check_labeling, ordered_sum,
-                    per_clique, require_finite, uniform_label)
+                    require_finite, uniform_label)
 
 ACCEPT_TOL = 1e-9
 
@@ -93,12 +95,15 @@ def best_expansion_move(instance, current, alpha):
     Switching i changes a clique's cost by at most +pay_keep or
     -pay_switch, whatever the other movers do, so i switches in every
     optimal move when us + sum_keep < uk - margin, and keeps in every
-    optimal move when uk + sum_switch < us - margin.
+    optimal move when uk + sum_switch < us - margin.  A clique with a
+    mover forced to switch pays pay_keep in every move, and one with a
+    mover forced to keep pays pay_switch in every move, so those terms
+    drop out of the other members' sums, and the rule runs again until a
+    pass drops no further term: the optimal moves all lie in the space
+    the fixed movers leave, and there each later fix is forced as well.
 
-    The free movers get one binary node each (source side = keep).  A
-    clique with a mover forced to switch pays pay_keep in every move, and
-    one with a mover forced to keep pays pay_switch in every move, so both
-    drop out; what is left is a clique over the free movers.  With one
+    The free movers get one binary node each (source side = keep), and
+    each clique is what is left of it over its free movers.  With one
     free mover that is a unary cost; with two it is a submodular pairwise
     term, one arc between them (Kolmogorov & Zabih, PAMI 2004).  A clique
     with three or more gets the robust P^n gadget of Kohli, Ladicky & Torr
@@ -117,7 +122,7 @@ def best_expansion_move(instance, current, alpha):
     gc.disable()
     try:
         net, free, switch = _move_network(instance, current, alpha)
-        if free.size:
+        if net is not None:
             net.compute_max_flow()
             switch[free] = ~net.source_side_mask()[:free.size]
         del net                           # freed before collections resume
@@ -131,50 +136,77 @@ def _move_network(instance, current, alpha):
     """The flow network of one expansion move (see best_expansion_move).
 
     Returns the network, the free movers in node order (node k is variable
-    free[k]) and the mask of the variables forced to switch.  The network
-    is built apart from the flow, so its working lists are freed before it.
+    free[k]) and the mask of the variables forced to switch.  A move with
+    no free mover gets no network (None).  The network is built apart from
+    the flow, so its working lists are freed before it.
 
-    The fixing margin is at least FLOW_TOL, so no fixed mover's gap is one
-    the flow would read as zero, and grows with the mover's cost magnitude
-    (2**-40 of it), so rounding in the sums cannot fake a gap and scaling
-    every cost leaves the fixed set as it is.  A mover on an exact tie
-    stays free: some optimal moves keep it and some switch it, and only
-    the cut picks the least keep-set among them.
+    The forced movers are found to a fixpoint: once a mover is fixed, its
+    cliques pay the fixed term in every move, which drops out of the
+    other members' sums, so they are tested again until a pass drops no
+    further payment.  The fixing margin is at least FLOW_TOL, so no fixed
+    mover's gap is one the flow would read as zero, and grows with the
+    mover's cost magnitude in the first pass (2**-40 of it), so rounding
+    in the sums cannot fake a gap and scaling every cost leaves the fixed
+    set as it is.  The sums only fall from pass to pass, so the first
+    pass's margin is the largest, and keeping it only ever fixes fewer
+    movers.  A mover on an exact tie stays free: some optimal moves keep
+    it and some switch it, and only the cut picks the least keep-set
+    among them.
     """
     n = instance.num_variables
     cliques = instance.cliques
-    mover = current != alpha
-    moving = mover[cliques.members]
-    movers = cliques.members[moving]
-    owner = np.repeat(np.arange(len(cliques)),   # the clique of each mover
-                      per_clique(np.add, moving, cliques.offsets))
-    # what the clique pays if every mover keeps its label
-    gamma_keep = instance.clique_gamma(current)
-    pay_keep = cliques.weights * (instance.gamma_max - gamma_keep)
-    pay_switch = cliques.weights * (instance.gamma_max
-                                    - instance.gamma[:, alpha])
+    count = len(cliques)
+    members, owner = cliques.members, cliques.owner
+    # pay[c] is clique c's pay_keep, what it pays unless every mover keeps
+    # its label, and pay[count + c] its pay_switch
+    pay = np.empty(2 * count)
+    np.multiply(cliques.weights,
+                instance.gamma_max - instance.clique_gamma(current),
+                out=pay[:count])
+    np.multiply(cliques.weights,
+                instance.gamma_max - instance.gamma[:, alpha],
+                out=pay[count:])
+    # sums[i] is variable i's sum_keep and sums[n + i] its sum_switch: each
+    # member is listed twice, once with its clique's pay_keep and once
+    # with its pay_switch
+    slot = np.concatenate((members, members + n))
+    paid = np.concatenate((owner, owner + count))
+    sums = np.bincount(slot, pay[paid], 2 * n)
 
     keep_cost = instance.unaries[np.arange(n), current]
     switch_cost = instance.unaries[:, alpha]
-    sum_keep = np.bincount(movers, pay_keep[owner], n)
-    sum_switch = np.bincount(movers, pay_switch[owner], n)
+    gap = keep_cost - switch_cost
     margin = np.maximum(FLOW_TOL, 2.0 ** -40 * (
-        np.abs(keep_cost) + np.abs(switch_cost) + sum_keep + sum_switch))
-    switch = mover & (switch_cost + sum_keep < keep_cost - margin)
-    keep = mover & (keep_cost + sum_switch < switch_cost - margin)
-    free = np.flatnonzero(mover & ~switch & ~keep)
+        np.abs(keep_cost) + np.abs(switch_cost) + sums[:n] + sums[n:]))
+    # forced[i]: mover i switches (us + sum_keep < uk - margin); forced[n +
+    # i]: it keeps (uk + sum_switch < us - margin).  A variable holding
+    # alpha has a gap of 0, so it is never forced
+    below = np.concatenate((gap - margin, -gap - margin))
+    while True:
+        forced = sums < below
+        # a clique with a member forced to switch pays pay_keep in every
+        # move, and one with a member forced to keep pays pay_switch
+        fixed = paid[forced[slot].nonzero()[0]]
+        if not np.count_nonzero(pay[fixed]):
+            break
+        pay[fixed] = 0.0
+        sums = np.bincount(slot, pay[paid], 2 * n)
+    switch = forced[:n]
+    loose = (current != alpha) & ~(switch | forced[n:])     # free movers
+    free = loose.nonzero()[0]
+    if not free.size:
+        return None, free, switch
 
     # each clique over its free movers, renumbered as nodes; a clique
     # without them or without weight costs the same in every move
-    pay_keep[owner[switch[movers]]] = 0.0
-    pay_switch[owner[keep[movers]]] = 0.0
-    loose = ~(switch | keep)[movers]
+    pay_keep, pay_switch = pay[:count], pay[count:]
+    loose = loose[members].nonzero()[0]           # their clique entries
     node = np.empty(n, dtype=np.intp)
     node[free] = np.arange(free.size)
-    movers = node[movers[loose]]
-    num_movers = np.bincount(owner[loose], minlength=len(cliques))
+    movers = node[members[loose]]
+    num_movers = np.bincount(owner[loose], minlength=count)
     active = (num_movers > 0) & (pay_keep + pay_switch > 0)
-    ends = np.cumsum(num_movers)
+    ends = num_movers.cumsum()
     starts = ends - num_movers
     net = FlowNetwork()
     net.add_nodes(free.size)
@@ -182,7 +214,7 @@ def _move_network(instance, current, alpha):
     # one or two movers i, j (i = j for one): pay_keep when i switches,
     # pay_switch when j keeps, and both when exactly one of them switches,
     # which the arc i -> j charges
-    small = np.flatnonzero(active & (num_movers <= 2))
+    small = (active & (num_movers <= 2)).nonzero()[0]
     first, last = movers[starts[small]], movers[ends[small] - 1]
     keep_cost = keep_cost[free]
     switch_cost = switch_cost[free]
@@ -191,14 +223,14 @@ def _move_network(instance, current, alpha):
     base = np.minimum(keep_cost, switch_cost)  # offset keeps capacities >= 0
     from_source = (switch_cost - base).tolist()
     to_sink = (keep_cost - base).tolist()
-    for i in np.flatnonzero(keep_cost != switch_cost).tolist():
+    for i in (keep_cost != switch_cost).nonzero()[0].tolist():
         net.add_terminal_arc(i, from_source[i], to_sink[i])
     pair = num_movers[small] == 2
     for i, j, cap in zip(first[pair].tolist(), last[pair].tolist(),
                          (pay_keep[small] + pay_switch[small])[pair].tolist()):
         net.add_arc(i, j, cap)
 
-    gadgets = np.flatnonzero(active & (num_movers > 2))
+    gadgets = (active & (num_movers > 2)).nonzero()[0]
     inf = (net.infinite_capacity()
            + sum((pay_keep[gadgets] + pay_switch[gadgets]).tolist()) + 1.0)
     movers = movers.tolist()

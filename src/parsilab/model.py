@@ -122,9 +122,11 @@ class LabelMetric:
         if m.shape[0] >= 2 and off.min() <= tol:
             return "zero distance between distinct labels"
         # triangle inequality, exhaustively over all i,k,j, one row i at a
-        # time so memory stays O(H^2)
+        # time so memory stays O(H^2); a sum past the largest double is inf,
+        # which compares correctly
         for i in range(m.shape[0]):
-            through = (m[i][:, None] + m).min(axis=0)   # min_k d(i,k)+d(k,j)
+            with np.errstate(over="ignore"):   # min_k d(i,k)+d(k,j)
+                through = (m[i][:, None] + m).min(axis=0)
             if np.any(through < m[i] - tol):
                 return "triangle inequality violated"
         return None
@@ -405,7 +407,8 @@ class PnPottsSpec:
 
 class Cliques:
     """Weighted cliques in CSR form: clique c has the members
-    members[offsets[c]:offsets[c + 1]] and the weight weights[c].
+    members[offsets[c]:offsets[c + 1]] and the weight weights[c], and
+    owner[k] is the clique of members[k].
 
     The arrays are read-only.  Each clique has distinct members and a
     finite non-negative weight; its model calls check_members.
@@ -424,20 +427,21 @@ class Cliques:
             raise InvalidInputError("clique must have at least one member")
         if members.size and members.min() < 0:
             raise InvalidInputError("clique member out of range")
-        keys = np.sort(np.repeat(np.arange(count), sizes)
-                       * (members.max(initial=0) + 1) + members)
+        owner = np.repeat(np.arange(count), sizes)
+        keys = np.sort(owner * (members.max(initial=0) + 1) + members)
         if np.any(keys[1:] == keys[:-1]):
             raise InvalidInputError("clique members must be distinct")
         require_finite(weights, "clique weights")
         if np.any(weights < 0):
             raise InvalidInputError("clique weight must be non-negative")
-        self._set(offsets, members, weights, sizes)
+        self._set(offsets, members, weights, sizes, owner)
 
-    def _set(self, offsets, members, weights, sizes):
-        for a in (offsets, members, weights, sizes):
+    def _set(self, offsets, members, weights, sizes, owner):
+        for a in (offsets, members, weights, sizes, owner):
             a.setflags(write=False)
         self.offsets, self.members, self.weights = offsets, members, weights
         self.sizes, self.max_size = sizes, int(sizes.max(initial=0))
+        self.owner = owner
 
     @classmethod
     def from_lists(cls, members, weights):
@@ -454,8 +458,9 @@ class Cliques:
         offsets = np.zeros(sizes.size + 1, dtype=np.intp)
         np.cumsum(sizes, out=offsets[1:])
         subset = Cliques.__new__(Cliques)
-        subset._set(offsets, self.members[np.repeat(keep, self.sizes)],
-                    self.weights[keep], sizes)
+        subset._set(offsets, self.members[keep[self.owner]],
+                    self.weights[keep], sizes,
+                    np.repeat(np.arange(sizes.size), sizes))
         return subset
 
     def __len__(self):
@@ -491,10 +496,13 @@ class EnergyModel:
             raise InvalidInputError("potential label count does not match unaries")
         cliques.check_members(n)
         # at least every energy's magnitude; the sum over all unaries costs
-        # a tenth of per-variable maxima on narrow tables
+        # a tenth of per-variable maxima on narrow tables.  Without weight
+        # the cliques cost nothing, and 0 * an infinite value bound is nan
+        weight = cliques.weights.sum()
         with np.errstate(over="ignore"):
-            bound = (np.abs(unaries).sum()
-                     + cliques.weights.sum() * potential.value_bound())
+            bound = np.abs(unaries).sum()
+            if weight:
+                bound += weight * potential.value_bound()
         if not bound <= ENERGY_LIMIT:
             raise InvalidInputError(
                 "costs too large: energies could reach %g, above %g"

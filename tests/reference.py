@@ -109,6 +109,36 @@ def best_expansion_move(instance, current, alpha):
     return result
 
 
+def forced_movers(instance, current, alpha):
+    """The movers expansion._move_network fixes in one pass, without the
+    fixpoint: (switch, keep) masks over the variables.
+
+    Mover i switches in every optimal move when us + sum_keep < uk -
+    margin and keeps when uk + sum_switch < us - margin, where sum_keep
+    and sum_switch add up its cliques' pay_keep and pay_switch and the
+    margin is max(FLOW_TOL, 2**-40 * (|uk| + |us| + sum_keep +
+    sum_switch)).
+    """
+    current = check_labeling(current, instance.unaries)
+    n = instance.num_variables
+    sum_keep, sum_switch = np.zeros(n), np.zeros(n)
+    for c, (members, weight) in enumerate(clique_list(instance.cliques)):
+        gamma, gamma_max = instance.gamma[c], instance.gamma_max[c]
+        labs = current[members]
+        gamma_keep = gamma[labs[0]] if np.all(labs == labs[0]) else gamma_max
+        for i in members:
+            if current[i] != alpha:
+                sum_keep[i] += weight * (gamma_max - gamma_keep)
+                sum_switch[i] += weight * (gamma_max - gamma[alpha])
+    keep_cost = instance.unaries[np.arange(n), current]
+    switch_cost = instance.unaries[:, alpha]
+    margin = np.maximum(FLOW_TOL, 2.0 ** -40 * (
+        np.abs(keep_cost) + np.abs(switch_cost) + sum_keep + sum_switch))
+    mover = current != alpha
+    return (mover & (switch_cost + sum_keep < keep_cost - margin),
+            mover & (keep_cost + sum_switch < switch_cost - margin))
+
+
 def alpha_expansion(instance, init=None):
     """alpha_expansion as full sweeps that cut every move of every sweep."""
     if init is None:

@@ -30,6 +30,10 @@ OVERFLOW_PROBLEM = os.path.join(DATA, "overflow_problem.json")
 # a diameter metric whose largest distance over its smallest (1e302 over
 # 1e-8) overflows a double; CI also runs it
 OVERFLOW_RATIO_PROBLEM = os.path.join(DATA, "overflow_ratio_problem.json")
+# a diameter metric with distances 1e308 and 1e300 whose cliques all weigh
+# 0, so its energies are the unaries alone; CI also runs it
+ZERO_WEIGHT_WIDE_METRIC_PROBLEM = os.path.join(
+    DATA, "zero_weight_wide_metric_problem.json")
 
 # energy of the committed fixture at k=10, seed 0; equals the exhaustive
 # optimum of that instance (verified when the fixture was generated)
@@ -239,6 +243,24 @@ def test_overflowing_distance_ratio_exits_2(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot embed") and "2^1023" in err
     assert cli.main(["validate", OVERFLOW_RATIO_PROBLEM]) == cli.EXIT_OK
+
+
+def test_zero_weight_cliques_over_a_wide_metric_solve(tmp_path):
+    """Cliques of weight 0 cost nothing, however large the potential's
+    values: the energy bound does not read 0 * inf as nan, the metric
+    check's overflowing sums raise no warning, and the solve returns the
+    unary minimum."""
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["validate", ZERO_WEIGHT_WIDE_METRIC_PROBLEM]) \
+            == cli.EXIT_OK
+        assert cli.main(["solve", ZERO_WEIGHT_WIDE_METRIC_PROBLEM,
+                         "--report", str(report)]) == cli.EXIT_OK
+    model = load_model(ZERO_WEIGHT_WIDE_METRIC_PROBLEM)
+    doc = json.loads(report.read_text())
+    assert doc["labeling"] == model.unaries.argmin(axis=1).tolist()
+    assert doc["energy"] == model.unaries.min(axis=1).sum()
 
 
 def test_failed_energy_recheck_exits_1(monkeypatch, capsys):

@@ -101,15 +101,26 @@ def _chain_instance(unaries):
 def test_mover_whose_unary_gap_beats_its_clique_bound_gets_no_node():
     # variable 0 gains 5 by switching and the clique can cost it at most
     # pay_keep = 1.5, so it switches; variable 2 loses 5 by switching and
-    # the clique can save it at most pay_switch = 1, so it keeps.  The
-    # clique then pays both in every move and drops out: variable 1 is a
-    # lone node with its unaries
+    # the clique can save it at most pay_switch = 1, so it keeps.  One pass
+    # fixes only those two
     inst = _chain_instance([[5.0, 0.0], [0.0, 0.25], [0.0, 5.0]])
-    net, free, switch = expansion._move_network(inst, np.zeros(3, np.intp), 1)
-    np.testing.assert_array_equal(free, [1])
+    current = np.zeros(3, np.intp)
+    switch, keep = reference.forced_movers(inst, current, 1)
     np.testing.assert_array_equal(switch, [True, False, False])
-    assert net.num_nodes == 1
-    assert _move_network_shape(inst, [0, 0, 0], 1) == (1, 0, [(0, 0.25, 0.0)])
+    np.testing.assert_array_equal(keep, [False, False, True])
+    # the clique then pays both in every move and drops out, so the next
+    # pass fixes variable 1 by its unaries alone: it keeps, 0.25 cheaper.
+    # No mover is left free, and the move gets no network
+    net, free, switch = expansion._move_network(inst, current, 1)
+    assert net is None
+    np.testing.assert_array_equal(free, [])
+    np.testing.assert_array_equal(switch, [True, False, False])
+    with mock.patch.object(FlowNetwork, "compute_max_flow") as flow:
+        move = best_expansion_move(inst, current, 1)
+    assert flow.call_count == 0
+    np.testing.assert_array_equal(move, [1, 0, 0])
+    np.testing.assert_array_equal(
+        move, reference.best_expansion_move(inst, current, 1))
 
 
 @pytest.mark.parametrize("gap", [0.0, FLOW_TOL / 2])
@@ -158,7 +169,8 @@ def test_fixed_movers_do_not_depend_on_the_cost_scale():
     100: scaled down by 3 * 10**12 it still clears the margin's floor, the
     flow's absolute FLOW_TOL of 1e-11, below which a gap stays free at
     every scale.  Above the floor the margin scales with the costs, so the
-    rounding of a scaled tie never reads as a gap."""
+    rounding of a scaled tie never reads as a gap.  The fixpoint fixes
+    the same movers at every scale as at scale 1."""
     rng = np.random.default_rng(12)
     n, h = 40, 3
     # a small grid, on which 7 of the 80 movers of the three moves tie
@@ -167,18 +179,23 @@ def test_fixed_movers_do_not_depend_on_the_cost_scale():
                 100.0 * rng.integers(0, 3, size=h), 300.0,
                 float(rng.integers(0, 3))) for _ in range(30)]
     current = rng.integers(0, h, size=n)
-    seen = []
-    for k in range(-12, 13):
-        s = 10.0 ** k / 3
+
+    def fixed_movers(s):
         inst = pn_instance(unaries * s, [(m, g * s, gm * s, w)
                                          for m, g, gm, w in cliques])
-        seen.append([_fixed_movers(inst, current, alpha)
-                     for alpha in range(h)])
-    fixed, _ = zip(*seen[12])
-    assert 0 < sum(f.sum() for f in fixed) < sum((current != a).sum()
-                                                 for a in range(h))
-    for scaled in seen:
-        for (f, sw), (f0, sw0) in zip(scaled, seen[12]):
+        return inst, [_fixed_movers(inst, current, alpha)
+                      for alpha in range(h)]
+
+    inst, at_one = fixed_movers(1.0)
+    fixed, _ = zip(*at_one)
+    one_pass = [np.logical_or(*reference.forced_movers(inst, current, alpha))
+                for alpha in range(h)]
+    # the fixpoint fixes more than one pass, which fixes some but not all
+    assert (0 < sum(f.sum() for f in one_pass) < sum(f.sum() for f in fixed)
+            < sum((current != a).sum() for a in range(h)))
+    for s in [10.0 ** k for k in range(-12, 13)] + [10.0 ** k / 3
+                                                   for k in range(-12, 13)]:
+        for (f, sw), (f0, sw0) in zip(fixed_movers(s)[1], at_one):
             np.testing.assert_array_equal(f, f0)
             np.testing.assert_array_equal(sw, sw0)
 

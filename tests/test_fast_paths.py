@@ -95,6 +95,42 @@ def test_move_with_forced_movers_matches_unreduced_build(data):
     assert abs(inst.evaluate(move) - inst.evaluate(best)) <= 1e-9
 
 
+@st.composite
+def expansion_moves(draw):
+    """(instance, current labeling, alpha) of a random move.  Each unary
+    is drawn near the clique costs or far wider, so that some movers are
+    forced at once and others only once their cliques drop out; uniform
+    labelings give every clique a pay_keep."""
+    inst = draw(pn_instances(unary_costs=costs | wide_costs))
+    current = draw(labelings(inst) | st.integers(
+        0, inst.num_labels - 1).map(lambda l: np.full(inst.num_variables, l)))
+    return inst, current, draw(st.integers(0, inst.num_labels - 1))
+
+
+@SETTINGS
+@given(expansion_moves())
+# one clique over three variables: one pass fixes variable 0 to switch and
+# 2 to keep, and only the second pass, where the clique pays both terms
+# in every move, fixes variable 1 to keep
+@example((pn_instance([[5.0, 0.0], [0.0, 0.25], [0.0, 5.0]],
+                      [([0, 1, 2], [0.5, 1.0], 2.0, 1.0)]),
+          np.zeros(3, np.intp), 1))
+def test_fixpoint_extends_one_pass_and_agrees_with_the_move(move):
+    """The fixpoint fixes every mover one pass fixes, each as the
+    unreduced move sets it, and the move is the unreduced one."""
+    inst, current, alpha = move
+    one_switch, one_keep = reference.forced_movers(inst, current, alpha)
+    _, free, switch = expansion._move_network(inst, current, alpha)
+    keep = (current != alpha) & ~switch
+    keep[free] = False
+    assert np.all(switch >= one_switch) and np.all(keep >= one_keep)
+    oracle = reference.best_expansion_move(inst, current, alpha)
+    assert np.all(oracle[switch] == alpha)
+    np.testing.assert_array_equal(oracle[keep], current[keep])
+    np.testing.assert_array_equal(best_expansion_move(inst, current, alpha),
+                                  oracle)
+
+
 @SETTINGS
 @given(st.data())
 def test_pairwise_move_matches_gadget_build_and_enumeration(data):

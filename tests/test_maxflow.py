@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from parsilab.expansion import _move_network
@@ -267,13 +267,22 @@ def test_random_networks_match_dinic(net):
     _assert_same_as_dinic(net)
 
 
+# unaries closer than the clique costs, so that fewer movers are forced
+# and more cliques keep three free movers, a gadget
+close_costs = st.sampled_from([0.0, 0.5, 1.0]) \
+    | st.floats(0.0, 1.0, allow_nan=False)
+
+
 @st.composite
 def move_networks(draw):
-    """The flow networks of expansion moves on random instances."""
-    inst = draw(pn_instances())
+    """The flow networks of expansion moves on random instances; a move
+    whose movers are all forced has none, and is not drawn."""
+    inst = draw(pn_instances()
+                | pn_instances(unary_costs=close_costs, clique_size=3))
     current = draw(labelings(inst))
     alpha = draw(st.integers(0, inst.num_labels - 1))
     net, _, _ = _move_network(inst, current, alpha)
+    assume(net is not None)
     return net
 
 
