@@ -6,14 +6,13 @@ optimal expansion move for such an energy is a single min st-cut; the
 sweep over alpha labels then descends monotonically to a local minimum.
 A PnPottsInstance keeps its cliques as a model.Cliques, so energies and
 move networks are built from the CSR clique arrays.  Before a move's
-network is built, every variable whose own costs decide it (it keeps, or
-switches, in every optimal move) is fixed.  Each fixed variable takes a
-clique term off its neighbours' costs, so the rule is applied again until
-a pass takes no further term off; only the free variables get nodes, and
-on lattices most moves are left with none.  A move network's per-node arc
-lists hold no reference cycles, so each move is built, solved and read
-with the cyclic garbage collector paused: otherwise its allocations set
-off collections that traverse those lists for nothing.
+network is built, every variable whose costs decide it (it keeps, or
+switches, in every optimal move) is fixed, to a fixpoint; only the free
+variables get nodes, and on lattices most moves are left with none.  A
+move network's per-node arc lists hold no reference cycles, so each move
+is built, solved and read with the cyclic garbage collector paused:
+otherwise its allocations set off collections that traverse those lists
+for nothing.
 """
 
 import gc
@@ -140,18 +139,13 @@ def _move_network(instance, current, alpha):
     no free mover gets no network (None).  The network is built apart from
     the flow, so its working lists are freed before it.
 
-    The forced movers are found to a fixpoint: once a mover is fixed, its
-    cliques pay the fixed term in every move, which drops out of the
-    other members' sums, so they are tested again until a pass drops no
-    further payment.  The fixing margin is at least FLOW_TOL, so no fixed
-    mover's gap is one the flow would read as zero, and grows with the
-    mover's cost magnitude in the first pass (2**-40 of it), so rounding
-    in the sums cannot fake a gap and scaling every cost leaves the fixed
-    set as it is.  The sums only fall from pass to pass, so the first
-    pass's margin is the largest, and keeping it only ever fixes fewer
-    movers.  A mover on an exact tie stays free: some optimal moves keep
-    it and some switch it, and only the cut picks the least keep-set
-    among them.
+    The fixing margin is at least FLOW_TOL, so no fixed mover's gap is one
+    the flow would read as zero, and 2**-40 of the mover's cost magnitude
+    beyond that, so rounding in the sums cannot fake a gap and scaling
+    every cost leaves the fixed set as it is.  It is taken from the first
+    pass: the sums only fall, so that margin is the largest and only ever
+    fixes fewer movers.  A mover on an exact tie stays free: only the cut
+    picks the least keep-set among the optimal moves.
     """
     n = instance.num_variables
     cliques = instance.cliques
