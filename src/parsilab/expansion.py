@@ -67,6 +67,11 @@ class PnPottsInstance:
         self.gamma = gamma
         self.gamma_max = gamma_max
         self._rows = np.arange(count)
+        # every clique entry twice, as the slots of a move's per-variable
+        # sums: member i at slot i with its clique's pay_keep (paid entry
+        # c), and at slot n + i with its pay_switch (paid entry count + c)
+        self._slot = np.concatenate((cliques.members, cliques.members + n))
+        self._paid = np.concatenate((cliques.owner, cliques.owner + count))
 
     def clique_gamma(self, labeling):
         """Per clique: gamma of its label if uniformly labeled, else
@@ -75,15 +80,20 @@ class PnPottsInstance:
                                      self.cliques.offsets)
         return np.where(uniform, self.gamma[self._rows, low], self.gamma_max)
 
-    def evaluate(self, labeling):
+    def evaluate(self, labeling, clique_gamma=None):
+        """Energy of the labeling.  clique_gamma is its clique_gamma, if
+        the caller has it."""
         labeling = check_labeling(labeling, self.unaries)
+        if clique_gamma is None:
+            clique_gamma = self.clique_gamma(labeling)
         e = float(self.unaries[np.arange(self.num_variables), labeling].sum())
-        return ordered_sum(e, self.cliques.weights
-                           * self.clique_gamma(labeling))
+        return ordered_sum(e, self.cliques.weights * clique_gamma)
 
 
-def best_expansion_move(instance, current, alpha):
+def best_expansion_move(instance, current, alpha, clique_gamma=None):
     """Exact minimum over the move space {keep current label, switch to alpha}.
+
+    clique_gamma is instance.clique_gamma(current), if the caller has it.
 
     A clique's movers are its members not yet labeled alpha; it pays
     pay_keep unless every mover keeps and pay_switch unless every mover
@@ -120,7 +130,8 @@ def best_expansion_move(instance, current, alpha):
     collecting = gc.isenabled()
     gc.disable()
     try:
-        net, free, switch = _move_network(instance, current, alpha)
+        net, free, switch = _move_network(instance, current, alpha,
+                                          clique_gamma)
         if net is not None:
             net.compute_max_flow()
             switch[free] = ~net.source_side_mask()[:free.size]
@@ -131,7 +142,7 @@ def best_expansion_move(instance, current, alpha):
     return np.where(switch, alpha, current)
 
 
-def _move_network(instance, current, alpha):
+def _move_network(instance, current, alpha, clique_gamma=None):
     """The flow network of one expansion move (see best_expansion_move).
 
     Returns the network, the free movers in node order (node k is variable
@@ -151,20 +162,18 @@ def _move_network(instance, current, alpha):
     cliques = instance.cliques
     count = len(cliques)
     members, owner = cliques.members, cliques.owner
+    if clique_gamma is None:
+        clique_gamma = instance.clique_gamma(current)
     # pay[c] is clique c's pay_keep, what it pays unless every mover keeps
     # its label, and pay[count + c] its pay_switch
     pay = np.empty(2 * count)
-    np.multiply(cliques.weights,
-                instance.gamma_max - instance.clique_gamma(current),
+    np.multiply(cliques.weights, instance.gamma_max - clique_gamma,
                 out=pay[:count])
     np.multiply(cliques.weights,
                 instance.gamma_max - instance.gamma[:, alpha],
                 out=pay[count:])
-    # sums[i] is variable i's sum_keep and sums[n + i] its sum_switch: each
-    # member is listed twice, once with its clique's pay_keep and once
-    # with its pay_switch
-    slot = np.concatenate((members, members + n))
-    paid = np.concatenate((owner, owner + count))
+    # sums[i] is variable i's sum_keep and sums[n + i] its sum_switch
+    slot, paid = instance._slot, instance._paid
     sums = np.bincount(slot, pay[paid], 2 * n)
 
     keep_cost = instance.unaries[np.arange(n), current]
@@ -273,7 +282,10 @@ def alpha_expansion(instance, init=None):
         labeling = np.zeros(instance.num_variables, dtype=np.intp)
     else:
         labeling = check_labeling(init, instance.unaries).copy()
-    energy = instance.evaluate(labeling)
+    # each labeling's clique costs are computed once, for its energy and
+    # every move from it
+    gamma = instance.clique_gamma(labeling)
+    energy = instance.evaluate(labeling, gamma)
     trace = MoveTrace()
     h = instance.num_labels
     tried = [-1] * h      # accepted-move count when alpha was last tried
@@ -289,13 +301,14 @@ def alpha_expansion(instance, init=None):
             tried[alpha] = accepted
             if np.all(labeling == alpha):
                 continue
-            proposal = best_expansion_move(instance, labeling, alpha)
+            proposal = best_expansion_move(instance, labeling, alpha, gamma)
             if np.array_equal(proposal, labeling):
                 continue
-            e = instance.evaluate(proposal)
+            proposal_gamma = instance.clique_gamma(proposal)
+            e = instance.evaluate(proposal, proposal_gamma)
             if e < energy - ACCEPT_TOL:
                 spans_all = h == 2 and labeling.min() == labeling.max()
-                labeling, energy = proposal, e
+                labeling, energy, gamma = proposal, e, proposal_gamma
                 accepted += 1
                 trace.moves.append((trace.sweeps, alpha, e))
                 tried[alpha] = accepted

@@ -6,11 +6,13 @@ heads and the capacities.  A solve first lays the arcs out once: one
 numpy sort orders the arc ids by tail, stably, and a bincount cumsum
 gives each node's start offset, from which each node gets the list of
 its arcs.  It then runs two steps on one residual list.  A greedy pass
-first pushes flow along every residual path source -> u -> sink and
-source -> u -> v -> sink, which on expansion-move networks carries most
-of the flow.  Boykov-Kolmogorov augmentation (PAMI 2004) then finishes
-the flow: a source tree and a sink tree persist across augmentations, so
-each path costs a local search instead of a scan of the whole graph.
+first pushes flow along the residual paths from the source with one, two
+or three middle nodes to the sink.  Those are the paths of the robust
+P^n gadget, source -> hub -> mover -> hub -> sink, so on expansion-move
+networks the pass carries almost all of the flow.  Boykov-Kolmogorov
+augmentation (PAMI 2004) then finishes the flow: a source tree and a
+sink tree persist across augmentations, so each path costs a local
+search instead of a scan of the whole graph.
 
 The cut read is the set of nodes reachable from the source in the
 residual graph.  That set is the least minimum cut, the same for every
@@ -198,13 +200,30 @@ def _arc_lists(to, n):
 
 
 def _short_paths(head, to, res):
-    """Push flow along the residual paths source -> u -> sink and
-    source -> u -> v -> sink, the source's arcs taken in order.  Returns
-    the flow pushed."""
+    """Push flow along the residual paths with at most three middle nodes,
+    the source's arcs taken in order.  Returns the flow pushed.
+
+    From each source arc's head u the pass tries u -> sink, then for each
+    residual arc u -> v in order v -> sink and then v -> w -> sink.  The
+    nodes with a residual arc into the sink are the drains.  The first
+    time a path reaches v, v gets the list of its residual arcs to drains,
+    taken last first; an entry leaves the list once its arc saturates or
+    its drain is no longer one.  So each arc is scanned once here, and
+    the pass costs O(arcs + pushes).  On expansion-move networks, where a
+    P^n gadget's paths run source -> hub -> mover -> hub -> sink, it
+    carries almost all of the flow.
+
+    A sink arc only loses residual here, so once u -> sink is tried with
+    flow left over, u is no drain: no path runs back through u to the
+    sink, and no pushed path uses an arc twice.
+    """
     tol = FLOW_TOL
-    sink_arc = [-1] * len(head)        # per node, one arc into the sink
+    sink_arc = [-1] * len(head)        # per drain, its arc into the sink
     for b in head[1]:
-        sink_arc[to[b]] = b ^ 1
+        if res[b ^ 1] > tol:
+            sink_arc[to[b]] = b ^ 1
+    drains = [None] * len(head)        # per middle node, its arcs to drains
+    drains[0] = drains[1] = ()         # the terminals are never in a path
     total = 0.0
     for a in head[0]:
         r = res[a]
@@ -212,24 +231,59 @@ def _short_paths(head, to, res):
             continue
         u = to[a]
         t = sink_arc[u]
-        if t >= 0 and res[t] > tol:
+        if t >= 0:
             d = min(r, res[t])
             res[t] -= d
             res[t ^ 1] += d
             r -= d
+            if res[t] <= tol:
+                sink_arc[u] = -1
         if r > tol:
             for b in head[u]:
-                if res[b] > tol:
-                    t = sink_arc[to[b]]
-                    if t >= 0 and res[t] > tol:
-                        d = min(r, res[b], res[t])
-                        res[b] -= d
-                        res[b ^ 1] += d
-                        res[t] -= d
-                        res[t ^ 1] += d
-                        r -= d
-                        if r <= tol:
-                            break
+                if res[b] <= tol:
+                    continue
+                v = to[b]
+                t = sink_arc[v]
+                if t >= 0:
+                    d = min(r, res[b], res[t])
+                    res[b] -= d
+                    res[b ^ 1] += d
+                    res[t] -= d
+                    res[t ^ 1] += d
+                    r -= d
+                    if res[t] <= tol:
+                        sink_arc[v] = -1
+                    if r <= tol:
+                        break
+                    if res[b] <= tol:
+                        continue
+                arcs = drains[v]
+                if arcs is None:
+                    arcs = drains[v] = []
+                    for c in head[v]:
+                        if sink_arc[to[c]] >= 0 and res[c] > tol:
+                            arcs.append(c)
+                while arcs:
+                    c = arcs[-1]
+                    w = to[c]
+                    t = sink_arc[w]
+                    if t < 0 or res[c] <= tol:
+                        arcs.pop()
+                        continue
+                    d = min(r, res[b], res[c], res[t])
+                    res[b] -= d
+                    res[b ^ 1] += d
+                    res[c] -= d
+                    res[c ^ 1] += d
+                    res[t] -= d
+                    res[t ^ 1] += d
+                    r -= d
+                    if res[t] <= tol:
+                        sink_arc[w] = -1
+                    if r <= tol or res[b] <= tol:
+                        break
+                if r <= tol:
+                    break
         d = res[a] - r                 # what this source arc carried
         res[a] = r
         res[a ^ 1] += d

@@ -142,8 +142,9 @@ def solve_hierarchical(model, tree):
             if len(children) == 1:
                 lab = children[0]
             else:
-                instance = build_fusion_instance(model, tree, node, children)
-                choice, _ = alpha_expansion(instance)
+                # unnamed, so the instance is freed before the next is built
+                choice, _ = alpha_expansion(
+                    build_fusion_instance(model, tree, node, children))
                 lab = children[choice, np.arange(n)]
         labelings[node] = lab
 

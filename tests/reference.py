@@ -11,7 +11,8 @@ from conftest import pn_instance
 from parsilab.expansion import ACCEPT_TOL, MoveTrace
 from parsilab.model import Cliques, InvalidInputError, check_labeling
 from parsilab.hst import ROOT, RHst
-from parsilab.maxflow import FLOW_TOL, FlowNetwork
+from parsilab.maxflow import (FLOW_TOL, FlowNetwork, _arc_lists,
+                              _search_trees)
 from parsilab.oracle import SizeError
 
 MAX_MOVE_SPACE = 10 ** 6
@@ -483,20 +484,89 @@ def arc_lists(net):
     return head
 
 
-class DinicNetwork(FlowNetwork):
-    """FlowNetwork solved by Dinic's algorithm instead of the short-path
-    pass and Boykov-Kolmogorov augmentation, on per-node arc lists built
-    by arc_lists instead of the solve-time layout.  Without search trees,
-    its cut is read by source_reachable."""
+class _OracleNetwork(FlowNetwork):
+    """FlowNetwork solved another way, its cut read by source_reachable."""
 
     @classmethod
     def copy_of(cls, net):
-        """A DinicNetwork with the nodes and arcs of net, in its arc order."""
+        """A network of this class with the nodes and arcs of net, in its
+        arc order."""
         copy = cls()
         copy.add_nodes(net.num_nodes)
         copy._to = list(net._to)
         copy._cap = list(net._cap)
         return copy
+
+    def _residual_reachable(self):
+        self._require_solved()
+        if self._reachable is None:
+            self._reachable = source_reachable(self)
+        return self._reachable
+
+
+def two_hop_paths(head, to, res):
+    """The greedy pass before the three-hop one: push flow along the
+    residual paths source -> u -> sink and source -> u -> v -> sink, the
+    source's arcs taken in order.  Returns the flow pushed."""
+    tol = FLOW_TOL
+    sink_arc = [-1] * len(head)        # per node, one arc into the sink
+    for b in head[1]:
+        sink_arc[to[b]] = b ^ 1
+    total = 0.0
+    for a in head[0]:
+        r = res[a]
+        if r <= tol:
+            continue
+        u = to[a]
+        t = sink_arc[u]
+        if t >= 0 and res[t] > tol:
+            d = min(r, res[t])
+            res[t] -= d
+            res[t ^ 1] += d
+            r -= d
+        if r > tol:
+            for b in head[u]:
+                if res[b] > tol:
+                    t = sink_arc[to[b]]
+                    if t >= 0 and res[t] > tol:
+                        d = min(r, res[b], res[t])
+                        res[b] -= d
+                        res[b ^ 1] += d
+                        res[t] -= d
+                        res[t ^ 1] += d
+                        r -= d
+                        if r <= tol:
+                            break
+        d = res[a] - r                 # what this source arc carried
+        res[a] = r
+        res[a ^ 1] += d
+        total += d
+    return total
+
+
+class TwoHopNetwork(_OracleNetwork):
+    """FlowNetwork whose greedy pass is two_hop_paths; the package's
+    layout and Boykov-Kolmogorov augmentation do the rest."""
+
+    def compute_max_flow(self):
+        if self._solved():
+            return self._flow_value
+        to = self._to
+        self._head = head = _arc_lists(to, self._nodes + 2)
+        res = list(self._cap)
+        total = two_hop_paths(head, to, res)
+        total += _search_trees(head, to, res)[0]
+        self._res = res
+        self._flow_value = total
+        self._reachable = None
+        self._solved_size = (self._nodes, len(self._to))
+        return total
+
+
+class DinicNetwork(_OracleNetwork):
+    """FlowNetwork solved by Dinic's algorithm instead of the short-path
+    pass and Boykov-Kolmogorov augmentation, on per-node arc lists built
+    by arc_lists instead of the solve-time layout."""
 
     def compute_max_flow(self):
         if self._solved():
@@ -562,9 +632,3 @@ class DinicNetwork(FlowNetwork):
         self._reachable = None
         self._solved_size = (self._nodes, len(self._to))
         return total
-
-    def _residual_reachable(self):
-        self._require_solved()
-        if self._reachable is None:
-            self._reachable = source_reachable(self)
-        return self._reachable

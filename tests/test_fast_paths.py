@@ -240,6 +240,22 @@ def test_two_label_expansion_is_one_exact_cut(data):
 
 @SETTINGS
 @given(st.data())
+def test_expansion_computes_each_labelings_clique_costs_once(data):
+    """A labeling's clique costs serve its energy and every move from it,
+    so the sweep computes them once per labeling it evaluates."""
+    inst = data.draw(pn_instances())
+    init = data.draw(labelings(inst))
+    cls = expansion.PnPottsInstance
+    with mock.patch.object(cls, "clique_gamma", autospec=True,
+                           side_effect=cls.clique_gamma) as gamma, \
+            mock.patch.object(cls, "evaluate", autospec=True,
+                              side_effect=cls.evaluate) as evaluate:
+        alpha_expansion(inst, init)
+    assert gamma.call_count == evaluate.call_count
+
+
+@SETTINGS
+@given(st.data())
 def test_two_label_expansion_from_mixed_start_matches_full_sweeps(data):
     """Only a move from a uniform labeling spans {0,1}^N: from a mixed
     start the sweep must go on after its first accepted move."""

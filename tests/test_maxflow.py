@@ -6,12 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from parsilab.expansion import _move_network
-from parsilab.maxflow import FlowNetwork, StateError
-from reference import DinicNetwork, arc_lists, source_reachable
+from parsilab.maxflow import (FlowNetwork, StateError, _arc_lists,
+                              _search_trees, _short_paths)
+from reference import (DinicNetwork, TwoHopNetwork, arc_lists,
+                       source_reachable, two_hop_paths)
 from test_fast_paths import labelings, pn_instances
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
@@ -46,10 +48,12 @@ def _cut_capacity(net):
                if reach[u] for a in arcs if not reach[net._to[a]])
 
 
-def _flow_excess(net, v):
-    """Net inflow at node v of the solved network."""
+def _flow_excess(net, v, res=None):
+    """Net inflow at internal node v (0 the source, 1 the sink, u + 2 node
+    u) of the residual res, by default that of the solved network."""
+    res = net._res if res is None else res
     # cap - res on each arc slot leaving v is the net flow it carries out
-    return -sum(net._cap[a] - net._res[a] for a in arc_lists(net)[v + 2])
+    return -sum(net._cap[a] - res[a] for a in arc_lists(net)[v])
 
 
 def _build(terminal, arcs):
@@ -143,7 +147,7 @@ def test_random_networks_match_cut_enumeration():
         assert abs(_cut_capacity(net) - flow) <= 1e-9
         # conservation at every non-terminal node
         for v in nodes:
-            assert abs(_flow_excess(net, v)) <= 1e-9
+            assert abs(_flow_excess(net, v + 2)) <= 1e-9
 
 
 def test_queries_require_solved_state():
@@ -244,27 +248,65 @@ def networks(draw, max_nodes=14, caps=capacities):
     return net
 
 
-def _assert_same_as_dinic(net):
-    oracle = DinicNetwork.copy_of(net)
-    flow = net.compute_max_flow()
-    assert abs(flow - oracle.compute_max_flow()) <= 1e-9
-    np.testing.assert_array_equal(net.source_side_mask(),
-                                  oracle.source_side_mask())
-    # the residual is a flow: within capacity, twin residuals sum to the
-    # twin capacities, and every node but the terminals conserves it
-    res, cap = np.asarray(net._res), np.asarray(net._cap)
+def _assert_is_flow(net, res):
+    """The residual res is a flow on net: within capacity, twin residuals
+    sum to the twin capacities, and every node but the terminals conserves
+    it."""
+    res, cap = np.asarray(res), np.asarray(net._cap)
     twin = np.arange(cap.size) ^ 1
     assert np.all(res >= -1e-9)
     np.testing.assert_allclose(res + res[twin], cap + cap[twin], rtol=0,
                                atol=1e-9)
-    for v in range(net.num_nodes):
-        assert abs(_flow_excess(net, v)) <= 1e-9
+    for v in range(2, net.num_nodes + 2):
+        assert abs(_flow_excess(net, v, res)) <= 1e-9
+
+
+def _assert_same_as_oracles(net):
+    """The greedy pass alone pushes a flow of the value it returns, and the
+    full solve matches Dinic's algorithm and the two-hop pass followed by
+    the same augmentation, in flow and in cut."""
+    res = list(net._cap)
+    pushed = _short_paths(_arc_lists(net._to, net.num_nodes + 2), net._to, res)
+    _assert_is_flow(net, res)
+    assert abs(_flow_excess(net, 1, res) - pushed) <= 1e-9
+    flow = net.compute_max_flow()
+    for oracle in (DinicNetwork.copy_of(net), TwoHopNetwork.copy_of(net)):
+        assert abs(flow - oracle.compute_max_flow()) <= 1e-9
+        np.testing.assert_array_equal(net.source_side_mask(),
+                                      oracle.source_side_mask())
+    _assert_is_flow(net, net._res)
+
+
+def _network(arcs, terminal):
+    """A network of the given arcs (u, v, cap), in order, after the
+    terminal arcs (v, cap_from_source, cap_to_sink)."""
+    net = FlowNetwork()
+    net.add_nodes(1 + max(max(u, v) for u, v, _ in arcs))
+    for v, cs, ct in terminal:
+        net.add_terminal_arc(v, cs, ct)
+    for u, v, cap in arcs:
+        net.add_arc(u, v, cap)
+    return net
 
 
 @SETTINGS
 @given(networks())
+# a self-loop on a three-hop path: source -> 0 -> 0 -> 1 -> sink
+@example(_network([(0, 0, 5.0), (0, 1, 2.0), (1, 1, 1.0)],
+                  [(0, 3.0, 0.0), (1, 0.0, 4.0)]))
+# 1 -> 2 in node 1's drain list when node 2's sink arc saturates, and its
+# antiparallel 2 -> 1, which makes source -> 2 -> 1 -> 2 -> sink a path
+@example(_network([(0, 1, 5.0), (1, 2, 5.0), (2, 1, 5.0)],
+                  [(0, 1.0, 0.0), (2, 4.0, 3.0)]))
+# node 3's sink arc saturates in the middle of the pass, on the path
+# source -> 5 -> 3 -> sink, while it is still in node 2's drain list,
+# which node 1 reaches next
+@example(_network([(0, 2, 5.0), (5, 3, 5.0), (1, 2, 5.0), (2, 3, 5.0),
+                   (2, 4, 5.0)],
+                  [(0, 1.0, 0.0), (5, 1.0, 0.0), (1, 3.0, 0.0),
+                   (3, 0.0, 1.0), (4, 0.0, 2.0)]))
 def test_random_networks_match_dinic(net):
-    _assert_same_as_dinic(net)
+    _assert_same_as_oracles(net)
 
 
 # unaries closer than the clique costs, so that fewer movers are forced
@@ -289,7 +331,36 @@ def move_networks(draw):
 @SETTINGS
 @given(move_networks())
 def test_move_networks_match_dinic(net):
-    _assert_same_as_dinic(net)
+    _assert_same_as_oracles(net)
+
+
+def test_three_hop_pass_carries_shared_gadget_flow():
+    """Two P^n gadgets over the movers 0-3 and 1-4 share the movers 1-3.
+    Each has a hub b fed by the source, with infinite arcs to its movers,
+    and a hub a draining to the sink, with infinite arcs from them; the
+    movers have no terminal arcs.  Every augmenting path then runs
+    source -> b -> mover -> a -> sink: the three-hop pass carries the
+    whole flow, and the two-hop pass none of it."""
+    net = FlowNetwork()
+    movers = net.add_nodes(5)
+    inf = 100.0
+    for clique, pay_keep, pay_switch in ((movers[:4], 3.0, 2.0),
+                                         (movers[1:], 2.0, 4.0)):
+        b, a = net.add_nodes(2)
+        net.add_terminal_arc(b, pay_keep, 0.0)
+        net.add_terminal_arc(a, 0.0, pay_switch)
+        for i in clique:
+            net.add_arc(b, i, inf)
+            net.add_arc(i, a, inf)
+    flow = DinicNetwork.copy_of(net).compute_max_flow()
+    assert flow == 5.0
+    head = _arc_lists(net._to, net.num_nodes + 2)
+    res = list(net._cap)
+    assert _short_paths(head, net._to, res) == flow
+    assert _search_trees(head, net._to, res)[0] == 0.0
+    res = list(net._cap)
+    assert two_hop_paths(head, net._to, res) == 0.0
+    assert _search_trees(head, net._to, res)[0] == flow
 
 
 @pytest.mark.parametrize("family", [networks(), move_networks()],
