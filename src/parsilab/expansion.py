@@ -5,7 +5,10 @@ A clique pays gamma[k] when uniformly labeled l_k and gamma_max otherwise
 optimal expansion move for such an energy is a single min st-cut; the
 sweep over alpha labels then descends monotonically to a local minimum.
 A PnPottsInstance keeps its cliques as a model.Cliques, so energies and
-move networks are built from the CSR clique arrays.  Before a move's
+move networks are built from the CSR clique arrays.  An instance may be
+a disjoint union of components, such as one height's fusion nodes of a
+tree solve; alpha_expansion sweeps it as if each component were swept
+alone, with one cut per move for all of them.  Before a move's
 network is built, every variable whose costs decide it (it keeps, or
 switches, in every optimal move) is fixed, to a fixpoint; only the free
 variables get nodes, and on lattices most moves are left with none.  A
@@ -22,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .maxflow import FLOW_TOL, FlowNetwork
-from .model import (InvalidInputError, check_labeling, ordered_sum,
-                    require_finite, uniform_label)
+from .model import (InvalidInputError, check_labeling, require_finite,
+                    uniform_label)
 
 ACCEPT_TOL = 1e-9
 
@@ -34,9 +37,17 @@ class PnPottsInstance:
     ``cliques`` holds the members and weights (model.Cliques); clique c
     also has the per-label cost table gamma[c] and the disagreement cost
     gamma_max[c].  gamma may also be one table shared by every clique.
+
+    An instance may be a disjoint union of components (see
+    solver.build_fusion_instance): with component_labels of m entries,
+    the variables and the cliques each split into m equal consecutive
+    blocks, component j's cliques lie inside its variables, and component
+    j uses only the labels below component_labels[j].  By default the
+    instance is one component that uses every label.
     """
 
-    def __init__(self, unaries, cliques, gamma, gamma_max):
+    def __init__(self, unaries, cliques, gamma, gamma_max,
+                 component_labels=None):
         unaries = np.asarray(unaries, dtype=float)
         if unaries.ndim != 2:
             raise InvalidInputError("unaries must be N x H")
@@ -60,12 +71,27 @@ class PnPottsInstance:
         if np.any(gamma[weighted] >= gamma_max[weighted, None]):
             raise InvalidInputError(
                 "gamma_max must strictly exceed every gamma[k] when weighted")
+        if component_labels is None:
+            component_labels = [h]
+        labels = np.array(component_labels, dtype=np.intp)
+        m = labels.size
+        if (labels.ndim != 1 or not m or n % m or count % m
+                or labels.min() < 1 or labels.max() > h):
+            raise InvalidInputError("components must split the variables "
+                                    "and cliques evenly, each with 1..H "
+                                    "labels")
+        if m > 1 and np.any(cliques.owner // (count // m)
+                            != cliques.members // (n // m)):
+            raise InvalidInputError("each clique must lie inside one "
+                                    "component")
         self.unaries = unaries
         self.num_variables = n
         self.num_labels = h
         self.cliques = cliques
         self.gamma = gamma
         self.gamma_max = gamma_max
+        self.component_labels = labels
+        self.num_components = m
         self._rows = np.arange(count)
         # every clique entry twice, as the slots of a move's per-variable
         # sums: member i at slot i with its clique's pay_keep (paid entry
@@ -81,19 +107,34 @@ class PnPottsInstance:
         return np.where(uniform, self.gamma[self._rows, low], self.gamma_max)
 
     def evaluate(self, labeling, clique_gamma=None):
-        """Energy of the labeling.  clique_gamma is its clique_gamma, if
-        the caller has it."""
+        """Energy of the labeling: a float, or for an instance of several
+        components an array of each component's energy.  clique_gamma is
+        its clique_gamma, if the caller has it.
+
+        A component's energy is its unaries summed (np.sum) plus its
+        clique costs added one by one in clique order, so it does not
+        depend on the other components.
+        """
         labeling = check_labeling(labeling, self.unaries)
         if clique_gamma is None:
             clique_gamma = self.clique_gamma(labeling)
-        e = float(self.unaries[np.arange(self.num_variables), labeling].sum())
-        return ordered_sum(e, self.cliques.weights * clique_gamma)
+        m = self.num_components
+        terms = np.empty((m, 1 + len(self.cliques) // m))
+        terms[:, 0] = self.unaries[np.arange(self.num_variables),
+                                   labeling].reshape(m, -1).sum(axis=1)
+        terms[:, 1:] = (self.cliques.weights * clique_gamma).reshape(m, -1)
+        energy = terms.cumsum(axis=1)[:, -1]
+        return float(energy[0]) if m == 1 else energy
 
 
-def best_expansion_move(instance, current, alpha, clique_gamma=None):
+def best_expansion_move(instance, current, alpha, clique_gamma=None,
+                        movable=None):
     """Exact minimum over the move space {keep current label, switch to alpha}.
 
     clique_gamma is instance.clique_gamma(current), if the caller has it.
+    movable, a boolean mask over the variables, restricts the move to the
+    variables it marks; the others keep their labels.  It must mark whole
+    components (see PnPottsInstance), so no clique mixes the two.
 
     A clique's movers are its members not yet labeled alpha; it pays
     pay_keep unless every mover keeps and pay_switch unless every mover
@@ -131,7 +172,7 @@ def best_expansion_move(instance, current, alpha, clique_gamma=None):
     gc.disable()
     try:
         net, free, switch = _move_network(instance, current, alpha,
-                                          clique_gamma)
+                                          clique_gamma, movable)
         if net is not None:
             net.compute_max_flow()
             switch[free] = ~net.source_side_mask()[:free.size]
@@ -142,7 +183,8 @@ def best_expansion_move(instance, current, alpha, clique_gamma=None):
     return np.where(switch, alpha, current)
 
 
-def _move_network(instance, current, alpha, clique_gamma=None):
+def _move_network(instance, current, alpha, clique_gamma=None,
+                  movable=None):
     """The flow network of one expansion move (see best_expansion_move).
 
     Returns the network, the free movers in node order (node k is variable
@@ -156,7 +198,8 @@ def _move_network(instance, current, alpha, clique_gamma=None):
     every cost leaves the fixed set as it is.  It is taken from the first
     pass: the sums only fall, so that margin is the largest and only ever
     fixes fewer movers.  A mover on an exact tie stays free: only the cut
-    picks the least keep-set among the optimal moves.
+    picks the least keep-set among the optimal moves.  A variable outside
+    movable is neither forced nor free.
     """
     n = instance.num_variables
     cliques = instance.cliques
@@ -183,8 +226,11 @@ def _move_network(instance, current, alpha, clique_gamma=None):
         np.abs(keep_cost) + np.abs(switch_cost) + sums[:n] + sums[n:]))
     # forced[i]: mover i switches (us + sum_keep < uk - margin); forced[n +
     # i]: it keeps (uk + sum_switch < us - margin).  A variable holding
-    # alpha has a gap of 0, so it is never forced
+    # alpha has a gap of 0, so it is never forced, nor is one not movable
     below = np.concatenate((gap - margin, -gap - margin))
+    if movable is not None:
+        below[:n][~movable] = -np.inf
+        below[n:][~movable] = -np.inf
     while True:
         forced = sums < below
         # a clique with a member forced to switch pays pay_keep in every
@@ -196,6 +242,8 @@ def _move_network(instance, current, alpha, clique_gamma=None):
         sums = np.bincount(slot, pay[paid], 2 * n)
     switch = forced[:n]
     loose = (current != alpha) & ~(switch | forced[n:])     # free movers
+    if movable is not None:
+        loose &= movable
     free = loose.nonzero()[0]
     if not free.size:
         return None, free, switch
@@ -229,12 +277,15 @@ def _move_network(instance, current, alpha, clique_gamma=None):
     for i in (keep_cost != switch_cost).nonzero()[0].tolist():
         net.add_terminal_arc(i, from_source[i], to_sink[i])
     pair = num_movers[small] == 2
+    pair_cap = (pay_keep[small] + pay_switch[small])[pair].tolist()
     for i, j, cap in zip(first[pair].tolist(), last[pair].tolist(),
-                         (pay_keep[small] + pay_switch[small])[pair].tolist()):
+                         pair_cap):
         net.add_arc(i, j, cap)
 
+    # more than all finite capacities together, so no gadget arc limits a
+    # path: it never saturates and is never a path's bottleneck
     gadgets = (active & (num_movers > 2)).nonzero()[0]
-    inf = (net.infinite_capacity()
+    inf = (sum(from_source) + sum(to_sink) + sum(pair_cap)
            + sum((pay_keep[gadgets] + pay_switch[gadgets]).tolist()) + 1.0)
     movers = movers.tolist()
     starts, ends = starts.tolist(), ends.tolist()
@@ -256,7 +307,9 @@ def _move_network(instance, current, alpha, clique_gamma=None):
 
 @dataclass
 class MoveTrace:
-    """Accepted moves in sweep order: (sweep index, alpha, energy after)."""
+    """Accepted moves in sweep order: (sweep index, alpha, energy after),
+    one entry per accepting component, with that component's energy.
+    sweeps counts each component's sweeps."""
     moves: list = field(default_factory=list)
     sweeps: int = 0
 
@@ -277,44 +330,76 @@ def alpha_expansion(instance, init=None):
     uniform labeling spans every labeling, so once it is accepted no move
     can improve.  The skipped cuts are exactly the ones a plain sweep
     would reject, so the labeling and the trace are those of a plain sweep.
+
+    An instance of several components (see PnPottsInstance) is swept as
+    if each component were swept alone.  Each keeps its own energy,
+    sweeps and labels left to try since its last accepted move, and
+    applies the skip rules above with its own label count; its last
+    sweep is the first in which it accepts no move.  One alpha move covers every component whose rules
+    let alpha through, and each component then accepts or rejects its
+    part on its own energy.  No clique spans two components, so the move
+    energy is the sum of the components' move energies, and the least
+    minimum cut of the union is the union of their least minimum cuts:
+    each component gets the move it would get alone.
     """
     if init is None:
         labeling = np.zeros(instance.num_variables, dtype=np.intp)
     else:
         labeling = check_labeling(init, instance.unaries).copy()
+    m = instance.num_components
+    size = instance.num_variables // m             # variables per component
+    width = len(instance.cliques) // m             # cliques per component
+    labels = instance.component_labels
     # each labeling's clique costs are computed once, for its energy and
     # every move from it
     gamma = instance.clique_gamma(labeling)
-    energy = instance.evaluate(labeling, gamma)
+    energy = np.atleast_1d(instance.evaluate(labeling, gamma))
     trace = MoveTrace()
-    h = instance.num_labels
-    tried = [-1] * h      # accepted-move count when alpha was last tried
-    accepted = 0
+    # pending[j, alpha]: component j has not tried alpha since its last
+    # accepted move.  A component that accepts nothing in a sweep tries
+    # every label in it, so it has none pending from then on
+    allowed = np.arange(instance.num_labels) < labels[:, None]
+    pending = allowed.copy()
+    sweeping = np.ones(m, dtype=bool)   # it accepted a move in the last sweep
+    sweep = 0
 
-    improved = True
-    while improved:
-        improved = False
-        trace.sweeps += 1
-        for alpha in range(h):
-            if tried[alpha] == accepted:
+    while sweeping.any():
+        sweep += 1
+        trace.sweeps += int(np.count_nonzero(sweeping))
+        improved = np.zeros(m, dtype=bool)
+        for alpha in range(instance.num_labels):
+            go = pending[:, alpha].copy()
+            if not go.any():
                 continue
-            tried[alpha] = accepted
-            if np.all(labeling == alpha):
+            pending[:, alpha] = False
+            parts = labeling.reshape(m, size)
+            go &= (parts != alpha).any(axis=1)
+            if not go.any():
                 continue
-            proposal = best_expansion_move(instance, labeling, alpha, gamma)
+            proposal = best_expansion_move(
+                instance, labeling, alpha, gamma,
+                None if go.all() else np.repeat(go, size))
             if np.array_equal(proposal, labeling):
                 continue
             proposal_gamma = instance.clique_gamma(proposal)
             e = instance.evaluate(proposal, proposal_gamma)
-            if e < energy - ACCEPT_TOL:
-                spans_all = h == 2 and labeling.min() == labeling.max()
-                labeling, energy, gamma = proposal, e, proposal_gamma
-                accepted += 1
-                trace.moves.append((trace.sweeps, alpha, e))
-                tried[alpha] = accepted
-                if spans_all:
-                    tried = [accepted] * h
-                improved = True
+            # the drop itself is compared: energy - ACCEPT_TOL can round to
+            # e and refuse a drop just over ACCEPT_TOL
+            better = energy - e > ACCEPT_TOL
+            if not better.any():
+                continue
+            labeling = np.where(np.repeat(better, size), proposal, labeling)
+            gamma = np.where(np.repeat(better, width), proposal_gamma, gamma)
+            energy = np.where(better, e, energy)
+            pending[better] = allowed[better]
+            pending[:, alpha] = False
+            # a two-label component moved from a uniform labeling is done
+            pending[better & (labels == 2)
+                    & (parts.min(axis=1) == parts.max(axis=1))] = False
+            improved |= better
+            trace.moves.extend((sweep, alpha, float(energy[j]))
+                               for j in better.nonzero()[0].tolist())
+        sweeping = improved
     return labeling, trace
 
 

@@ -85,8 +85,11 @@ class RHst:
                     return "internal node %d carries a label" % v
                 if self.child_edge[v] <= 0:
                     return "edge length at node %d must be positive" % v
+                # the tolerance is relative, so it does not depend on the
+                # scale of the edge lengths
                 p = self.parents[v]
-                if p >= 0 and self.child_edge[v] > self.child_edge[p] / self.r + 1e-12:
+                if p >= 0 and self.child_edge[v] > (
+                        self.child_edge[p] / self.r * (1 + 2.0 ** -40)):
                     return ("edge length does not decrease by factor r "
                             "at node %d" % v)
         if sorted(labels) != list(range(len(labels))):
@@ -171,7 +174,10 @@ class RHst:
             raise InvalidInputError("malformed tree: %s" % e) from e
 
 
-_PAIR_CHUNK = 1 << 18
+# label pairs climbed together in RHst.metric: each array of a chunk takes
+# 64 KiB, so at H = 256 the climb's working arrays stay under a megabyte,
+# where one chunk of every pair took about 2 MB, and as fast or faster
+_PAIR_CHUNK = 1 << 13
 
 
 def _parents_first(children):

@@ -118,10 +118,6 @@ class FlowNetwork:
             cap.append(float(cap_to_sink))
             cap.append(0.0)
 
-    def infinite_capacity(self):
-        """Sentinel larger than any possible flow: sum of finite caps plus one."""
-        return sum(self._cap) + 1.0
-
     # -- max-flow -----------------------------------------------------------
 
     def _solved(self):

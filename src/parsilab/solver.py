@@ -3,10 +3,17 @@
 solve_hierarchical walks the tree bottom-up: leaves get the constant
 labeling, and each internal node fuses its children's labelings by
 solving a label-consistency instance over child indices with a single
-alpha-expansion.  solve_parsimonious embeds the induced metric of a
-general diversity into k random 2-HSTs, runs the hierarchical solve per
-tree, and keeps the candidate with the least energy under the original
-potential.  solve picks the solver for a model's potential.
+alpha-expansion.  Nodes of one height never depend on each other, so
+the nodes of a height are fused in batches: one instance is the
+disjoint union of up to BATCH_VARIABLES variables' worth of their
+instances, swept by one alpha_expansion that applies its skip and
+accept rules per node.  No clique spans two nodes' copies, so each node
+gets the labeling it would get alone, while a batch needs far fewer
+cuts than its nodes one by one.  solve_parsimonious embeds the induced
+metric of a general diversity into k random 2-HSTs, runs the
+hierarchical solve per tree, and keeps the candidate with the least
+energy under the original potential.  solve picks the solver for a
+model's potential.
 """
 
 import math
@@ -20,6 +27,10 @@ from .expansion import PnPottsInstance, alpha_expansion, pn_potts_bound
 from .model import (DiameterDiversity, Diversity, InvalidInputError,
                     PnPottsSpec, SolverError, per_clique)
 from .oracle import model_to_pn_potts_instance
+
+# the most variables one fusion instance takes, over all its nodes' copies
+# of the model; a node with more is fused alone
+BATCH_VARIABLES = 1024
 
 
 @dataclass
@@ -84,45 +95,71 @@ def theorem_bounds(model, r=2.0):
     return bound1, bound2
 
 
-def build_fusion_instance(model, tree, node, child_labelings):
-    """The child-index labeling instance solved at one internal tree node.
+def build_fusion_instance(model, tree, nodes, child_labelings):
+    """The child-index labeling instance that fuses the given internal
+    tree nodes, one component per node (see PnPottsInstance).
 
-    Meta-label k means "take variable i's label from child k".  Unaries
-    are the original unaries read through each child's labeling; each
-    clique pays the diameter diversity of child k's labels on it when
-    all members choose k, and the diameter of the node's whole cluster
-    (tree.diameter) otherwise.  Cliques of weight 0 are dropped.
+    child_labelings[j] holds the labelings of node j's children, one row
+    per child.  Component j is a copy of the model over the variables
+    j * N onward, and its meta-label k means "take variable i's label
+    from child k" of node j.  Unaries are the original unaries read
+    through each child's labeling; each clique pays the diameter
+    diversity of child k's labels on it when all members choose k, and
+    the diameter of the node's whole cluster (tree.diameter) otherwise.
+    Cliques of weight 0 are dropped.  The kept cliques are read once for
+    every child of every node and tiled once per node.  A node with fewer
+    children than another pads its meta-labels with unaries and gamma 0;
+    it never moves to them.
     """
     n = model.num_variables
-    labelings = np.stack(child_labelings)                            # k x n
-    meta_unaries = np.ascontiguousarray(
-        model.unaries[np.arange(n), labelings].T)
+    m = len(nodes)
+    metric = tree.metric()
+    counts = [len(children) for children in child_labelings]
+    rows = np.concatenate(child_labelings)            # every child, in order
+    # row r is child k of node j: where it goes in the m x h x ... tables
+    node_of = np.repeat(np.arange(m), counts)
+    child_of = np.arange(rows.shape[0]) - np.repeat(
+        np.cumsum(counts) - counts, counts)
+    h = max(counts)
+    meta_unaries = np.zeros((m, n, h))
+    meta_unaries[node_of, :, child_of] = model.unaries[np.arange(n), rows]
 
     kept = model.cliques.select(model.cliques.weights > 0)
     sizes, offsets = kept.sizes, kept.offsets
-    labs = labelings[:, kept.members]         # k x (members of kept cliques)
+    labs = rows[:, kept.members]        # children x (members of kept cliques)
     low = per_clique(np.minimum, labs, offsets)
     high = per_clique(np.maximum, labs, offsets)
 
-    # child j's diameter on clique c: the distance between its smallest
+    # a child's diameter on clique c: the distance between its smallest
     # and largest label is exact on one or two labels (0 on one); the
     # (child, clique) pairs with more labels go through one clique_values
-    gamma = tree.metric().matrix[low, high].T           # cliques x k
+    values = metric.matrix[low, high]                   # children x cliques
     wide = ~per_clique(
         np.logical_and, (labs == np.repeat(low, sizes, axis=1))
-        | (labs == np.repeat(high, sizes, axis=1)), offsets)   # k x cliques
+        | (labs == np.repeat(high, sizes, axis=1)), offsets)
     if wide.any():
-        j, c = np.nonzero(wide)
+        r, c = np.nonzero(wide)
         wide_offsets = np.zeros(c.size + 1, dtype=np.intp)
         np.cumsum(sizes[c], out=wide_offsets[1:])
-        gamma[c, j] = DiameterDiversity(tree.metric()).clique_values(
+        values[r, c] = DiameterDiversity(metric).clique_values(
             labs[np.repeat(wide, sizes, axis=1)], wide_offsets)
-    return PnPottsInstance(meta_unaries, kept, gamma,
-                           np.full(sizes.size, tree.diameter(node)))
+    gamma = np.zeros((m, len(kept), h))
+    gamma[node_of, :, child_of] = values
+    return PnPottsInstance(
+        meta_unaries.reshape(m * n, h), kept.tile(m, n),
+        gamma.reshape(-1, h),
+        np.repeat([tree.diameter(v) for v in nodes], len(kept)), counts)
 
 
 def solve_hierarchical(model, tree):
     """Bottom-up fusion over the tree; returns (labeling, SolveReport).
+
+    Leaves get the constant labeling and a node with one child takes its
+    child's.  The nodes with several children are fused height by height
+    (a leaf has height 0, a node one more than its highest child), since
+    nodes of one height never depend on each other: up to BATCH_VARIABLES
+    variables' worth of them, and at least one, go into one fusion
+    instance and one alpha_expansion, whose components are those nodes.
 
     The model's clique potential is taken to be the diameter diversity of
     the tree's metric; the reported energy is re-evaluated through the
@@ -132,23 +169,41 @@ def solve_hierarchical(model, tree):
         raise InvalidInputError("tree leaves do not match the model's labels")
     t0 = time.perf_counter()
     n = model.num_variables
-    labelings = {}                        # tree node -> its labeling
+    per_batch = max(1, BATCH_VARIABLES // max(n, 1))
+    height = [0] * tree.num_nodes
+    fused = {}                            # height -> its nodes to fuse
     for node in reversed(tree.order):
-        if tree.is_leaf(node):
-            lab = np.full(n, tree.leaf_label[node], dtype=np.intp)
-        else:
-            children = np.stack([labelings.pop(ch)
-                                 for ch in tree.children[node]])
-            if len(children) == 1:
-                lab = children[0]
-            else:
-                # unnamed, so the instance is freed before the next is built
-                choice, _ = alpha_expansion(
-                    build_fusion_instance(model, tree, node, children))
-                lab = children[choice, np.arange(n)]
-        labelings[node] = lab
+        children = tree.children[node]
+        if children:
+            height[node] = 1 + max(height[ch] for ch in children)
+        if len(children) > 1:
+            fused.setdefault(height[node], []).append(node)
 
-    labeling = labelings[hst.ROOT]
+    labelings = {}                        # tree node -> its labeling
+
+    def labeling_of(node):
+        # a node's labeling, once, for its parent
+        while len(tree.children[node]) == 1:
+            node = tree.children[node][0]
+        if tree.is_leaf(node):
+            return np.full(n, tree.leaf_label[node], dtype=np.intp)
+        return labelings.pop(node)
+
+    for level in sorted(fused):
+        nodes = fused[level]
+        for start in range(0, len(nodes), per_batch):
+            batch = nodes[start:start + per_batch]
+            children = [np.stack([labeling_of(ch)
+                                  for ch in tree.children[node]])
+                        for node in batch]
+            # unnamed, so the instance is freed before the next is built
+            choice, _ = alpha_expansion(
+                build_fusion_instance(model, tree, batch, children))
+            for node, kids, pick in zip(batch, children,
+                                        choice.reshape(len(batch), n)):
+                labelings[node] = kids[pick, np.arange(n)]
+
+    labeling = labeling_of(hst.ROOT)
     energy = model.evaluate_energy(labeling)
     bound1, bound2 = theorem_bounds(model, tree.r)
     report = SolveReport(

@@ -8,7 +8,7 @@ the two on random small instances and require identical results.
 import numpy as np
 
 from conftest import pn_instance
-from parsilab.expansion import ACCEPT_TOL, MoveTrace
+from parsilab.expansion import ACCEPT_TOL, MoveTrace, alpha_expansion
 from parsilab.model import Cliques, InvalidInputError, check_labeling
 from parsilab.hst import ROOT, RHst
 from parsilab.maxflow import (FLOW_TOL, FlowNetwork, _arc_lists,
@@ -89,7 +89,7 @@ def best_expansion_move(instance, current, alpha):
         gadgets.append((movers, weight * (gamma_max - gamma_keep),
                         weight * (gamma_max - gamma[alpha])))
 
-    inf = net.infinite_capacity() + sum(p + q for _, p, q in gadgets) + 1.0
+    inf = infinite_capacity(net) + sum(p + q for _, p, q in gadgets)
     for movers, pay_keep, pay_switch in gadgets:
         if pay_keep > 0:
             b = net.add_node()
@@ -108,6 +108,12 @@ def best_expansion_move(instance, current, alpha):
         if not min_cut_side(net, nodes[i]):
             result[i] = alpha
     return result
+
+
+def infinite_capacity(net):
+    """A capacity larger than any flow of net: the sum of its finite
+    capacities plus one, over every arc slot."""
+    return sum(net._cap) + 1.0
 
 
 def forced_movers(instance, current, alpha):
@@ -155,7 +161,7 @@ def alpha_expansion(instance, init=None):
         for alpha in range(instance.num_labels):
             proposal = best_expansion_move(instance, labeling, alpha)
             e = evaluate(instance, proposal)
-            if e < energy - ACCEPT_TOL:
+            if energy - e > ACCEPT_TOL:
                 labeling, energy = proposal, e
                 trace.moves.append((trace.sweeps, alpha, e))
                 improved = True
@@ -182,12 +188,13 @@ def exhaustive_expansion_move(instance, current, alpha):
     return best_lab
 
 
-def random_rhst(label_count, r=2.0, depth=3, seed=0):
+def random_rhst(label_count, r=2.0, depth=3, seed=0, chains=0.0):
     """A random r-HST with the given label set as leaves.
 
     Labels are recursively partitioned; every chain of edge lengths
     shrinks by a factor of at least r, and all invariants are checked
-    before returning.
+    before returning.  Above the bottom two levels, a node of several
+    labels gets one child holding them all with probability chains.
     """
     if r <= 1:
         raise InvalidInputError("separation parameter r must exceed 1")
@@ -206,6 +213,8 @@ def random_rhst(label_count, r=2.0, depth=3, seed=0):
         child_edge[node] = edge
         if levels_left <= 2:
             parts = [[l] for l in labels]     # forced full split at the bottom
+        elif chains and rng.uniform() < chains:
+            parts = [labels]                  # a single-child chain link
         else:
             count = int(rng.integers(2, len(labels) + 1))
             assign = rng.integers(0, count, size=len(labels))
@@ -224,6 +233,28 @@ def random_rhst(label_count, r=2.0, depth=3, seed=0):
     top_edge = float(rng.uniform(4.0, 16.0))
     grow(0, list(range(label_count)), top_edge, depth)
     return RHst(parents, child_edge, leaf_label, r=r)
+
+
+def solve_hierarchical(model, tree):
+    """solve_hierarchical's walk node by node: every node with several
+    children is fused alone, by its instance from the clique loop below.
+    Returns the labeling of every tree node, by node."""
+    n = model.num_variables
+    labelings = {}
+    for node in reversed(tree.order):
+        if tree.is_leaf(node):
+            lab = np.full(n, tree.leaf_label[node], dtype=np.intp)
+        else:
+            children = np.stack([labelings[ch]
+                                 for ch in tree.children[node]])
+            if len(children) == 1:
+                lab = children[0]
+            else:
+                choice, _ = alpha_expansion(
+                    build_fusion_instance(model, tree, node, children))
+                lab = children[choice, np.arange(n)]
+        labelings[node] = lab
+    return labelings
 
 
 def cluster_labels(tree, node):

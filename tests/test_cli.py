@@ -73,6 +73,10 @@ def test_solve_reports_are_byte_identical(tmp_path):
     ("tiny_problem.json", ["--seed", "3", "-k", "3"],
      "tiny_problem.seed3_k3.report.json"),
     ("pn_problem.json", ["--seed", "0"], "pn_problem.seed0.report.json"),
+    # a 6x6 lattice over 28 labels whose trees fuse several nodes of
+    # mixed child counts at each height
+    ("lattice_problem.json", ["--seed", "0", "-k", "3"],
+     "lattice_problem.seed0_k3.report.json"),
 ])
 def test_report_matches_golden_file(tmp_path, problem, args, golden):
     """Reports are compared byte for byte with committed ones, so a change

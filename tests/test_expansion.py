@@ -12,7 +12,7 @@ from parsilab import expansion
 from parsilab.expansion import (PnPottsInstance, alpha_expansion,
                                 best_expansion_move, pn_potts_bound)
 from parsilab.maxflow import FLOW_TOL, FlowNetwork
-from parsilab.model import InvalidInputError
+from parsilab.model import Cliques, InvalidInputError
 from parsilab.oracle import exhaustive_minimize, model_to_pn_potts_instance
 from reference import exhaustive_expansion_move
 
@@ -254,6 +254,20 @@ def test_labels_out_of_range_are_rejected(labeling):
         best_expansion_move(inst, labeling, 1)
     with pytest.raises(InvalidInputError):
         alpha_expansion(inst, init=labeling)
+
+
+@pytest.mark.parametrize("members,labels", [
+    ([[0, 1], [2, 3]], [2, 2, 2]),      # 3 components over 4 variables
+    ([[0, 1], [1, 2]], [2, 2]),         # the second clique spans both
+    ([[0, 1], [2, 3]], [2, 3]),         # more labels than the instance
+    ([[0, 1], [2, 3]], [2, 0]),         # a component without labels
+    ([[0, 1], [2, 3]], []),             # no component
+])
+def test_components_must_split_the_instance(members, labels):
+    cliques = Cliques.from_lists(members, [1.0, 1.0])
+    with pytest.raises(InvalidInputError):
+        PnPottsInstance(np.zeros((4, 2)), cliques, [0.0, 0.0], [1.0, 1.0],
+                        labels)
 
 
 def test_instance_takes_the_model_cliques_as_they_are():

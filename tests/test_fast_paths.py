@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from parsilab import expansion, hst, tasks
+from parsilab import expansion, hst, solver, tasks
 from conftest import pn_instance
 from parsilab.expansion import alpha_expansion, best_expansion_move
 from parsilab.model import (Cliques, DiameterDiversity, Diversity,
@@ -318,12 +318,165 @@ def _three_label_fusion_case():
 @example(case=_three_label_fusion_case())
 def test_fusion_instance_matches_clique_loop(case):
     model, tree, node, children = case
-    fast = build_fusion_instance(model, tree, node, children)
+    fast = build_fusion_instance(model, tree, [node], [children])
     slow = reference.build_fusion_instance(model, tree, node, children)
     for name in ("unaries", "gamma", "gamma_max"):
         np.testing.assert_array_equal(getattr(fast, name),
                                       getattr(slow, name), err_msg=name)
     assert_same_cliques(fast.cliques, slow.cliques)
+
+
+def _diameter_model(draw, tree, n):
+    """A diameter-diversity model over the tree's metric with n variables
+    and up to four random cliques."""
+    h = tree.num_labels
+    members, clique_weights = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        members.append(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                     max_size=n, unique=True)))
+        clique_weights.append(draw(weights))
+    return EnergyModel(np.reshape(draw(st.lists(
+        costs, min_size=n * h, max_size=n * h)), (n, h)),
+        Cliques.from_lists(members, clique_weights),
+        DiameterDiversity(tree.metric()))
+
+
+def _chain_rhsts(draw, max_labels=12):
+    """A random r-HST with mixed child counts, and single-child chains
+    when chains is drawn above 0."""
+    return random_rhst(draw(st.integers(2, max_labels)),
+                       depth=draw(st.integers(2, 5)),
+                       seed=draw(st.integers(0, 1000)),
+                       chains=draw(st.sampled_from([0.0, 0.3, 0.6])))
+
+
+@st.composite
+def fusion_batches(draw):
+    """(model, tree, nodes, child labelings) of one batched fusion: a
+    few internal nodes with several children, repeats allowed, and for
+    each child a labeling drawn from its cluster."""
+    tree = _chain_rhsts(draw)
+    model = _diameter_model(draw, tree, draw(st.integers(1, 6)))
+    fused = [v for v in range(tree.num_nodes) if len(tree.children[v]) > 1]
+    nodes = draw(st.lists(st.sampled_from(fused), min_size=1, max_size=5))
+    children = [[np.array(draw(st.lists(
+        st.sampled_from(reference.cluster_labels(tree, child)),
+        min_size=model.num_variables, max_size=model.num_variables)),
+        dtype=np.intp) for child in tree.children[node]] for node in nodes]
+    return model, tree, nodes, children
+
+
+@SETTINGS
+@given(case=fusion_batches(), data=st.data())
+def test_batch_components_match_lone_instances(case, data):
+    """Each component of a batched fusion instance is its node's own
+    instance: the same arrays, energies bit for bit, the same moves, and
+    the same expansion labeling and trace entries."""
+    model, tree, nodes, children = case
+    n = model.num_variables
+    batch = build_fusion_instance(model, tree, nodes, children)
+    lone = [build_fusion_instance(model, tree, [v], [c])
+            for v, c in zip(nodes, children)]
+    width = len(lone[0].cliques)
+    assert batch.num_components == len(nodes)
+    for j, inst in enumerate(lone):
+        rows, cols = slice(j * n, (j + 1) * n), slice(0, inst.num_labels)
+        assert batch.component_labels[j] == inst.num_labels
+        np.testing.assert_array_equal(batch.unaries[rows, cols],
+                                      inst.unaries)
+        np.testing.assert_array_equal(
+            batch.gamma[j * width:(j + 1) * width, cols], inst.gamma)
+
+    parts = [np.array(data.draw(st.lists(
+        st.integers(0, inst.num_labels - 1), min_size=n, max_size=n)),
+        dtype=np.intp) for inst in lone]
+    labeling = np.concatenate(parts)
+    energies = np.atleast_1d(batch.evaluate(labeling))
+    alpha = data.draw(st.integers(0, batch.num_labels - 1))
+    movable = np.array(data.draw(st.lists(
+        st.booleans(), min_size=len(nodes), max_size=len(nodes))))
+    movable &= alpha < batch.component_labels
+    move = best_expansion_move(batch, labeling, alpha,
+                               movable=np.repeat(movable, n))
+    for j, (inst, part) in enumerate(zip(lone, parts)):
+        assert np.float64(energies[j]).tobytes() \
+            == np.float64(inst.evaluate(part)).tobytes()
+        want = best_expansion_move(inst, part, alpha) if movable[j] \
+            else part
+        np.testing.assert_array_equal(move[j * n:(j + 1) * n], want)
+
+    labeling, trace = alpha_expansion(batch)
+    moves, sweeps = [], 0
+    for j, inst in enumerate(lone):
+        part, part_trace = alpha_expansion(inst)
+        np.testing.assert_array_equal(labeling[j * n:(j + 1) * n], part)
+        moves += part_trace.moves
+        sweeps += part_trace.sweeps
+    assert sorted(trace.moves) == sorted(moves)
+    assert trace.sweeps == sweeps
+
+
+def batched_labelings(model, tree):
+    """solve_hierarchical's labeling at every tree node, read off the
+    child labelings it hands to each fusion instance; also the mock that
+    recorded those calls."""
+    with mock.patch.object(solver, "build_fusion_instance",
+                           wraps=build_fusion_instance) as build:
+        root, _ = solver.solve_hierarchical(model, tree)
+    got = {hst.ROOT: root}
+    for call in build.call_args_list:
+        _, _, nodes, children = call.args
+        for node, rows in zip(nodes, children):
+            got.update(zip(tree.children[node], rows))
+    for v in tree.order:
+        if v not in got:            # an only child has its parent's labeling
+            assert len(tree.children[tree.parents[v]]) == 1
+            got[v] = got[tree.parents[v]]
+    return got, build
+
+
+@st.composite
+def hierarchical_cases(draw):
+    tree = _chain_rhsts(draw, max_labels=16)
+    return _diameter_model(draw, tree, draw(st.integers(1, 8))), tree
+
+
+@SETTINGS
+@given(case=hierarchical_cases(), cap=st.sampled_from([1, 8, 24, 1024]))
+def test_batched_fusion_matches_node_by_node_walk(case, cap):
+    """Every tree node gets the labeling of the node-by-node walk, with
+    heights split into batches of every size."""
+    model, tree = case
+    with mock.patch.object(solver, "BATCH_VARIABLES", cap):
+        got, _ = batched_labelings(model, tree)
+    want = reference.solve_hierarchical(model, tree)
+    for v in range(tree.num_nodes):
+        np.testing.assert_array_equal(got[v], want[v], err_msg=str(v))
+
+
+def test_a_height_splits_into_batches_of_the_cap():
+    """At 400 variables a fusion instance takes two nodes, so a height
+    with five or more fused nodes splits into three or more batches."""
+    tree = random_rhst(40, depth=4, seed=5, chains=0.2)
+    height = {}
+    for v in reversed(tree.order):
+        height[v] = 1 + max((height[c] for c in tree.children[v]),
+                            default=-1)
+    fused = [height[v] for v in tree.order if len(tree.children[v]) > 1]
+    assert max(fused.count(k) for k in set(fused)) >= 5
+    n = 400
+    rng = np.random.default_rng(0)
+    side = 20
+    model = EnergyModel(rng.uniform(0.0, 5.0, size=(n, tree.num_labels)),
+                        tasks.window_cliques(side, side, 3, 2, 1.0),
+                        DiameterDiversity(tree.metric()))
+    got, build = batched_labelings(model, tree)
+    sizes = [len(call.args[2]) for call in build.call_args_list]
+    assert max(sizes) == solver.BATCH_VARIABLES // n == 2
+    assert len(sizes) > len(set(fused))
+    want = reference.solve_hierarchical(model, tree)
+    for v in range(tree.num_nodes):
+        np.testing.assert_array_equal(got[v], want[v], err_msg=str(v))
 
 
 def assert_same_cliques(fast, slow):
@@ -407,11 +560,13 @@ def test_frt_tree_matches_reference(h, seed, kind):
 
 @SETTINGS
 @given(h=st.integers(2, 12), depth=st.integers(2, 5),
-       seed=st.integers(0, 10 ** 6))
-def test_tree_metric_matches_node_distance(h, depth, seed):
+       seed=st.integers(0, 10 ** 6), chunk=st.sampled_from([1, 7, 8192]))
+def test_tree_metric_matches_node_distance(h, depth, seed, chunk):
+    """Also when the label pairs climb in several chunks."""
     tree = random_rhst(h, depth=depth, seed=seed)
     leaf = {l: v for v, l in enumerate(tree.leaf_label) if l is not None}
-    m = tree.metric().matrix
+    with mock.patch.object(hst, "_PAIR_CHUNK", chunk):
+        m = tree.metric().matrix
     for i in range(h):
         for j in range(h):
             lo, hi = min(i, j), max(i, j)

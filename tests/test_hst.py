@@ -81,6 +81,36 @@ def test_invalid_trees_rejected():
         RHst([-1, 0, 0], [1.0, 0.0, 0.0], [None, 0])
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-13, 1e13])
+def test_factor_r_check_does_not_depend_on_the_scale(scale):
+    """An edge as long as its parent's breaks the factor-r decrease at
+    every scale, and one exactly 1/r of it keeps it at every scale."""
+    with pytest.raises(InvalidInputError, match="factor r"):
+        RHst([-1, 0, 1, 1, 0], [scale, scale, 0.0, 0.0, 0.0],
+             [None, None, 0, 1, 2])
+    tree = RHst([-1, 0, 1, 1, 0], [scale, scale / 2, 0.0, 0.0, 0.0],
+                [None, None, 0, 1, 2])
+    assert tree.check() is None
+
+
+@pytest.mark.parametrize("exponent", [-12, 0, 12])
+def test_embed_trees_of_scaled_costs_pass_the_check(exponent):
+    """FRT trees are built at the input metric's scale; with every cost
+    scaled by 10^exponent they still pass check(), with the same shape."""
+    rng = np.random.default_rng(11)
+    for trial in range(5):
+        h = int(rng.integers(2, 30))
+        pts = rng.uniform(0, 10, size=(h, 2))
+        d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
+        for plain, scaled in zip(
+                frt_embed(LabelMetric(d), k=4, seed=trial),
+                # unchecked: the axiom check's tolerance is absolute
+                frt_embed(LabelMetric(d * 10.0 ** exponent, validate=False),
+                          k=4, seed=trial)):
+            assert scaled.check() is None
+            assert scaled.parents == plain.parents
+
+
 def test_tree_metric_is_a_valid_metric():
     for seed in range(5):
         tree = random_rhst(12, r=2.0, depth=4, seed=seed)

@@ -13,7 +13,7 @@ from parsilab.expansion import _move_network
 from parsilab.maxflow import (FlowNetwork, StateError, _arc_lists,
                               _search_trees, _short_paths)
 from reference import (DinicNetwork, TwoHopNetwork, arc_lists,
-                       source_reachable, two_hop_paths)
+                       infinite_capacity, source_reachable, two_hop_paths)
 from test_fast_paths import labelings, pn_instances
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
@@ -78,7 +78,7 @@ def test_single_path_through_infinite_arc():
     a, b = net.add_nodes(2)
     net.add_terminal_arc(a, 10.0, 0.0)
     net.add_terminal_arc(b, 0.0, 4.0)
-    net.add_arc(a, b, net.infinite_capacity())
+    net.add_arc(a, b, infinite_capacity(net))
     assert net.compute_max_flow() == 4.0
 
 

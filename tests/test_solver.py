@@ -78,7 +78,8 @@ def test_fusion_meta_potentials(reference_tree):
                         DiameterDiversity(reference_tree.metric()))
     child1 = np.zeros(n, dtype=np.intp)
     child2 = np.array([2, 3, 2, 3], dtype=np.intp)
-    inst = build_fusion_instance(model, reference_tree, 0, [child1, child2])
+    inst = build_fusion_instance(model, reference_tree, [0],
+                                 [[child1, child2]])
     assert len(inst.cliques) == 1
     np.testing.assert_allclose(inst.gamma[0], [0.0, 6.0])
     assert inst.gamma_max[0] == 18.0
@@ -103,9 +104,9 @@ def test_star_tree_reduces_to_one_expansion():
 
     labeling, report = solve_hierarchical(model, tree)
     inst = build_fusion_instance(
-        model, tree, 0,
-        [np.full(n, tree.leaf_label[v], dtype=np.intp)
-         for v in range(1, h + 1)])
+        model, tree, [0],
+        [[np.full(n, tree.leaf_label[v], dtype=np.intp)
+          for v in range(1, h + 1)]])
     direct, _ = alpha_expansion(inst)
     assert report.energy == pytest.approx(model.evaluate_energy(direct))
     assert report.energy == pytest.approx(model.evaluate_energy(labeling))
