@@ -19,6 +19,7 @@ for nothing.
 """
 
 import gc
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -128,13 +129,14 @@ class PnPottsInstance:
 
 
 def best_expansion_move(instance, current, alpha, clique_gamma=None,
-                        movable=None):
+                        components=None):
     """Exact minimum over the move space {keep current label, switch to alpha}.
 
     clique_gamma is instance.clique_gamma(current), if the caller has it.
-    movable, a boolean mask over the variables, restricts the move to the
-    variables it marks; the others keep their labels.  It must mark whole
-    components (see PnPottsInstance), so no clique mixes the two.
+    components, one boolean per component of the instance (see
+    PnPottsInstance), restricts the move to the components it marks; the
+    variables of the others keep their labels.  No clique spans two
+    components, so each marked component gets the move it would get alone.
 
     A clique's movers are its members not yet labeled alpha; it pays
     pay_keep unless every mover keeps and pay_switch unless every mover
@@ -172,7 +174,7 @@ def best_expansion_move(instance, current, alpha, clique_gamma=None,
     gc.disable()
     try:
         net, free, switch = _move_network(instance, current, alpha,
-                                          clique_gamma, movable)
+                                          clique_gamma, components)
         if net is not None:
             net.compute_max_flow()
             switch[free] = ~net.source_side_mask()[:free.size]
@@ -184,7 +186,7 @@ def best_expansion_move(instance, current, alpha, clique_gamma=None,
 
 
 def _move_network(instance, current, alpha, clique_gamma=None,
-                  movable=None):
+                  components=None):
     """The flow network of one expansion move (see best_expansion_move).
 
     Returns the network, the free movers in node order (node k is variable
@@ -198,10 +200,21 @@ def _move_network(instance, current, alpha, clique_gamma=None,
     every cost leaves the fixed set as it is.  It is taken from the first
     pass: the sums only fall, so that margin is the largest and only ever
     fixes fewer movers.  A mover on an exact tie stays free: only the cut
-    picks the least keep-set among the optimal moves.  A variable outside
-    movable is neither forced nor free.
+    picks the least keep-set among the optimal moves.  A variable of a
+    component left out of components is neither forced nor free.  The
+    network is made at its final size: a node per free mover, then per
+    gadget its keep hub and its switch hub, those it needs.
     """
     n = instance.num_variables
+    movable = None                        # a mask over the variables, if any
+    if components is not None:
+        components = np.asarray(components)
+        if (components.dtype != bool
+                or components.shape != (instance.num_components,)):
+            raise InvalidInputError("components must be one boolean per "
+                                    "component of the instance")
+        if not components.all():
+            movable = np.repeat(components, n // instance.num_components)
     cliques = instance.cliques
     count = len(cliques)
     members, owner = cliques.members, cliques.owner
@@ -259,8 +272,10 @@ def _move_network(instance, current, alpha, clique_gamma=None,
     active = (num_movers > 0) & (pay_keep + pay_switch > 0)
     ends = num_movers.cumsum()
     starts = ends - num_movers
-    net = FlowNetwork()
-    net.add_nodes(free.size)
+    gadgets = (active & (num_movers > 2)).nonzero()[0]
+    hubs = int(np.count_nonzero(pay_keep[gadgets] > 0)
+               + np.count_nonzero(pay_switch[gadgets] > 0))
+    net = FlowNetwork(free.size + hubs)
 
     # one or two movers i, j (i = j for one): pay_keep when i switches,
     # pay_switch when j keeps, and both when exactly one of them switches,
@@ -284,21 +299,21 @@ def _move_network(instance, current, alpha, clique_gamma=None,
 
     # more than all finite capacities together, so no gadget arc limits a
     # path: it never saturates and is never a path's bottleneck
-    gadgets = (active & (num_movers > 2)).nonzero()[0]
     inf = (sum(from_source) + sum(to_sink) + sum(pair_cap)
            + sum((pay_keep[gadgets] + pay_switch[gadgets]).tolist()) + 1.0)
     movers = movers.tolist()
     starts, ends = starts.tolist(), ends.tolist()
     pay_keep, pay_switch = pay_keep.tolist(), pay_switch.tolist()
+    hub = itertools.count(free.size)      # the hubs' nodes, in order
     for c in gadgets.tolist():
         clique_movers = movers[starts[c]:ends[c]]
         if pay_keep[c] > 0:
-            b = net.add_node()            # charged unless all movers keep
+            b = next(hub)                 # charged unless all movers keep
             net.add_terminal_arc(b, pay_keep[c], 0.0)
             for i in clique_movers:
                 net.add_arc(b, i, inf)
         if pay_switch[c] > 0:
-            a = net.add_node()            # charged unless all movers switch
+            a = next(hub)                 # charged unless all movers switch
             net.add_terminal_arc(a, 0.0, pay_switch[c])
             for i in clique_movers:
                 net.add_arc(i, a, inf)
@@ -376,9 +391,8 @@ def alpha_expansion(instance, init=None):
             go &= (parts != alpha).any(axis=1)
             if not go.any():
                 continue
-            proposal = best_expansion_move(
-                instance, labeling, alpha, gamma,
-                None if go.all() else np.repeat(go, size))
+            proposal = best_expansion_move(instance, labeling, alpha, gamma,
+                                           go)
             if np.array_equal(proposal, labeling):
                 continue
             proposal_gamma = instance.clique_gamma(proposal)

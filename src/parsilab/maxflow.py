@@ -1,18 +1,19 @@
 """Min st-cut / max-flow on sparse directed networks.
 
-This is the inner engine behind every expansion move.  Building a network
-only appends each arc and its reverse twin to two flat lists, the arc
-heads and the capacities.  A solve first lays the arcs out once: one
-numpy sort orders the arc ids by tail, stably, and a bincount cumsum
-gives each node's start offset, from which each node gets the list of
-its arcs.  It then runs two steps on one residual list.  A greedy pass
-first pushes flow along the residual paths from the source with one, two
-or three middle nodes to the sink.  Those are the paths of the robust
-P^n gadget, source -> hub -> mover -> hub -> sink, so on expansion-move
-networks the pass carries almost all of the flow.  Boykov-Kolmogorov
-augmentation (PAMI 2004) then finishes the flow: a source tree and a
-sink tree persist across augmentations, so each path costs a local
-search instead of a scan of the whole graph.
+This is the inner engine behind every expansion move.  A network is made
+with all its nodes, and building it only appends each arc and its reverse
+twin to two flat lists, the arc heads and the capacities.  The solve,
+after the last arc, first lays the arcs out once: one numpy sort orders
+the arc ids by tail, stably, and a bincount cumsum gives each node's
+start offset, from which each node gets the list of its arcs.  It then
+runs two steps on one residual list.  A greedy pass first pushes flow
+along the residual paths from the source with one, two or three middle
+nodes to the sink.  Those are the paths of the robust P^n gadget,
+source -> hub -> mover -> hub -> sink, so on expansion-move networks the
+pass carries almost all of the flow.  Boykov-Kolmogorov augmentation
+(PAMI 2004) then finishes the flow: a source tree and a sink tree
+persist across augmentations, so each path costs a local search instead
+of a scan of the whole graph.
 
 The cut read is the set of nodes reachable from the source in the
 residual graph.  That set is the least minimum cut, the same for every
@@ -39,47 +40,31 @@ _ROOT = -1                             # the source or the sink itself
 _ORPHAN = -2                           # lost its parent arc, not re-attached
 
 
-class StateError(RuntimeError):
-    pass
-
-
 class FlowNetwork:
     """Directed capacitated graph between a source and a sink.
 
-    add_arc joins two nodes the caller added; the terminals are reached
-    only through add_terminal_arc.  Internally node 0 is the source, 1
-    the sink and v + 2 the caller's node v.  Arcs are stored flat, in
-    insertion order: arc a runs to the internal node _to[a] with capacity
-    _cap[a], and its reverse twin is arc a ^ 1, of capacity 0, so the
-    tail of a is _to[a ^ 1].  Building the network only appends to those
-    two lists.  compute_max_flow lays the arcs out per node, and
-    the residual array lives separately from the capacities, so the
-    network can be re-solved (or grown, laid out and solved again) at any
-    time.  Terminal capacities accumulate across repeated
-    add_terminal_arc calls.
+    The network is made with its num_nodes nodes, 0..num_nodes-1.
+    add_arc joins two of them; the terminals are reached only through
+    add_terminal_arc.  Internally node 0 is the source, 1 the sink and
+    v + 2 the caller's node v.  Arcs are stored flat, in insertion order:
+    arc a runs to the internal node _to[a] with capacity _cap[a], and its
+    reverse twin is arc a ^ 1, of capacity 0, so the tail of a is
+    _to[a ^ 1].  Building the network only appends to those two lists.
+    compute_max_flow lays the arcs out per node and solves once, after
+    the last arc is added; the residual lives apart from the capacities.
+    Terminal capacities accumulate across repeated add_terminal_arc calls.
     """
 
-    def __init__(self):
+    def __init__(self, num_nodes):
+        if num_nodes < 0:
+            raise ValueError("node count must be non-negative")
         self._to = []
         self._cap = []
-        self._nodes = 0                # user nodes, internal ids 2..nodes+1
-        self._head = None              # per node its arc ids, after a solve
-        self._res = None               # residual capacities after a solve
-        self._flow_value = None
-        self._source_tree = None       # (tree, its queued nodes) of a solve
+        self._nodes = num_nodes        # user nodes, internal ids 2..nodes+1
+        self._head = None              # per node its arc ids, after the solve
+        self._res = None               # residual capacities after the solve
+        self._source_tree = None       # (tree, its queued nodes) of the solve
         self._reachable = None
-        self._solved_size = None       # (nodes, arc slots) the solve covers
-
-    def add_node(self):
-        self._nodes += 1
-        return self._nodes - 1
-
-    def add_nodes(self, count):
-        if count < 0:
-            raise ValueError("node count must be non-negative")
-        first = self._nodes
-        self._nodes += count
-        return range(first, first + count)
 
     @property
     def num_nodes(self):
@@ -120,35 +105,19 @@ class FlowNetwork:
 
     # -- max-flow -----------------------------------------------------------
 
-    def _solved(self):
-        # a solve stays valid only while the graph keeps the size it was
-        # solved at, so growing the graph needs no invalidation
-        return (self._flow_value is not None
-                and self._solved_size == (self._nodes, len(self._to)))
-
     def compute_max_flow(self):
-        if self._solved():
-            return self._flow_value
         self._head = _arc_lists(self._to, self._nodes + 2)
         res = list(self._cap)
         total = _short_paths(self._head, self._to, res)
         flow, tree, open_nodes = _search_trees(self._head, self._to, res)
-        total += flow
         self._res = res
-        self._flow_value = total
         self._source_tree = tree, open_nodes
         self._reachable = None
-        self._solved_size = (self._nodes, len(self._to))
-        return total
+        return total + flow
 
     # -- post-solve queries -------------------------------------------------
 
-    def _require_solved(self):
-        if not self._solved():
-            raise StateError("compute_max_flow has not been run")
-
     def _residual_reachable(self):
-        self._require_solved()
         if self._reachable is None:
             # the source tree is reached; only its queued nodes can have
             # residual arcs out of it

@@ -107,9 +107,10 @@ class LabelMetric:
     def num_labels(self):
         return self.matrix.shape[0]
 
-    def check(self, tol=AXIOM_TOL):
+    def check(self):
         """Return a description of the first violated metric axiom, or None."""
         m = self.matrix
+        tol = AXIOM_TOL
         if not np.isfinite(m).all():
             return "distances must be finite"
         if np.any(m < -tol):
@@ -282,11 +283,16 @@ class ExplicitTableDiversity(Diversity):
 
     @classmethod
     def from_entries(cls, num_labels, entries):
-        """Build from (subset, value) pairs covering every non-empty subset."""
+        """Build from (subset, value) pairs covering every non-empty subset.
+        Each subset is a list of labels 0..num_labels-1."""
         table = np.full(1 << num_labels, np.nan)
         table[0] = 0.0
         for subset, v in entries:
-            table[_subset_mask(subset)] = v
+            labels = index_array(subset, "diversity table labels")
+            if labels.size and not 0 <= labels.min() <= labels.max() \
+                    < num_labels:
+                raise InvalidInputError("diversity table label out of range")
+            table[_subset_mask(labels.tolist())] = v
         if np.any(np.isnan(table)):
             raise InvalidInputError("table is missing some non-empty subsets")
         return cls(num_labels, table)

@@ -66,19 +66,11 @@ def best_expansion_move(instance, current, alpha):
     """best_expansion_move with the gadgets built clique by clique and the
     cut read node by node."""
     current = check_labeling(current, instance.unaries)
-    net = FlowNetwork()
-    nodes = net.add_nodes(instance.num_variables)
-    for i in range(instance.num_variables):
-        keep_cost = instance.unaries[i, current[i]]
-        switch_cost = instance.unaries[i, alpha]
-        base = min(keep_cost, switch_cost)
-        net.add_terminal_arc(nodes[i], switch_cost - base, keep_cost - base)
-
     gadgets = []
     for c, (members, weight) in enumerate(clique_list(instance.cliques)):
         if weight == 0.0:
             continue
-        movers = [i for i in members if current[i] != alpha]
+        movers = [int(i) for i in members if current[i] != alpha]
         if not movers:
             continue
         gamma, gamma_max = instance.gamma[c], instance.gamma_max[c]
@@ -89,23 +81,32 @@ def best_expansion_move(instance, current, alpha):
         gadgets.append((movers, weight * (gamma_max - gamma_keep),
                         weight * (gamma_max - gamma[alpha])))
 
+    # a node per variable, then per gadget its hubs after them
+    hubs = sum(int(p > 0) + int(q > 0) for _, p, q in gadgets)
+    net = FlowNetwork(instance.num_variables + hubs)
+    for i in range(instance.num_variables):
+        keep_cost = instance.unaries[i, current[i]]
+        switch_cost = instance.unaries[i, alpha]
+        base = min(keep_cost, switch_cost)
+        net.add_terminal_arc(i, switch_cost - base, keep_cost - base)
+    hub = iter(range(instance.num_variables, net.num_nodes))
     inf = infinite_capacity(net) + sum(p + q for _, p, q in gadgets)
     for movers, pay_keep, pay_switch in gadgets:
         if pay_keep > 0:
-            b = net.add_node()
+            b = next(hub)
             net.add_terminal_arc(b, pay_keep, 0.0)
             for i in movers:
-                net.add_arc(b, nodes[i], inf)
+                net.add_arc(b, i, inf)
         if pay_switch > 0:
-            a = net.add_node()
+            a = next(hub)
             net.add_terminal_arc(a, 0.0, pay_switch)
             for i in movers:
-                net.add_arc(nodes[i], a, inf)
+                net.add_arc(i, a, inf)
 
     net.compute_max_flow()
     result = current.copy()
     for i in range(instance.num_variables):
-        if not min_cut_side(net, nodes[i]):
+        if not min_cut_side(net, i):
             result[i] = alpha
     return result
 
@@ -522,14 +523,12 @@ class _OracleNetwork(FlowNetwork):
     def copy_of(cls, net):
         """A network of this class with the nodes and arcs of net, in its
         arc order."""
-        copy = cls()
-        copy.add_nodes(net.num_nodes)
+        copy = cls(net.num_nodes)
         copy._to = list(net._to)
         copy._cap = list(net._cap)
         return copy
 
     def _residual_reachable(self):
-        self._require_solved()
         if self._reachable is None:
             self._reachable = source_reachable(self)
         return self._reachable
@@ -580,17 +579,13 @@ class TwoHopNetwork(_OracleNetwork):
     layout and Boykov-Kolmogorov augmentation do the rest."""
 
     def compute_max_flow(self):
-        if self._solved():
-            return self._flow_value
         to = self._to
         self._head = head = _arc_lists(to, self._nodes + 2)
         res = list(self._cap)
         total = two_hop_paths(head, to, res)
         total += _search_trees(head, to, res)[0]
         self._res = res
-        self._flow_value = total
         self._reachable = None
-        self._solved_size = (self._nodes, len(self._to))
         return total
 
 
@@ -600,8 +595,6 @@ class DinicNetwork(_OracleNetwork):
     by arc_lists instead of the solve-time layout."""
 
     def compute_max_flow(self):
-        if self._solved():
-            return self._flow_value
         to = self._to
         self._head = head = arc_lists(self)
         res = list(self._cap)
@@ -659,7 +652,5 @@ class DinicNetwork(_OracleNetwork):
                 total += bottleneck
 
         self._res = res
-        self._flow_value = total
         self._reachable = None
-        self._solved_size = (self._nodes, len(self._to))
         return total

@@ -34,6 +34,8 @@ OVERFLOW_RATIO_PROBLEM = os.path.join(DATA, "overflow_ratio_problem.json")
 # 0, so its energies are the unaries alone; CI also runs it
 ZERO_WEIGHT_WIDE_METRIC_PROBLEM = os.path.join(
     DATA, "zero_weight_wide_metric_problem.json")
+# a two-label diversity table with an entry for label 5; CI also runs it
+BAD_TABLE_LABEL_PROBLEM = os.path.join(DATA, "bad_table_label_problem.json")
 
 # energy of the committed fixture at k=10, seed 0; equals the exhaustive
 # optimum of that instance (verified when the fixture was generated)
@@ -236,6 +238,31 @@ def test_overflowing_finite_input_exits_2(tmp_path, capsys, command, name):
         assert cli.main([command, str(bad)]) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "costs too large" in err
+
+
+def _table_label(label):
+    doc = json.loads(Path(BAD_TABLE_LABEL_PROBLEM).read_text())
+    doc["potential"]["entries"][-1]["labels"] = [label]
+    return doc
+
+
+BAD_TABLE_LABELS = {
+    "out of range": _table_label(5),
+    "fractional": _table_label(1.5),
+    "negative": _table_label(-1),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+@pytest.mark.parametrize("name", sorted(BAD_TABLE_LABELS))
+def test_bad_diversity_table_label_exits_2(tmp_path, capsys, command, name):
+    """A diversity-table entry whose labels are not integers 0..H-1 is an
+    input error, not truncated or read past the table."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(BAD_TABLE_LABELS[name]))
+    assert cli.main([command, str(bad)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "diversity table label" in err
 
 
 def test_overflowing_distance_ratio_exits_2(capsys):

@@ -270,6 +270,27 @@ def test_components_must_split_the_instance(members, labels):
                         labels)
 
 
+@pytest.mark.parametrize("components", [
+    [True, True, False, True],          # one entry per variable
+    [True],                             # too few
+    [[True], [False]],                  # not flat
+    [1, 0],                             # not booleans
+])
+def test_move_components_must_be_one_boolean_each(components):
+    """A move is restricted by whole components, so no clique is split
+    between movers and fixed variables; any other mask is refused."""
+    cliques = Cliques.from_lists([[0, 1], [2, 3]], [1.0, 1.0])
+    inst = PnPottsInstance([[0.0, 1.0]] * 4, cliques, [0.5, 0.0],
+                           [1.0, 1.0], [2, 2])
+    current = np.ones(4, dtype=np.intp)
+    np.testing.assert_array_equal(
+        best_expansion_move(inst, current, 0,
+                            components=np.array([False, True])),
+        [1, 1, 0, 0])
+    with pytest.raises(InvalidInputError, match="component"):
+        best_expansion_move(inst, current, 0, components=components)
+
+
 def test_instance_takes_the_model_cliques_as_they_are():
     """The converted instance holds the model's Cliques object itself, and
     its members are checked against the instance's variable count."""

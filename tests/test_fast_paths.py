@@ -393,15 +393,14 @@ def test_batch_components_match_lone_instances(case, data):
     labeling = np.concatenate(parts)
     energies = np.atleast_1d(batch.evaluate(labeling))
     alpha = data.draw(st.integers(0, batch.num_labels - 1))
-    movable = np.array(data.draw(st.lists(
+    components = np.array(data.draw(st.lists(
         st.booleans(), min_size=len(nodes), max_size=len(nodes))))
-    movable &= alpha < batch.component_labels
-    move = best_expansion_move(batch, labeling, alpha,
-                               movable=np.repeat(movable, n))
+    components &= alpha < batch.component_labels
+    move = best_expansion_move(batch, labeling, alpha, components=components)
     for j, (inst, part) in enumerate(zip(lone, parts)):
         assert np.float64(energies[j]).tobytes() \
             == np.float64(inst.evaluate(part)).tobytes()
-        want = best_expansion_move(inst, part, alpha) if movable[j] \
+        want = best_expansion_move(inst, part, alpha) if components[j] \
             else part
         np.testing.assert_array_equal(move[j * n:(j + 1) * n], want)
 

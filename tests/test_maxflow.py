@@ -10,8 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from parsilab.expansion import _move_network
-from parsilab.maxflow import (FlowNetwork, StateError, _arc_lists,
-                              _search_trees, _short_paths)
+from parsilab.maxflow import (FlowNetwork, _arc_lists, _search_trees,
+                              _short_paths)
 from reference import (DinicNetwork, TwoHopNetwork, arc_lists,
                        infinite_capacity, source_reachable, two_hop_paths)
 from test_fast_paths import labelings, pn_instances
@@ -57,25 +57,24 @@ def _flow_excess(net, v, res=None):
 
 
 def _build(terminal, arcs):
-    net = FlowNetwork()
-    nodes = net.add_nodes(len(terminal))
+    net = FlowNetwork(len(terminal))
     for v, (cs, ct) in enumerate(terminal):
-        net.add_terminal_arc(nodes[v], cs, ct)
+        net.add_terminal_arc(v, cs, ct)
     for u, v, cf, cb in arcs:
-        net.add_arc(nodes[u], nodes[v], cf)
-        net.add_arc(nodes[v], nodes[u], cb)
-    return net, nodes
+        net.add_arc(u, v, cf)
+        net.add_arc(v, u, cb)
+    return net
 
 
 def test_single_node():
-    net, nodes = _build([(5.0, 3.0)], [])
+    net = _build([(5.0, 3.0)], [])
     assert net.compute_max_flow() == 3.0
-    assert net.source_side_mask()[nodes[0]]
+    assert net.source_side_mask()[0]
 
 
 def test_single_path_through_infinite_arc():
-    net = FlowNetwork()
-    a, b = net.add_nodes(2)
+    net = FlowNetwork(2)
+    a, b = 0, 1
     net.add_terminal_arc(a, 10.0, 0.0)
     net.add_terminal_arc(b, 0.0, 4.0)
     net.add_arc(a, b, infinite_capacity(net))
@@ -83,14 +82,14 @@ def test_single_path_through_infinite_arc():
 
 
 def test_empty_network():
-    assert FlowNetwork().compute_max_flow() == 0.0
+    assert FlowNetwork(0).compute_max_flow() == 0.0
 
 
 def test_diamond_network():
     terminal = [(4.0, 0.0), (3.0, 0.0), (0.0, 2.0), (0.0, 5.0)]
     arcs = [(0, 2, 2.0, 0.0), (0, 3, 1.0, 0.0),
             (1, 2, 1.0, 0.0), (1, 3, 3.0, 0.0)]
-    net, _ = _build(terminal, arcs)
+    net = _build(terminal, arcs)
     flow = net.compute_max_flow()
     assert flow == _min_cut_enumeration(4, terminal, arcs)
 
@@ -101,9 +100,8 @@ def test_bipartite_matching():
         left, right = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         edges = [(i, j) for i in range(left) for j in range(right)
                  if rng.random() < 0.5]
-        net = FlowNetwork()
-        lnodes = net.add_nodes(left)
-        rnodes = net.add_nodes(right)
+        net = FlowNetwork(left + right)
+        lnodes, rnodes = range(left), range(left, left + right)
         for v in lnodes:
             net.add_terminal_arc(v, 1.0, 0.0)
         for v in rnodes:
@@ -139,42 +137,28 @@ def test_random_networks_match_cut_enumeration():
             if u != v:
                 arcs.append((int(u), int(v), float(rng.integers(0, 5)),
                              float(rng.integers(0, 5))))
-        net, nodes = _build(terminal, arcs)
+        net = _build(terminal, arcs)
         flow = net.compute_max_flow()
         expect = _min_cut_enumeration(n, terminal, arcs)
         assert abs(flow - expect) <= 1e-9
         # strong duality: the reported cut has capacity equal to the flow
         assert abs(_cut_capacity(net) - flow) <= 1e-9
         # conservation at every non-terminal node
-        for v in nodes:
+        for v in range(n):
             assert abs(_flow_excess(net, v + 2)) <= 1e-9
 
 
-def test_queries_require_solved_state():
-    net = FlowNetwork()
-    v = net.add_node()
-    net.add_terminal_arc(v, 1.0, 1.0)
-    with pytest.raises(StateError):
-        net.source_side_mask()
-    net.compute_max_flow()
-    net.source_side_mask()                 # fine once solved
-    net.add_terminal_arc(v, 1.0, 0.0)      # mutation invalidates the solve
-    with pytest.raises(StateError):
-        net.source_side_mask()
-
-
 def test_terminal_arcs_accumulate():
-    net = FlowNetwork()
-    v = net.add_node()
-    net.add_terminal_arc(v, 2.0, 0.0)
-    net.add_terminal_arc(v, 3.0, 4.0)
+    net = FlowNetwork(1)
+    net.add_terminal_arc(0, 2.0, 0.0)
+    net.add_terminal_arc(0, 3.0, 4.0)
     assert net.compute_max_flow() == 4.0
 
 
 def test_source_side_nodes():
     terminal = [(10.0, 0.0), (0.0, 1.0)]
     arcs = [(0, 1, 1.0, 0.0)]
-    net, _ = _build(terminal, arcs)
+    net = _build(terminal, arcs)
     net.compute_max_flow()
     assert net.source_side_mask().tolist() == [True, False]
     assert net._residual_reachable()[:2] == [True, False]   # source, sink
@@ -182,8 +166,8 @@ def test_source_side_nodes():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
 def test_non_finite_or_negative_capacities_are_rejected(bad):
-    net = FlowNetwork()
-    a, b = net.add_nodes(2)
+    net = FlowNetwork(2)
+    a, b = 0, 1
     for add in (lambda: net.add_arc(a, b, bad),
                 lambda: net.add_terminal_arc(a, bad, 0.0),
                 lambda: net.add_terminal_arc(a, 0.0, bad)):
@@ -193,10 +177,9 @@ def test_non_finite_or_negative_capacities_are_rejected(bad):
 
 
 def test_unknown_node_is_rejected():
-    """Arcs join nodes the caller added: no id outside 0..n-1 names a
+    """Arcs join the network's own nodes: no id outside 0..n-1 names a
     terminal, and a rejected arc leaves the network as it was."""
-    net = FlowNetwork()
-    net.add_nodes(2)
+    net = FlowNetwork(2)
     net.add_arc(0, 1, 1.0)
     net.add_terminal_arc(1, 2.0, 3.0)
     before = (list(net._to), list(net._cap))
@@ -211,13 +194,10 @@ def test_unknown_node_is_rejected():
 
 
 def test_negative_node_count_is_rejected():
-    net = FlowNetwork()
-    net.add_nodes(3)
     with pytest.raises(ValueError):
-        net.add_nodes(-2)
-    assert net.num_nodes == 3
-    assert net.add_nodes(0) == range(3, 3)
-    assert list(net.add_nodes(2)) == [3, 4]
+        FlowNetwork(-2)
+    assert FlowNetwork(0).num_nodes == 0
+    assert FlowNetwork(3).num_nodes == 3
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +214,7 @@ def networks(draw, max_nodes=14, caps=capacities):
     parallel and antiparallel arcs, self-loops, zero capacities, and
     repeated terminal arcs on one node."""
     n = draw(st.integers(0, max_nodes))
-    net = FlowNetwork()
-    net.add_nodes(n)
+    net = FlowNetwork(n)
     for _ in range(draw(st.integers(0, 4 * n))):
         u = draw(st.integers(0, n - 1))
         if draw(st.booleans()):
@@ -280,8 +259,7 @@ def _assert_same_as_oracles(net):
 def _network(arcs, terminal):
     """A network of the given arcs (u, v, cap), in order, after the
     terminal arcs (v, cap_from_source, cap_to_sink)."""
-    net = FlowNetwork()
-    net.add_nodes(1 + max(max(u, v) for u, v, _ in arcs))
+    net = FlowNetwork(1 + max(max(u, v) for u, v, _ in arcs))
     for v, cs, ct in terminal:
         net.add_terminal_arc(v, cs, ct)
     for u, v, cap in arcs:
@@ -341,12 +319,11 @@ def test_three_hop_pass_carries_shared_gadget_flow():
     movers have no terminal arcs.  Every augmenting path then runs
     source -> b -> mover -> a -> sink: the three-hop pass carries the
     whole flow, and the two-hop pass none of it."""
-    net = FlowNetwork()
-    movers = net.add_nodes(5)
+    net = FlowNetwork(9)                   # five movers, then two hubs each
+    movers = range(5)
     inf = 100.0
-    for clique, pay_keep, pay_switch in ((movers[:4], 3.0, 2.0),
-                                         (movers[1:], 2.0, 4.0)):
-        b, a = net.add_nodes(2)
+    for (b, a), clique, pay_keep, pay_switch in (
+            ((5, 6), movers[:4], 3.0, 2.0), ((7, 8), movers[1:], 2.0, 4.0)):
         net.add_terminal_arc(b, pay_keep, 0.0)
         net.add_terminal_arc(a, 0.0, pay_switch)
         for i in clique:
@@ -392,61 +369,3 @@ def test_cut_read_is_the_least_minimum_cut(net):
     least = np.all(bits[cut == cut.min()], axis=0)
     assert cut.min() == net.compute_max_flow()
     np.testing.assert_array_equal(net.source_side_mask(), least)
-
-
-@st.composite
-def growth(draw, max_nodes=8, caps=capacities):
-    """Nodes and arcs to build a network from, split in two: what is there
-    at the first solve and what is added after it."""
-    steps = []
-    n = first = draw(st.integers(0, max_nodes))
-    for _ in range(draw(st.integers(1, 3 * max_nodes))):
-        kind = draw(st.sampled_from(["node", "terminal", "arc"]))
-        if kind == "node" or not n:
-            steps.append(("node",))
-            n += 1
-        elif kind == "terminal":
-            steps.append(("terminal", draw(st.integers(0, n - 1)),
-                          draw(caps), draw(caps)))
-        else:
-            u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-            steps.append(("arc", u, v, draw(caps)))
-            if draw(st.booleans()):
-                steps.append(("arc", v, u, draw(caps)))
-    return first, steps, draw(st.integers(0, len(steps) - 1))
-
-
-def _grow(net, steps):
-    for kind, *args in steps:
-        if kind == "node":
-            net.add_node()
-        elif kind == "terminal":
-            net.add_terminal_arc(*args)
-        else:
-            net.add_arc(*args)
-
-
-@SETTINGS
-@given(growth())
-def test_grown_network_is_laid_out_and_solved_again(case):
-    """A solved network that gains nodes or arcs is solved again from a new
-    layout, exactly as a network built fresh with the same arcs."""
-    n, steps, split = case
-    net = FlowNetwork()
-    net.add_nodes(n)
-    _grow(net, steps[:split])
-    net.compute_max_flow()
-    net.source_side_mask()                 # caches the cut of the first solve
-    size = (net.num_nodes, len(net._to))
-    _grow(net, steps[split:])
-    grown = (net.num_nodes, len(net._to)) != size
-    fresh = FlowNetwork()
-    fresh.add_nodes(n)
-    _grow(fresh, steps)
-    assert net.compute_max_flow() == fresh.compute_max_flow()
-    # the cached cut is cleared exactly when the network grew (a terminal
-    # arc of zero capacities adds nothing)
-    assert (net._reachable is None) == grown
-    np.testing.assert_array_equal(net.source_side_mask(),
-                                  fresh.source_side_mask())
-    assert net._head == fresh._head
