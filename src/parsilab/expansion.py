@@ -229,8 +229,7 @@ def _move_network(instance, current, alpha, clique_gamma=None,
                 instance.gamma_max - instance.gamma[:, alpha],
                 out=pay[count:])
     # sums[i] is variable i's sum_keep and sums[n + i] its sum_switch
-    slot, paid = instance._slot, instance._paid
-    sums = np.bincount(slot, pay[paid], 2 * n)
+    sums = np.bincount(instance._slot, pay[instance._paid], 2 * n)
 
     keep_cost = instance.unaries[np.arange(n), current]
     switch_cost = instance.unaries[:, alpha]
@@ -244,15 +243,7 @@ def _move_network(instance, current, alpha, clique_gamma=None,
     if movable is not None:
         below[:n][~movable] = -np.inf
         below[n:][~movable] = -np.inf
-    while True:
-        forced = sums < below
-        # a clique with a member forced to switch pays pay_keep in every
-        # move, and one with a member forced to keep pays pay_switch
-        fixed = paid[forced[slot].nonzero()[0]]
-        if not np.count_nonzero(pay[fixed]):
-            break
-        pay[fixed] = 0.0
-        sums = np.bincount(slot, pay[paid], 2 * n)
+    forced = _fix_forced(instance._slot, instance._paid, pay, sums, below)
     switch = forced[:n]
     loose = (current != alpha) & ~(switch | forced[n:])     # free movers
     if movable is not None:
@@ -318,6 +309,37 @@ def _move_network(instance, current, alpha, clique_gamma=None,
             for i in clique_movers:
                 net.add_arc(i, a, inf)
     return net, free, switch
+
+
+def _fix_forced(slot, paid, pay, sums, below):
+    """The forced movers of a move, fixed to a fixpoint (see
+    _move_network): the mask sums < below once no pass drops a term.
+
+    Entry k adds pay[paid[k]] to sums[slot[k]].  A term that drops out
+    has its pay zeroed in place.  After the first pass that drops one,
+    the later passes read only the entries still paying, if at least a
+    quarter of them stopped: cutting them down costs about a pass, which
+    moves whose first pass drops few entries would not win back.  A
+    dropped entry only ever adds a zero, so the sums are bit for bit
+    those over every entry.
+    """
+    compacted = False
+    while True:
+        forced = sums < below
+        # a clique with a member forced to switch pays pay_keep in every
+        # move, and one with a member forced to keep pays pay_switch
+        fixed = paid[forced[slot].nonzero()[0]]
+        if not np.count_nonzero(pay[fixed]):
+            return forced
+        pay[fixed] = 0.0
+        values = pay[paid]
+        if not compacted:
+            compacted = True
+            if 4 * np.count_nonzero(values) <= 3 * values.size:
+                paying = values != 0
+                slot, paid = slot[paying], paid[paying]
+                values = values[paying]
+        sums = np.bincount(slot, values, sums.size)
 
 
 @dataclass

@@ -5,9 +5,11 @@ A model's clique potential is a consistency cost (PnPottsSpec) or a
 Diversity: the diameter diversity of a label metric, an explicit subset
 table, or a subclass.  Each has num_labels, value(subset),
 clique_values(labs, offsets) and value_bound(), at least its largest
-value, which bounds a model's energies.  Every model keeps its cliques as one
-Cliques, CSR arrays of members and weights that also carry all clique
-validation; potentials evaluate every clique at once from those arrays.
+value, which bounds a model's energies.  Every model keeps its cliques
+as one Cliques, CSR arrays of members and weights that also carry all
+clique validation; potentials evaluate every clique at once from those
+arrays.  The diameter diversity and the Diversity base class value each
+distinct label set once in clique_values, however many cliques have it.
 A LabelMetric is checked once, when it is built, or is a metric by
 construction.  Everything here is immutable after construction and
 evaluation is deterministic.
@@ -30,6 +32,9 @@ ENERGY_LIMIT = sys.float_info.max / 2.0 ** 32
 
 # explicit subset tables are enumerated over all 2^H - 1 subsets
 MAX_TABLE_LABELS = 20
+
+# _BIT[b] is the uint64 word with only bit b set
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 class InvalidInputError(ValueError):
@@ -72,6 +77,27 @@ def check_labeling(labeling, unaries):
     if labeling.size and (labeling.min() < 0 or labeling.max() >= h):
         raise InvalidInputError("label index out of range")
     return labeling
+
+
+def distinct_label_sets(labs, offsets, num_labels):
+    """The distinct label sets of the cliques whose members' labels are
+    labs, in CSR order (see per_clique): (first, inverse), where clique
+    first[s] has the s-th distinct set and clique c has set inverse[c].
+
+    A set is keyed as ceil(H / 64) uint64 words of a bitmask, label l
+    being bit l % 64 of word l // 64.
+    """
+    words = max(1, -(-num_labels // 64))
+    bit = _BIT[labs & 63]
+    keys = np.empty((offsets.size - 1, words), dtype=np.uint64)
+    for w in range(words):
+        keys[:, w] = per_clique(np.bitwise_or, bit if words == 1 else
+                                np.where(labs >> 6 == w, bit, 0), offsets)
+    if words > 1:        # a row's words as one item, compared byte by byte
+        keys = keys.view(np.dtype((np.void, keys.itemsize * words)))
+    _, first, inverse = np.unique(keys.reshape(-1), return_index=True,
+                                  return_inverse=True)
+    return first, inverse.reshape(-1)
 
 
 def ordered_sum(start, costs):
@@ -185,11 +211,13 @@ class Diversity:
 
     def clique_values(self, labs, offsets):
         """The value of each clique's label set, where labs holds the
-        members' labels in CSR order (see per_clique)."""
-        bounds = offsets.tolist()
+        members' labels in CSR order (see per_clique).  Each distinct
+        label set is valued once."""
+        first, inverse = distinct_label_sets(labs, offsets, self.num_labels)
         return np.array([self.value(tuple(sorted(set(labs[a:b].tolist()))))
-                         for a, b in zip(bounds[:-1], bounds[1:])],
-                        dtype=float)
+                         for a, b in zip(offsets[first].tolist(),
+                                         offsets[first + 1].tolist())],
+                        dtype=float)[inverse]
 
     def induced_metric(self):
         """The pairwise restriction d(l_i, l_j) = delta({l_i, l_j})."""
@@ -224,18 +252,26 @@ class DiameterDiversity(Diversity):
     block_entries = 1 << 20
 
     def clique_values(self, labs, offsets):
-        # cliques go in blocks of at most block_entries // H members (one
+        # each distinct label set is valued once, on the first clique that
+        # has it: those cliques' members are gathered in CSR order
+        first, inverse = distinct_label_sets(labs, offsets, self.num_labels)
+        sizes = np.diff(offsets)[first]
+        picked = np.zeros(first.size + 1, dtype=np.intp)
+        np.cumsum(sizes, out=picked[1:])
+        labs = labs[np.arange(picked[-1])
+                    + np.repeat(offsets[first] - picked[:-1], sizes)]
+        # they go in blocks of at most block_entries // H members (one
         # larger clique goes alone), so the temporaries stay bounded
         cap = max(1, self.block_entries // self.num_labels)
-        values, c, count = [], 0, offsets.size - 1
-        while c < count:
+        values, c = [np.zeros(0)], 0
+        while c < first.size:
             stop = max(c + 1, int(np.searchsorted(
-                offsets, offsets[c] + cap, side="right")) - 1)
-            a, b = offsets[c], offsets[stop]
+                picked, picked[c] + cap, side="right")) - 1)
+            a, b = picked[c], picked[stop]
             values.append(self._block_values(labs[a:b],
-                                             offsets[c:stop + 1] - a))
+                                             picked[c:stop + 1] - a))
             c = stop
-        return np.concatenate(values) if values else np.zeros(0)
+        return np.concatenate(values)[inverse]
 
     def _block_values(self, labs, offsets):
         sizes = np.diff(offsets)
@@ -284,16 +320,24 @@ class ExplicitTableDiversity(Diversity):
     @classmethod
     def from_entries(cls, num_labels, entries):
         """Build from (subset, value) pairs covering every non-empty subset.
-        Each subset is a list of labels 0..num_labels-1."""
-        table = np.full(1 << num_labels, np.nan)
-        table[0] = 0.0
+        Each subset is a non-empty list of labels 0..num_labels-1, and no
+        two name the same label set."""
+        table = np.zeros(1 << num_labels)
+        given = np.zeros(1 << num_labels, dtype=bool)
+        given[0] = True
         for subset, v in entries:
             labels = index_array(subset, "diversity table labels")
-            if labels.size and not 0 <= labels.min() <= labels.max() \
-                    < num_labels:
+            if not labels.size:
+                raise InvalidInputError("diversity table entry has no labels")
+            if not 0 <= labels.min() <= labels.max() < num_labels:
                 raise InvalidInputError("diversity table label out of range")
-            table[_subset_mask(labels.tolist())] = v
-        if np.any(np.isnan(table)):
+            mask = _subset_mask(labels.tolist())
+            if given[mask]:
+                raise InvalidInputError(
+                    "diversity table repeats the label set %s"
+                    % sorted(set(labels.tolist())))
+            table[mask], given[mask] = v, True
+        if not given.all():
             raise InvalidInputError("table is missing some non-empty subsets")
         return cls(num_labels, table)
 

@@ -107,9 +107,9 @@ def build_fusion_instance(model, tree, nodes, child_labelings):
     diversity of child k's labels on it when all members choose k, and
     the diameter of the node's whole cluster (tree.diameter) otherwise.
     Cliques of weight 0 are dropped.  The kept cliques are read once for
-    every child of every node and tiled once per node.  A node with fewer
-    children than another pads its meta-labels with unaries and gamma 0;
-    it never moves to them.
+    every child of every node whose labeling is not constant, and tiled
+    once per node.  A node with fewer children than another pads its
+    meta-labels with unaries and gamma 0; it never moves to them.
     """
     n = model.num_variables
     m = len(nodes)
@@ -126,14 +126,17 @@ def build_fusion_instance(model, tree, nodes, child_labelings):
 
     kept = model.cliques.select(model.cliques.weights > 0)
     sizes, offsets = kept.sizes, kept.offsets
-    labs = rows[:, kept.members]        # children x (members of kept cliques)
+    # a constant child, such as a leaf's, has diameter 0 on every clique;
+    # only the others' labels are read
+    varied = (rows != rows[:, :1]).any(axis=1).nonzero()[0]
+    labs = rows[varied[:, None], kept.members]  # their labels on the cliques
     low = per_clique(np.minimum, labs, offsets)
     high = per_clique(np.maximum, labs, offsets)
 
     # a child's diameter on clique c: the distance between its smallest
     # and largest label is exact on one or two labels (0 on one); the
     # (child, clique) pairs with more labels go through one clique_values
-    values = metric.matrix[low, high]                   # children x cliques
+    values = metric.matrix[low, high]           # varied children x cliques
     wide = ~per_clique(
         np.logical_and, (labs == np.repeat(low, sizes, axis=1))
         | (labs == np.repeat(high, sizes, axis=1)), offsets)
@@ -144,7 +147,7 @@ def build_fusion_instance(model, tree, nodes, child_labelings):
         values[r, c] = DiameterDiversity(metric).clique_values(
             labs[np.repeat(wide, sizes, axis=1)], wide_offsets)
     gamma = np.zeros((m, len(kept), h))
-    gamma[node_of, :, child_of] = values
+    gamma[node_of[varied], :, child_of[varied]] = values
     return PnPottsInstance(
         meta_unaries.reshape(m * n, h), kept.tile(m, n),
         gamma.reshape(-1, h),

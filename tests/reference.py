@@ -46,6 +46,22 @@ def evaluate_energy(model, labeling):
     return float(unary) + total
 
 
+def diameter_clique_values(diversity, labs, offsets):
+    """DiameterDiversity.clique_values with every clique valued, in
+    blocks of at most block_entries // H members (one larger clique goes
+    alone)."""
+    cap = max(1, diversity.block_entries // diversity.num_labels)
+    values, c, count = [], 0, offsets.size - 1
+    while c < count:
+        stop = max(c + 1, int(np.searchsorted(
+            offsets, offsets[c] + cap, side="right")) - 1)
+        a, b = offsets[c], offsets[stop]
+        values.append(diversity._block_values(labs[a:b],
+                                              offsets[c:stop + 1] - a))
+        c = stop
+    return np.concatenate(values) if values else np.zeros(0)
+
+
 def evaluate(instance, labeling):
     """PnPottsInstance.evaluate as a loop over the cliques."""
     labeling = check_labeling(labeling, instance.unaries)
@@ -145,6 +161,18 @@ def forced_movers(instance, current, alpha):
     mover = current != alpha
     return (mover & (switch_cost + sum_keep < keep_cost - margin),
             mover & (keep_cost + sum_switch < switch_cost - margin))
+
+
+def fix_forced(slot, paid, pay, sums, below):
+    """expansion._fix_forced with every pass over every entry, the
+    dropped ones included."""
+    while True:
+        forced = sums < below
+        fixed = paid[forced[slot].nonzero()[0]]
+        if not np.count_nonzero(pay[fixed]):
+            return forced
+        pay[fixed] = 0.0
+        sums = np.bincount(slot, pay[paid], sums.size)
 
 
 def alpha_expansion(instance, init=None):

@@ -36,6 +36,10 @@ ZERO_WEIGHT_WIDE_METRIC_PROBLEM = os.path.join(
     DATA, "zero_weight_wide_metric_problem.json")
 # a two-label diversity table with an entry for label 5; CI also runs it
 BAD_TABLE_LABEL_PROBLEM = os.path.join(DATA, "bad_table_label_problem.json")
+# a two-label diversity table whose last entry, labels [1, 1], names the
+# set {1} a second time; CI also runs it
+DUPLICATE_TABLE_ENTRY_PROBLEM = os.path.join(
+    DATA, "duplicate_table_entry_problem.json")
 
 # energy of the committed fixture at k=10, seed 0; equals the exhaustive
 # optimum of that instance (verified when the fixture was generated)
@@ -263,6 +267,16 @@ def test_bad_diversity_table_label_exits_2(tmp_path, capsys, command, name):
     assert cli.main([command, str(bad)]) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "diversity table label" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_repeated_diversity_table_entry_exits_2(capsys, command):
+    """Two table entries for one label set are an input error, not a
+    table where the last one silently wins."""
+    assert cli.main([command, DUPLICATE_TABLE_ENTRY_PROBLEM]) \
+        == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "repeats the label set [1]" in err
 
 
 def test_overflowing_distance_ratio_exits_2(capsys):

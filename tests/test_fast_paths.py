@@ -131,6 +131,51 @@ def test_fixpoint_extends_one_pass_and_agrees_with_the_move(move):
                                   oracle)
 
 
+def assert_same_move_network(inst, current, alpha, components=None):
+    """_move_network fixes the movers to the fixpoint of full passes over
+    every clique entry: the same free movers, switch mask and network,
+    arc for arc and capacity bit for bit."""
+    net, free, switch = expansion._move_network(inst, current, alpha,
+                                                components=components)
+    with mock.patch.object(expansion, "_fix_forced", reference.fix_forced):
+        want_net, want_free, want_switch = expansion._move_network(
+            inst, current, alpha, components=components)
+    np.testing.assert_array_equal(free, want_free)
+    np.testing.assert_array_equal(switch, want_switch)
+    assert (net is None) == (want_net is None)
+    if net is not None:
+        assert net.num_nodes == want_net.num_nodes
+        assert net._to == want_net._to
+        assert np.array(net._cap).tobytes() \
+            == np.array(want_net._cap).tobytes()
+
+
+@SETTINGS
+@given(expansion_moves(), st.sampled_from([None, [True], [False]]))
+@example((pn_instance([[5.0, 0.0], [0.0, 0.25], [0.0, 5.0]],
+                      [([0, 1, 2], [0.5, 1.0], 2.0, 1.0)]),
+          np.zeros(3, np.intp), 1), None)
+def test_fixpoint_on_paying_entries_matches_full_passes(move, components):
+    inst, current, alpha = move
+    assert_same_move_network(
+        inst, current, alpha,
+        None if components is None else np.array(components))
+
+
+@SETTINGS
+@given(st.data())
+def test_batch_fixpoint_on_paying_entries_matches_full_passes(data):
+    """The same over the components of a batched fusion instance, some
+    of them left out of the move."""
+    model, tree, nodes, children = data.draw(fusion_batches())
+    batch = build_fusion_instance(model, tree, nodes, children)
+    current = data.draw(labelings(batch))
+    alpha = data.draw(st.integers(0, batch.num_labels - 1))
+    components = np.array(data.draw(st.lists(
+        st.booleans(), min_size=len(nodes), max_size=len(nodes))))
+    assert_same_move_network(batch, current, alpha, components)
+
+
 @SETTINGS
 @given(st.data())
 def test_pairwise_move_matches_gadget_build_and_enumeration(data):
@@ -210,6 +255,67 @@ def test_diameter_energy_in_blocks_matches_clique_loop(data):
     labeling = data.draw(labelings(model))
     assert model.evaluate_energy(labeling) == \
         reference.evaluate_energy(model, labeling)
+
+
+@st.composite
+def label_set_cliques(draw):
+    """(metric, labs, offsets) of up to 40 cliques of 1-6 members over
+    1-200 labels, so a label set takes one to four 64-bit words.  Either
+    a few label sets each recur on many cliques, in any order and with
+    repeated labels, or every clique has its own set: the smallest label
+    of clique c is c."""
+    h = draw(st.integers(1, 200))
+    count = draw(st.integers(0, 40))
+    cliques = []
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.lists(st.integers(0, h - 1), min_size=1,
+                                      max_size=6, unique=True),
+                             min_size=1, max_size=3))
+        for _ in range(count):
+            labels = draw(st.sampled_from(pool))
+            extra = draw(st.lists(st.sampled_from(labels),
+                                  max_size=6 - len(labels)))
+            cliques.append(draw(st.permutations(labels + extra)))
+    else:
+        for c in range(min(count, h)):
+            cliques.append(draw(st.permutations([c] + draw(st.lists(
+                st.integers(c, h - 1), max_size=5)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # a symmetric non-negative matrix, on a coarse grid so that distances
+    # tie, or arbitrary floats
+    upper = np.triu(rng.integers(0, 4, size=(h, h)) * 0.5
+                    if draw(st.booleans()) else rng.uniform(0, 5, (h, h)), 1)
+    offsets = np.cumsum([0] + [len(c) for c in cliques])
+    labs = np.array([l for c in cliques for l in c], dtype=np.intp)
+    return LabelMetric(upper + upper.T, validate=False), labs, offsets
+
+
+@SETTINGS
+@given(label_set_cliques(), st.integers(1, 5))
+def test_diameter_values_per_distinct_set_match_blocks(case, members):
+    """Valuing each distinct label set once gives every clique's value
+    bit for bit as valuing every clique, in blocks of 1-5 members."""
+    metric, labs, offsets = case
+    diversity = DiameterDiversity(metric)
+    diversity.block_entries = metric.num_labels * members
+    got = diversity.clique_values(labs, offsets)
+    want = reference.diameter_clique_values(diversity, labs, offsets)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@SETTINGS
+@given(label_set_cliques())
+def test_diversity_values_each_distinct_set_once(case):
+    metric, labs, offsets = case
+    diversity = _LoopedDiameter(metric)
+    with mock.patch.object(_LoopedDiameter, "value", autospec=True,
+                           side_effect=_LoopedDiameter.value) as value:
+        got = diversity.clique_values(labs, offsets)
+    bounds = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+    assert value.call_count == len({frozenset(labs[a:b].tolist())
+                                    for a, b in bounds})
+    np.testing.assert_array_equal(
+        got, [diversity.value(set(labs[a:b].tolist())) for a, b in bounds])
 
 
 @SETTINGS
@@ -351,19 +457,44 @@ def _chain_rhsts(draw, max_labels=12):
 
 
 @st.composite
-def fusion_batches(draw):
+def fusion_batches(draw, constants=False):
     """(model, tree, nodes, child labelings) of one batched fusion: a
     few internal nodes with several children, repeats allowed, and for
-    each child a labeling drawn from its cluster."""
+    each child a labeling drawn from its cluster.  With constants, a
+    child that is not a leaf may also have a constant labeling."""
     tree = _chain_rhsts(draw)
-    model = _diameter_model(draw, tree, draw(st.integers(1, 6)))
+    n = draw(st.integers(1, 6))
+    model = _diameter_model(draw, tree, n)
     fused = [v for v in range(tree.num_nodes) if len(tree.children[v]) > 1]
     nodes = draw(st.lists(st.sampled_from(fused), min_size=1, max_size=5))
-    children = [[np.array(draw(st.lists(
-        st.sampled_from(reference.cluster_labels(tree, child)),
-        min_size=model.num_variables, max_size=model.num_variables)),
-        dtype=np.intp) for child in tree.children[node]] for node in nodes]
+
+    def labeling(child):
+        cluster = st.sampled_from(reference.cluster_labels(tree, child))
+        if constants and draw(st.booleans()):
+            return np.full(n, draw(cluster), dtype=np.intp)
+        return np.array(draw(st.lists(cluster, min_size=n, max_size=n)),
+                        dtype=np.intp)
+    children = [[labeling(child) for child in tree.children[node]]
+                for node in nodes]
     return model, tree, nodes, children
+
+
+@SETTINGS
+@given(case=fusion_batches(constants=True))
+def test_fusion_batch_with_constant_children_matches_clique_loop(case):
+    """With constant children among the others, a leaf's or not, every
+    node's block of gamma and gamma_max is its clique loop's bit for bit,
+    and the padding is 0."""
+    model, tree, nodes, children = case
+    batch = build_fusion_instance(model, tree, nodes, children)
+    width = len(batch.cliques) // len(nodes)
+    for j, (node, kids) in enumerate(zip(nodes, children)):
+        slow = reference.build_fusion_instance(model, tree, node, kids)
+        rows = slice(j * width, (j + 1) * width)
+        assert batch.gamma[rows, :len(kids)].tobytes() \
+            == slow.gamma.tobytes()
+        assert not batch.gamma[rows, len(kids):].any()
+        assert batch.gamma_max[rows].tobytes() == slow.gamma_max.tobytes()
 
 
 @SETTINGS

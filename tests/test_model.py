@@ -95,6 +95,32 @@ def test_table_diversity_requires_full_table():
         ExplicitTableDiversity.from_entries(2, [([0], 0.0), ([1], 0.0)])
 
 
+@pytest.mark.parametrize("entries", [
+    # [1, 1] names {1} again, after [1]
+    [([0], 0.0), ([1], 0.0), ([0, 1], 1.0), ([1, 1], 2.0)],
+    # the same pair twice, in either order
+    [([0], 0.0), ([1], 0.0), ([0, 1], 1.0), ([1, 0], 7.0)],
+    [([0], 0.0), ([0, 1], 1.0), ([1], 0.0), ([0, 1], 1.0)],
+], ids=["repeated label", "reordered pair", "same entry twice"])
+def test_table_diversity_refuses_a_repeated_label_set(entries):
+    with pytest.raises(InvalidInputError, match="repeats the label set"):
+        ExplicitTableDiversity.from_entries(2, entries)
+
+
+def test_table_diversity_refuses_an_empty_label_list():
+    entries = [([0], 0.0), ([1], 0.0), ([0, 1], 1.0), ([], 0.0)]
+    with pytest.raises(InvalidInputError, match="no labels"):
+        ExplicitTableDiversity.from_entries(2, entries)
+
+
+def test_table_diversity_takes_repeated_labels_within_an_entry():
+    """[1, 1] is the set {1}: an entry may repeat a label, so long as no
+    other entry names its set."""
+    div = ExplicitTableDiversity.from_entries(
+        2, [([0, 0], 0.0), ([1, 1], 0.0), ([1, 0, 1], 1.5)])
+    np.testing.assert_array_equal(div.table, [0.0, 0.0, 0.0, 1.5])
+
+
 def test_table_value_lookup():
     entries = [([0], 0.0), ([1], 0.0), ([0, 1], 2.5)]
     div = ExplicitTableDiversity.from_entries(2, entries)
