@@ -317,11 +317,9 @@ def _fix_forced(slot, paid, pay, sums, below):
 
     Entry k adds pay[paid[k]] to sums[slot[k]].  A term that drops out
     has its pay zeroed in place.  After the first pass that drops one,
-    the later passes read only the entries still paying, if at least a
-    quarter of them stopped: cutting them down costs about a pass, which
-    moves whose first pass drops few entries would not win back.  A
-    dropped entry only ever adds a zero, so the sums are bit for bit
-    those over every entry.
+    the later passes read only the entries still paying.  A dropped
+    entry only ever adds a zero, so the sums are bit for bit those over
+    every entry.
     """
     compacted = False
     while True:
@@ -335,10 +333,8 @@ def _fix_forced(slot, paid, pay, sums, below):
         values = pay[paid]
         if not compacted:
             compacted = True
-            if 4 * np.count_nonzero(values) <= 3 * values.size:
-                paying = values != 0
-                slot, paid = slot[paying], paid[paying]
-                values = values[paying]
+            paying = values.nonzero()[0]
+            slot, paid, values = slot[paying], paid[paying], values[paying]
         sums = np.bincount(slot, values, sums.size)
 
 

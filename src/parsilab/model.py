@@ -91,7 +91,7 @@ def distinct_label_sets(labs, offsets, num_labels):
     bit = _BIT[labs & 63]
     keys = np.empty((offsets.size - 1, words), dtype=np.uint64)
     for w in range(words):
-        keys[:, w] = per_clique(np.bitwise_or, bit if words == 1 else
+        keys[:, w] = per_clique(np.bitwise_or,
                                 np.where(labs >> 6 == w, bit, 0), offsets)
     if words > 1:        # a row's words as one item, compared byte by byte
         keys = keys.view(np.dtype((np.void, keys.itemsize * words)))
