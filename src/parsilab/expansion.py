@@ -8,7 +8,11 @@ A PnPottsInstance keeps its cliques as a model.Cliques, so energies and
 move networks are built from the CSR clique arrays.  An instance may be
 a disjoint union of components, such as one height's fusion nodes of a
 tree solve; alpha_expansion sweeps it as if each component were swept
-alone, with one cut per move for all of them.  Before a move's
+alone, with one cut per move for all the components the move covers.
+Each move, its clique costs and its energies are computed on the
+instance of those components alone (PnPottsInstance.select, slices of
+the checked arrays), so a move does work only for the variables it can
+move.  Before a move's
 network is built, every variable whose costs decide it (it keeps, or
 switches, in every optimal move) is fixed, to a fixpoint; only the free
 variables get nodes, and on lattices most moves are left with none.  A
@@ -85,20 +89,72 @@ class PnPottsInstance:
                             != cliques.members // (n // m)):
             raise InvalidInputError("each clique must lie inside one "
                                     "component")
+        self._set(unaries, cliques, gamma, gamma_max, labels)
+
+    @classmethod
+    def from_checked(cls, unaries, cliques, gamma, gamma_max,
+                     component_labels):
+        """The instance of arrays that pass __init__'s checks as they are,
+        such as the slices of a checked instance: gamma is count x H (a
+        broadcast view when one table is shared), gamma_max and the
+        component labels are arrays.  Nothing is checked again."""
+        instance = cls.__new__(cls)
+        instance._set(unaries, cliques, gamma, gamma_max, component_labels)
+        return instance
+
+    def _set(self, unaries, cliques, gamma, gamma_max, component_labels):
+        n, h = unaries.shape
+        count = len(cliques)
         self.unaries = unaries
         self.num_variables = n
         self.num_labels = h
         self.cliques = cliques
         self.gamma = gamma
         self.gamma_max = gamma_max
-        self.component_labels = labels
-        self.num_components = m
+        self.component_labels = component_labels
+        self.num_components = component_labels.size
+        # some component uses fewer than H labels
+        self._padded = bool(component_labels.min() < h)
         self._rows = np.arange(count)
         # every clique entry twice, as the slots of a move's per-variable
         # sums: member i at slot i with its clique's pay_keep (paid entry
         # c), and at slot n + i with its pay_switch (paid entry count + c)
         self._slot = np.concatenate((cliques.members, cliques.members + n))
         self._paid = np.concatenate((cliques.owner, cliques.owner + count))
+
+    def select(self, components):
+        """The instance made of the components that the boolean mask
+        marks, at least one, in order: their unaries rows, their cliques
+        with the members renumbered, their gamma rows (a shared table
+        stays shared), gamma_max and label counts.  They are slices of
+        checked arrays, so they are not checked again.  With every
+        component marked it is the instance itself."""
+        if components.all():
+            return self
+        m = self.num_components
+        rows = np.repeat(components, self.num_variables // m)
+        keep = np.repeat(components, len(self.cliques) // m)
+        gamma = self.gamma
+        if gamma.strides[0]:              # one table per clique
+            gamma = gamma[keep]
+        else:
+            gamma = np.broadcast_to(gamma[:1], (np.count_nonzero(keep),
+                                                self.num_labels))
+        return PnPottsInstance.from_checked(
+            self.unaries[rows], self.cliques.select(keep, rows.cumsum() - 1),
+            gamma, self.gamma_max[keep], self.component_labels[components])
+
+    def check_labeling(self, labeling):
+        """labeling as an index array, checked (model.check_labeling) and
+        each component's labels below its own label count, else
+        InvalidInputError."""
+        labeling = check_labeling(labeling, self.unaries)
+        if self._padded and labeling.size and np.any(
+                labeling.reshape(self.num_components, -1).max(axis=1)
+                >= self.component_labels):
+            raise InvalidInputError("label index out of its component's "
+                                    "range")
+        return labeling
 
     def clique_gamma(self, labeling):
         """Per clique: gamma of its label if uniformly labeled, else
@@ -116,14 +172,15 @@ class PnPottsInstance:
         clique costs added one by one in clique order, so it does not
         depend on the other components.
         """
-        labeling = check_labeling(labeling, self.unaries)
+        labeling = self.check_labeling(labeling)
         if clique_gamma is None:
             clique_gamma = self.clique_gamma(labeling)
         m = self.num_components
-        terms = np.empty((m, 1 + len(self.cliques) // m))
+        width = len(self.cliques) // m
+        terms = np.empty((m, 1 + width))
         terms[:, 0] = self.unaries[np.arange(self.num_variables),
                                    labeling].reshape(m, -1).sum(axis=1)
-        terms[:, 1:] = (self.cliques.weights * clique_gamma).reshape(m, -1)
+        terms[:, 1:] = (self.cliques.weights * clique_gamma).reshape(m, width)
         energy = terms.cumsum(axis=1)[:, -1]
         return float(energy[0]) if m == 1 else energy
 
@@ -134,9 +191,12 @@ def best_expansion_move(instance, current, alpha, clique_gamma=None,
 
     clique_gamma is instance.clique_gamma(current), if the caller has it.
     components, one boolean per component of the instance (see
-    PnPottsInstance), restricts the move to the components it marks; the
-    variables of the others keep their labels.  No clique spans two
-    components, so each marked component gets the move it would get alone.
+    PnPottsInstance), restricts the move to the components it marks, each
+    of which must have alpha among its labels; by default the move covers
+    every component that has.  The variables of the others keep their
+    labels.  The move is made on the instance of the marked components
+    alone (PnPottsInstance.select): no clique spans two components, so
+    each marked component gets the move it would get alone.
 
     A clique's movers are its members not yet labeled alpha; it pays
     pay_keep unless every mover keeps and pay_switch unless every mover
@@ -167,14 +227,43 @@ def best_expansion_move(instance, current, alpha, clique_gamma=None,
     cut at all.  The collector is paused while the move is built, solved
     and read, and the caller's collector state restored.
     """
-    current = check_labeling(current, instance.unaries)
+    current = instance.check_labeling(current)
     if not 0 <= alpha < instance.num_labels:
         raise InvalidInputError("alpha out of range")
+    allowed = alpha < instance.component_labels
+    if components is None:
+        components = allowed
+    else:
+        components = np.asarray(components)
+        if (components.dtype != bool
+                or components.shape != (instance.num_components,)):
+            raise InvalidInputError("components must be one boolean per "
+                                    "component of the instance")
+        if np.any(components & ~allowed):
+            raise InvalidInputError("alpha out of range of a marked "
+                                    "component")
+    if components.all():
+        return _move(instance, current, alpha, clique_gamma)
+    move = current.copy()
+    if components.any():
+        m = instance.num_components
+        rows = np.repeat(components, instance.num_variables // m)
+        if clique_gamma is not None:
+            clique_gamma = clique_gamma[
+                np.repeat(components, len(instance.cliques) // m)]
+        move[rows] = _move(instance.select(components), current[rows],
+                           alpha, clique_gamma)
+    return move
+
+
+def _move(instance, current, alpha, clique_gamma):
+    """best_expansion_move over every component of the instance, from a
+    checked labeling."""
     collecting = gc.isenabled()
     gc.disable()
     try:
         net, free, switch = _move_network(instance, current, alpha,
-                                          clique_gamma, components)
+                                          clique_gamma)
         if net is not None:
             net.compute_max_flow()
             switch[free] = ~net.source_side_mask()[:free.size]
@@ -185,8 +274,7 @@ def best_expansion_move(instance, current, alpha, clique_gamma=None,
     return np.where(switch, alpha, current)
 
 
-def _move_network(instance, current, alpha, clique_gamma=None,
-                  components=None):
+def _move_network(instance, current, alpha, clique_gamma=None):
     """The flow network of one expansion move (see best_expansion_move).
 
     Returns the network, the free movers in node order (node k is variable
@@ -200,21 +288,11 @@ def _move_network(instance, current, alpha, clique_gamma=None,
     every cost leaves the fixed set as it is.  It is taken from the first
     pass: the sums only fall, so that margin is the largest and only ever
     fixes fewer movers.  A mover on an exact tie stays free: only the cut
-    picks the least keep-set among the optimal moves.  A variable of a
-    component left out of components is neither forced nor free.  The
-    network is made at its final size: a node per free mover, then per
-    gadget its keep hub and its switch hub, those it needs.
+    picks the least keep-set among the optimal moves.  The network is
+    made at its final size: a node per free mover, then per gadget its
+    keep hub and its switch hub, those it needs.
     """
     n = instance.num_variables
-    movable = None                        # a mask over the variables, if any
-    if components is not None:
-        components = np.asarray(components)
-        if (components.dtype != bool
-                or components.shape != (instance.num_components,)):
-            raise InvalidInputError("components must be one boolean per "
-                                    "component of the instance")
-        if not components.all():
-            movable = np.repeat(components, n // instance.num_components)
     cliques = instance.cliques
     count = len(cliques)
     members, owner = cliques.members, cliques.owner
@@ -238,16 +316,11 @@ def _move_network(instance, current, alpha, clique_gamma=None,
         np.abs(keep_cost) + np.abs(switch_cost) + sums[:n] + sums[n:]))
     # forced[i]: mover i switches (us + sum_keep < uk - margin); forced[n +
     # i]: it keeps (uk + sum_switch < us - margin).  A variable holding
-    # alpha has a gap of 0, so it is never forced, nor is one not movable
+    # alpha has a gap of 0, so it is never forced
     below = np.concatenate((gap - margin, -gap - margin))
-    if movable is not None:
-        below[:n][~movable] = -np.inf
-        below[n:][~movable] = -np.inf
     forced = _fix_forced(instance._slot, instance._paid, pay, sums, below)
     switch = forced[:n]
     loose = (current != alpha) & ~(switch | forced[n:])     # free movers
-    if movable is not None:
-        loose &= movable
     free = loose.nonzero()[0]
     if not free.size:
         return None, free, switch
@@ -368,25 +441,30 @@ def alpha_expansion(instance, init=None):
     if each component were swept alone.  Each keeps its own energy,
     sweeps and labels left to try since its last accepted move, and
     applies the skip rules above with its own label count; its last
-    sweep is the first in which it accepts no move.  One alpha move covers every component whose rules
-    let alpha through, and each component then accepts or rejects its
-    part on its own energy.  No clique spans two components, so the move
-    energy is the sum of the components' move energies, and the least
-    minimum cut of the union is the union of their least minimum cuts:
-    each component gets the move it would get alone.
+    sweep is the first in which it accepts no move.  One alpha move
+    covers every component whose rules let alpha through.  It is made,
+    and its clique costs and energies are computed, on the instance of
+    those components alone (PnPottsInstance.select), and each of them
+    accepts or rejects its part on its own energy and is written back.
+    No clique spans two components, so the least minimum cut of their
+    union is the union of their least minimum cuts: each component gets
+    the move it would get alone.
     """
     if init is None:
         labeling = np.zeros(instance.num_variables, dtype=np.intp)
     else:
-        labeling = check_labeling(init, instance.unaries).copy()
+        labeling = instance.check_labeling(init).copy()
     m = instance.num_components
     size = instance.num_variables // m             # variables per component
     width = len(instance.cliques) // m             # cliques per component
     labels = instance.component_labels
     # each labeling's clique costs are computed once, for its energy and
-    # every move from it
+    # every move from it.  Accepted parts are written in place, so parts
+    # and part_gamma stay each component's rows of the two
     gamma = instance.clique_gamma(labeling)
     energy = np.atleast_1d(instance.evaluate(labeling, gamma))
+    parts = labeling.reshape(m, size)
+    part_gamma = gamma.reshape(m, width)
     trace = MoveTrace()
     # pending[j, alpha]: component j has not tried alpha since its last
     # accepted move.  A component that accepts nothing in a sweep tries
@@ -405,32 +483,36 @@ def alpha_expansion(instance, init=None):
             if not go.any():
                 continue
             pending[:, alpha] = False
-            parts = labeling.reshape(m, size)
             go &= (parts != alpha).any(axis=1)
             if not go.any():
                 continue
-            proposal = best_expansion_move(instance, labeling, alpha, gamma,
-                                           go)
-            if np.array_equal(proposal, labeling):
+            moving = instance.select(go)
+            current = parts[go].reshape(-1)
+            proposal = best_expansion_move(moving, current, alpha,
+                                           part_gamma[go].reshape(-1))
+            if np.array_equal(proposal, current):
                 continue
-            proposal_gamma = instance.clique_gamma(proposal)
-            e = instance.evaluate(proposal, proposal_gamma)
+            proposal_gamma = moving.clique_gamma(proposal)
+            e = np.atleast_1d(moving.evaluate(proposal, proposal_gamma))
             # the drop itself is compared: energy - ACCEPT_TOL can round to
             # e and refuse a drop just over ACCEPT_TOL
-            better = energy - e > ACCEPT_TOL
+            better = energy[go] - e > ACCEPT_TOL
             if not better.any():
                 continue
-            labeling = np.where(np.repeat(better, size), proposal, labeling)
-            gamma = np.where(np.repeat(better, width), proposal_gamma, gamma)
-            energy = np.where(better, e, energy)
-            pending[better] = allowed[better]
-            pending[:, alpha] = False
+            moved = go.nonzero()[0][better]
             # a two-label component moved from a uniform labeling is done
-            pending[better & (labels == 2)
-                    & (parts.min(axis=1) == parts.max(axis=1))] = False
-            improved |= better
+            before = parts[moved]
+            done = moved[(labels[moved] == 2)
+                         & (before.min(axis=1) == before.max(axis=1))]
+            parts[moved] = proposal.reshape(e.size, size)[better]
+            part_gamma[moved] = proposal_gamma.reshape(e.size, width)[better]
+            energy[moved] = e[better]
+            pending[moved] = allowed[moved]
+            pending[:, alpha] = False
+            pending[done] = False
+            improved[moved] = True
             trace.moves.extend((sweep, alpha, float(energy[j]))
-                               for j in better.nonzero()[0].tolist())
+                               for j in moved.tolist())
         sweeping = improved
     return labeling, trace
 

@@ -15,6 +15,7 @@ construction.  Everything here is immutable after construction and
 evaluation is deterministic.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -499,17 +500,22 @@ class Cliques:
         flat = np.array(list(itertools.chain.from_iterable(members)))
         return cls(np.cumsum([0] + [len(m) for m in members]), flat, weights)
 
-    def select(self, keep):
-        """The cliques where the boolean mask keep is True, in order.
+    def select(self, keep, renumber=None):
+        """The cliques where the boolean mask keep is True, in order, each
+        member i renamed renumber[i] if renumber is given.
 
-        A subset of valid cliques is valid, so it is not checked again.
+        A subset of valid cliques is valid, and so is its renaming by a
+        renumber that is increasing over the kept members, so it is not
+        checked again.
         """
         sizes = self.sizes[keep]
         offsets = np.zeros(sizes.size + 1, dtype=np.intp)
         np.cumsum(sizes, out=offsets[1:])
+        members = self.members[keep[self.owner]]
+        if renumber is not None:
+            members = renumber[members]
         subset = Cliques.__new__(Cliques)
-        subset._set(offsets, self.members[keep[self.owner]],
-                    self.weights[keep], sizes,
+        subset._set(offsets, members, self.weights[keep], sizes,
                     np.repeat(np.arange(sizes.size), sizes))
         return subset
 
@@ -587,6 +593,11 @@ class EnergyModel:
     @property
     def num_labels(self):
         return self.unaries.shape[1]
+
+    @functools.cached_property
+    def weighted_cliques(self):
+        """The cliques of positive weight, in order, selected once."""
+        return self.cliques.select(self.cliques.weights > 0)
 
     def evaluate_energy(self, labeling):
         labeling = check_labeling(labeling, self.unaries)

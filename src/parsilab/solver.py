@@ -4,8 +4,9 @@ solve_hierarchical walks the tree bottom-up: leaves get the constant
 labeling, and each internal node fuses its children's labelings by
 solving a label-consistency instance over child indices with a single
 alpha-expansion.  Nodes of one height never depend on each other, so
-the nodes of a height are fused in batches: one instance is the
-disjoint union of up to BATCH_VARIABLES variables' worth of their
+the nodes of a height are fused in batches: ordered by child count, so
+that a batch's nodes mostly share their label count, one instance is
+the disjoint union of up to BATCH_VARIABLES variables' worth of their
 instances, swept by one alpha_expansion that applies its skip and
 accept rules per node.  No clique spans two nodes' copies, so each node
 gets the labeling it would get alone, while a batch needs far fewer
@@ -106,10 +107,13 @@ def build_fusion_instance(model, tree, nodes, child_labelings):
     through each child's labeling; each clique pays the diameter
     diversity of child k's labels on it when all members choose k, and
     the diameter of the node's whole cluster (tree.diameter) otherwise.
-    Cliques of weight 0 are dropped.  The kept cliques are read once for
-    every child of every node whose labeling is not constant, and tiled
-    once per node.  A node with fewer children than another pads its
-    meta-labels with unaries and gamma 0; it never moves to them.
+    Cliques of weight 0 are dropped (model.weighted_cliques, selected
+    once per model).  The kept cliques are read once for every child of
+    every node whose labeling is not constant, and tiled once per node.
+    A node with fewer children than another pads its meta-labels with
+    unaries and gamma 0; it never moves to them.  The arrays are built
+    from a checked model, so the instance is made without running
+    PnPottsInstance's checks again (PnPottsInstance.from_checked).
     """
     n = model.num_variables
     m = len(nodes)
@@ -124,7 +128,7 @@ def build_fusion_instance(model, tree, nodes, child_labelings):
     meta_unaries = np.zeros((m, n, h))
     meta_unaries[node_of, :, child_of] = model.unaries[np.arange(n), rows]
 
-    kept = model.cliques.select(model.cliques.weights > 0)
+    kept = model.weighted_cliques
     sizes, offsets = kept.sizes, kept.offsets
     # a constant child, such as a leaf's, has diameter 0 on every clique;
     # only the others' labels are read
@@ -148,10 +152,14 @@ def build_fusion_instance(model, tree, nodes, child_labelings):
             labs[np.repeat(wide, sizes, axis=1)], wide_offsets)
     gamma = np.zeros((m, len(kept), h))
     gamma[node_of[varied], :, child_of[varied]] = values
-    return PnPottsInstance(
+    # costs read from a checked model and its tree's metric already pass
+    # the instance's checks: a child's labels lie in its cluster, whose
+    # diameters are below the node's
+    return PnPottsInstance.from_checked(
         meta_unaries.reshape(m * n, h), kept.tile(m, n),
         gamma.reshape(-1, h),
-        np.repeat([tree.diameter(v) for v in nodes], len(kept)), counts)
+        np.repeat([tree.diameter(v) for v in nodes], len(kept)),
+        np.array(counts, dtype=np.intp))
 
 
 def solve_hierarchical(model, tree):
@@ -160,9 +168,10 @@ def solve_hierarchical(model, tree):
     Leaves get the constant labeling and a node with one child takes its
     child's.  The nodes with several children are fused height by height
     (a leaf has height 0, a node one more than its highest child), since
-    nodes of one height never depend on each other: up to BATCH_VARIABLES
-    variables' worth of them, and at least one, go into one fusion
-    instance and one alpha_expansion, whose components are those nodes.
+    nodes of one height never depend on each other: in order of their
+    child counts, up to BATCH_VARIABLES variables' worth of them, and at
+    least one, go into one fusion instance and one alpha_expansion, whose
+    components are those nodes.
 
     The model's clique potential is taken to be the diameter diversity of
     the tree's metric; the reported energy is re-evaluated through the
@@ -193,7 +202,8 @@ def solve_hierarchical(model, tree):
         return labelings.pop(node)
 
     for level in sorted(fused):
-        nodes = fused[level]
+        # by child count, so a batch's nodes mostly share their label count
+        nodes = sorted(fused[level], key=lambda v: len(tree.children[v]))
         for start in range(0, len(nodes), per_batch):
             batch = nodes[start:start + per_batch]
             children = [np.stack([labeling_of(ch)

@@ -175,6 +175,93 @@ def fix_forced(slot, paid, pay, sums, below):
         sums = np.bincount(slot, pay[paid], sums.size)
 
 
+def masked_move(instance, current, alpha, components):
+    """best_expansion_move over the whole instance, whatever components
+    it marks: one network, in which a variable of a component left out is
+    neither forced nor free.  Returns the move and the network (None when
+    no mover is free), which is that of the marked components' instance.
+    """
+    n = instance.num_variables
+    movable = np.repeat(components, n // instance.num_components)
+    cliques = instance.cliques
+    count = len(cliques)
+    members, owner = cliques.members, cliques.owner
+    clique_gamma = instance.clique_gamma(current)
+    pay = np.empty(2 * count)
+    np.multiply(cliques.weights, instance.gamma_max - clique_gamma,
+                out=pay[:count])
+    np.multiply(cliques.weights,
+                instance.gamma_max - instance.gamma[:, alpha],
+                out=pay[count:])
+    sums = np.bincount(instance._slot, pay[instance._paid], 2 * n)
+
+    keep_cost = instance.unaries[np.arange(n), current]
+    switch_cost = instance.unaries[:, alpha]
+    gap = keep_cost - switch_cost
+    margin = np.maximum(FLOW_TOL, 2.0 ** -40 * (
+        np.abs(keep_cost) + np.abs(switch_cost) + sums[:n] + sums[n:]))
+    below = np.concatenate((gap - margin, -gap - margin))
+    below[:n][~movable] = -np.inf
+    below[n:][~movable] = -np.inf
+    forced = fix_forced(instance._slot, instance._paid, pay, sums, below)
+    switch = forced[:n]
+    loose = (current != alpha) & ~(switch | forced[n:]) & movable
+    free = loose.nonzero()[0]
+    if not free.size:
+        return np.where(switch, alpha, current), None
+
+    pay_keep, pay_switch = pay[:count], pay[count:]
+    loose = loose[members].nonzero()[0]
+    node = np.empty(n, dtype=np.intp)
+    node[free] = np.arange(free.size)
+    movers = node[members[loose]]
+    num_movers = np.bincount(owner[loose], minlength=count)
+    active = (num_movers > 0) & (pay_keep + pay_switch > 0)
+    ends = num_movers.cumsum()
+    starts = ends - num_movers
+    gadgets = (active & (num_movers > 2)).nonzero()[0]
+    hubs = int(np.count_nonzero(pay_keep[gadgets] > 0)
+               + np.count_nonzero(pay_switch[gadgets] > 0))
+    net = FlowNetwork(free.size + hubs)
+
+    small = (active & (num_movers <= 2)).nonzero()[0]
+    first, last = movers[starts[small]], movers[ends[small] - 1]
+    keep_cost = keep_cost[free]
+    switch_cost = switch_cost[free]
+    np.add.at(switch_cost, first, pay_keep[small])
+    np.add.at(keep_cost, last, pay_switch[small])
+    base = np.minimum(keep_cost, switch_cost)
+    from_source = (switch_cost - base).tolist()
+    to_sink = (keep_cost - base).tolist()
+    for i in (keep_cost != switch_cost).nonzero()[0].tolist():
+        net.add_terminal_arc(i, from_source[i], to_sink[i])
+    pair = num_movers[small] == 2
+    pair_cap = (pay_keep[small] + pay_switch[small])[pair].tolist()
+    for i, j, cap in zip(first[pair].tolist(), last[pair].tolist(),
+                         pair_cap):
+        net.add_arc(i, j, cap)
+
+    inf = (sum(from_source) + sum(to_sink) + sum(pair_cap)
+           + sum((pay_keep[gadgets] + pay_switch[gadgets]).tolist()) + 1.0)
+    pay_keep, pay_switch = pay_keep.tolist(), pay_switch.tolist()
+    hub = free.size
+    for c in gadgets.tolist():
+        clique_movers = movers[starts[c]:ends[c]].tolist()
+        if pay_keep[c] > 0:
+            net.add_terminal_arc(hub, pay_keep[c], 0.0)
+            for i in clique_movers:
+                net.add_arc(hub, i, inf)
+            hub += 1
+        if pay_switch[c] > 0:
+            net.add_terminal_arc(hub, 0.0, pay_switch[c])
+            for i in clique_movers:
+                net.add_arc(i, hub, inf)
+            hub += 1
+    net.compute_max_flow()
+    switch[free] = ~net.source_side_mask()[:free.size]
+    return np.where(switch, alpha, current), net
+
+
 def alpha_expansion(instance, init=None):
     """alpha_expansion as full sweeps that cut every move of every sweep."""
     if init is None:

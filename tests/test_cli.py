@@ -93,6 +93,25 @@ def test_report_matches_golden_file(tmp_path, problem, args, golden):
     assert report.read_bytes() == Path(DATA, golden).read_bytes()
 
 
+# a 6x6 horizontal ramp with a 2x2 hole, inpainted over 32 labels in 3x3
+# blocks: each of its two trees fuses nodes of two to five children at
+# one height
+INPAINT_GOLDEN = ["inpaint", os.path.join(DATA, "ramp6.pgm"), "--mask",
+                  os.path.join(DATA, "ramp6_hole.pgm"), "--labels", "32",
+                  "--lam", "1", "--truncation", "16", "--block", "3",
+                  "-k", "2", "--seed", "0"]
+
+
+def test_inpaint_report_matches_golden_file(tmp_path):
+    report = tmp_path / "report.json"
+    with pytest.warns(UserWarning, match="no superpixel map"):
+        assert cli.main(INPAINT_GOLDEN + ["--out", str(tmp_path / "out.pgm"),
+                                          "--report", str(report)]) \
+            == cli.EXIT_OK
+    assert report.read_bytes() \
+        == Path(DATA, "ramp6.seed0_k2.report.json").read_bytes()
+
+
 def test_solve_timings_flag(tmp_path):
     report = tmp_path / "t.json"
     cli.main(["solve", TINY_PROBLEM, "--report", str(report), "--timings"])

@@ -291,6 +291,47 @@ def test_move_components_must_be_one_boolean_each(components):
         best_expansion_move(inst, current, 0, components=components)
 
 
+def _padded_batch():
+    """Two components of two variables, with 2 and 3 labels; component
+    0's pad label 2 costs 0 like the others, and component 1 prefers
+    label 2."""
+    cliques = Cliques.from_lists([[0, 1], [2, 3]], [1.0, 1.0])
+    unaries = [[0.0, 0.0, 0.0]] * 2 + [[1.0, 1.0, 0.0]] * 2
+    return PnPottsInstance(unaries, cliques, [0.5, 0.5, 0.5], [1.0, 1.0],
+                           [2, 3])
+
+
+@pytest.mark.parametrize("labeling", [[2, 2, 0, 0], [0, 2, 1, 1]])
+def test_labels_outside_a_components_range_are_refused(labeling):
+    """A component's labeling is checked against its own label count, not
+    only the instance's."""
+    inst = _padded_batch()
+    with pytest.raises(InvalidInputError, match="component"):
+        inst.evaluate(labeling)
+    with pytest.raises(InvalidInputError, match="component"):
+        best_expansion_move(inst, labeling, 1)
+    with pytest.raises(InvalidInputError, match="component"):
+        alpha_expansion(inst, init=labeling)
+
+
+def test_move_covers_only_the_components_that_have_alpha():
+    """By default an alpha move covers the components with alpha among
+    their labels; a mask marking another component is refused."""
+    inst = _padded_batch()
+    current = np.zeros(4, dtype=np.intp)
+    np.testing.assert_array_equal(best_expansion_move(inst, current, 2),
+                                  [0, 0, 2, 2])
+    with pytest.raises(InvalidInputError, match="component"):
+        best_expansion_move(inst, current, 2,
+                            components=np.array([True, True]))
+    np.testing.assert_array_equal(
+        best_expansion_move(inst, current, 2,
+                            components=np.array([False, True])),
+        [0, 0, 2, 2])
+    labeling, _ = alpha_expansion(inst)
+    np.testing.assert_array_equal(labeling, [0, 0, 2, 2])
+
+
 def test_instance_takes_the_model_cliques_as_they_are():
     """The converted instance holds the model's Cliques object itself, and
     its members are checked against the instance's variable count."""

@@ -131,49 +131,49 @@ def test_fixpoint_extends_one_pass_and_agrees_with_the_move(move):
                                   oracle)
 
 
-def assert_same_move_network(inst, current, alpha, components=None):
+def assert_same_network(net, want):
+    """Both None, or the same nodes, arcs and capacities bit for bit."""
+    assert (net is None) == (want is None)
+    if net is not None:
+        assert net.num_nodes == want.num_nodes
+        assert net._to == want._to
+        assert np.array(net._cap).tobytes() == np.array(want._cap).tobytes()
+
+
+def assert_same_move_network(inst, current, alpha):
     """_move_network fixes the movers to the fixpoint of full passes over
     every clique entry: the same free movers, switch mask and network,
     arc for arc and capacity bit for bit."""
-    net, free, switch = expansion._move_network(inst, current, alpha,
-                                                components=components)
+    net, free, switch = expansion._move_network(inst, current, alpha)
     with mock.patch.object(expansion, "_fix_forced", reference.fix_forced):
         want_net, want_free, want_switch = expansion._move_network(
-            inst, current, alpha, components=components)
+            inst, current, alpha)
     np.testing.assert_array_equal(free, want_free)
     np.testing.assert_array_equal(switch, want_switch)
-    assert (net is None) == (want_net is None)
-    if net is not None:
-        assert net.num_nodes == want_net.num_nodes
-        assert net._to == want_net._to
-        assert np.array(net._cap).tobytes() \
-            == np.array(want_net._cap).tobytes()
+    assert_same_network(net, want_net)
 
 
 @SETTINGS
-@given(expansion_moves(), st.sampled_from([None, [True], [False]]))
+@given(expansion_moves())
 @example((pn_instance([[5.0, 0.0], [0.0, 0.25], [0.0, 5.0]],
                       [([0, 1, 2], [0.5, 1.0], 2.0, 1.0)]),
-          np.zeros(3, np.intp), 1), None)
-def test_fixpoint_on_paying_entries_matches_full_passes(move, components):
-    inst, current, alpha = move
-    assert_same_move_network(
-        inst, current, alpha,
-        None if components is None else np.array(components))
+          np.zeros(3, np.intp), 1))
+def test_fixpoint_on_paying_entries_matches_full_passes(move):
+    assert_same_move_network(*move)
 
 
 @SETTINGS
 @given(st.data())
 def test_batch_fixpoint_on_paying_entries_matches_full_passes(data):
-    """The same over the components of a batched fusion instance, some
-    of them left out of the move."""
+    """The same over the instance of some components of a batched fusion
+    instance, as a move of alpha_expansion sees it."""
     model, tree, nodes, children = data.draw(fusion_batches())
     batch = build_fusion_instance(model, tree, nodes, children)
-    current = data.draw(labelings(batch))
+    current = data.draw(component_labelings(batch))
     alpha = data.draw(st.integers(0, batch.num_labels - 1))
-    components = np.array(data.draw(st.lists(
-        st.booleans(), min_size=len(nodes), max_size=len(nodes))))
-    assert_same_move_network(batch, current, alpha, components)
+    components = data.draw(component_masks(batch, alpha))
+    rows, _ = slice_masks(batch, components)
+    assert_same_move_network(batch.select(components), current[rows], alpha)
 
 
 @SETTINGS
@@ -477,6 +477,135 @@ def fusion_batches(draw, constants=False):
     children = [[labeling(child) for child in tree.children[node]]
                 for node in nodes]
     return model, tree, nodes, children
+
+
+@st.composite
+def component_instances(draw):
+    """An instance of one to four components built directly, not tiled:
+    each component has its own cliques, as many as the others, and its
+    own label count.  gamma is one table shared by every clique or one
+    per clique."""
+    m, size = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    labels = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    h, width = max(labels), draw(st.integers(0, 3))
+    unaries = np.reshape(draw(st.lists(
+        costs, min_size=m * size * h, max_size=m * size * h)), (m * size, h))
+    members, clique_weights = [], []
+    for j in range(m):
+        for _ in range(width):
+            members.append([j * size + i for i in draw(st.lists(
+                st.integers(0, size - 1), min_size=1, max_size=size,
+                unique=True))])
+            clique_weights.append(draw(weights))
+    rows = 1 if draw(st.booleans()) else m * width
+    gamma = np.reshape(draw(st.lists(costs, min_size=rows * h,
+                                     max_size=rows * h)), (rows, h))
+    gamma_max = np.broadcast_to(gamma.max(axis=1), m * width) \
+        + draw(st.sampled_from([0.1, 0.5, 1.0, 3.0]))
+    return expansion.PnPottsInstance(
+        unaries, Cliques.from_lists(members, clique_weights),
+        gamma[0] if rows == 1 else gamma, gamma_max, labels)
+
+
+@st.composite
+def batches(draw):
+    """A batched fusion instance, or an instance of components drawn
+    directly (component_instances)."""
+    if draw(st.booleans()):
+        return build_fusion_instance(*draw(fusion_batches(constants=True)))
+    return draw(component_instances())
+
+
+def component_labelings(instance):
+    """Labelings in which each component uses only its own labels."""
+    size = instance.num_variables // instance.num_components
+    return st.tuples(*[
+        st.lists(st.integers(0, h - 1), min_size=size, max_size=size)
+        for h in instance.component_labels.tolist()]).map(
+        lambda parts: np.array(sum(parts, []), dtype=np.intp))
+
+
+@st.composite
+def component_masks(draw, instance, alpha):
+    """A mask marking some of the components that have the label alpha,
+    at least one."""
+    allowed = alpha < instance.component_labels
+    mask = allowed & draw(st.lists(st.booleans(), min_size=allowed.size,
+                                   max_size=allowed.size).map(np.array))
+    if not mask.any():
+        mask[draw(st.sampled_from(allowed.nonzero()[0].tolist()))] = True
+    return mask
+
+
+def slice_masks(instance, components):
+    """The variables and the cliques of the marked components."""
+    m = instance.num_components
+    return (np.repeat(components, instance.num_variables // m),
+            np.repeat(components, len(instance.cliques) // m))
+
+
+@SETTINGS
+@given(batches(), st.data())
+def test_moves_on_slices_match_masked_moves(batch, data):
+    """The instance of some components (PnPottsInstance.select) has the
+    clique costs and energies of the whole instance, bit for bit, and a
+    move on it is the masked move over the whole instance: the same move
+    from the same network, arc for arc and capacity bit for bit.  Without
+    a mask the move covers every component that has alpha."""
+    labeling = data.draw(component_labelings(batch))
+    alpha = data.draw(st.integers(0, int(batch.component_labels.max()) - 1))
+    components = data.draw(component_masks(batch, alpha))
+    rows, keep = slice_masks(batch, components)
+    part = batch.select(components)
+    assert part.clique_gamma(labeling[rows]).tobytes() \
+        == batch.clique_gamma(labeling)[keep].tobytes()
+    assert np.atleast_1d(part.evaluate(labeling[rows])).tobytes() \
+        == np.atleast_1d(batch.evaluate(labeling))[components].tobytes()
+    want, want_net = reference.masked_move(batch, labeling, alpha,
+                                           components)
+    np.testing.assert_array_equal(
+        best_expansion_move(batch, labeling, alpha, components=components),
+        want)
+    assert_same_network(
+        expansion._move_network(part, labeling[rows], alpha)[0], want_net)
+    np.testing.assert_array_equal(
+        best_expansion_move(batch, labeling, alpha),
+        reference.masked_move(batch, labeling, alpha,
+                              alpha < batch.component_labels)[0])
+
+
+def assert_passes_the_checks(instance):
+    """The instance, rebuilt through Cliques(...) and PnPottsInstance(...),
+    raises nothing and has the same arrays, dtype and bits."""
+    c = instance.cliques
+    again = expansion.PnPottsInstance(
+        instance.unaries, Cliques(c.offsets, c.members, c.weights),
+        instance.gamma, instance.gamma_max, instance.component_labels)
+    for owner, rebuilt, names in (
+            (instance, again, ("unaries", "gamma", "gamma_max",
+                               "component_labels", "_rows", "_slot",
+                               "_paid")),
+            (c, again.cliques, ("offsets", "members", "weights", "sizes",
+                                "owner"))):
+        for name in names:
+            a, b = getattr(owner, name), getattr(rebuilt, name)
+            assert (a.dtype, a.shape, a.tobytes()) \
+                == (b.dtype, b.shape, b.tobytes()), name
+    assert (instance.num_variables, instance.num_labels,
+            instance.num_components, instance._padded, c.max_size) \
+        == (again.num_variables, again.num_labels, again.num_components,
+            again._padded, again.cliques.max_size)
+
+
+@SETTINGS
+@given(batches(), st.data())
+def test_unchecked_batches_and_slices_pass_the_checks(batch, data):
+    """build_fusion_instance and PnPottsInstance.select skip the
+    instance's checks; what they build passes them all the same."""
+    assert_passes_the_checks(batch)
+    alpha = data.draw(st.integers(0, int(batch.component_labels.max()) - 1))
+    assert_passes_the_checks(batch.select(data.draw(
+        component_masks(batch, alpha))))
 
 
 @SETTINGS
