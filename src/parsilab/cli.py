@@ -55,7 +55,9 @@ def cmd_solve(args):
         # optimum, where inf * 0 would read nan
         limit = (opt.unary_term + report.bound * opt.clique_term
                  if math.isfinite(report.bound) else math.inf)
-        ratio = report.energy / opt.energy if opt.energy != 0 else float("inf")
+        # equal energies read 1, also when both are 0
+        ratio = (1.0 if report.energy == opt.energy
+                 else report.energy / opt.energy if opt.energy else math.inf)
         print("oracle: E_alg=%.9g E_opt=%.9g ratio=%.6g bound_rhs=%.9g"
               % (report.energy, opt.energy, ratio, limit))
         if report.energy > limit + 1e-9:

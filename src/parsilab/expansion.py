@@ -125,24 +125,19 @@ class PnPottsInstance:
     def select(self, components):
         """The instance made of the components that the boolean mask
         marks, at least one, in order: their unaries rows, their cliques
-        with the members renumbered, their gamma rows (a shared table
-        stays shared), gamma_max and label counts.  They are slices of
-        checked arrays, so they are not checked again.  With every
-        component marked it is the instance itself."""
+        with the members renumbered, their gamma rows, gamma_max and
+        label counts.  They are slices of checked arrays, so they are not
+        checked again.  With every component marked it is the instance
+        itself."""
         if components.all():
             return self
         m = self.num_components
         rows = np.repeat(components, self.num_variables // m)
         keep = np.repeat(components, len(self.cliques) // m)
-        gamma = self.gamma
-        if gamma.strides[0]:              # one table per clique
-            gamma = gamma[keep]
-        else:
-            gamma = np.broadcast_to(gamma[:1], (np.count_nonzero(keep),
-                                                self.num_labels))
         return PnPottsInstance.from_checked(
             self.unaries[rows], self.cliques.select(keep, rows.cumsum() - 1),
-            gamma, self.gamma_max[keep], self.component_labels[components])
+            self.gamma[keep], self.gamma_max[keep],
+            self.component_labels[components])
 
     def check_labeling(self, labeling):
         """labeling as an index array, checked (model.check_labeling) and
@@ -185,18 +180,14 @@ class PnPottsInstance:
         return float(energy[0]) if m == 1 else energy
 
 
-def best_expansion_move(instance, current, alpha, clique_gamma=None,
-                        components=None):
+def best_expansion_move(instance, current, alpha, clique_gamma=None):
     """Exact minimum over the move space {keep current label, switch to alpha}.
 
     clique_gamma is instance.clique_gamma(current), if the caller has it.
-    components, one boolean per component of the instance (see
-    PnPottsInstance), restricts the move to the components it marks, each
-    of which must have alpha among its labels; by default the move covers
-    every component that has.  The variables of the others keep their
-    labels.  The move is made on the instance of the marked components
-    alone (PnPottsInstance.select): no clique spans two components, so
-    each marked component gets the move it would get alone.
+    The move covers every component of the instance (see
+    PnPottsInstance), so alpha must be among every component's labels;
+    alpha_expansion moves the instance of the components it lets alpha
+    through (PnPottsInstance.select).
 
     A clique's movers are its members not yet labeled alpha; it pays
     pay_keep unless every mover keeps and pay_switch unless every mover
@@ -228,37 +219,8 @@ def best_expansion_move(instance, current, alpha, clique_gamma=None,
     and read, and the caller's collector state restored.
     """
     current = instance.check_labeling(current)
-    if not 0 <= alpha < instance.num_labels:
-        raise InvalidInputError("alpha out of range")
-    allowed = alpha < instance.component_labels
-    if components is None:
-        components = allowed
-    else:
-        components = np.asarray(components)
-        if (components.dtype != bool
-                or components.shape != (instance.num_components,)):
-            raise InvalidInputError("components must be one boolean per "
-                                    "component of the instance")
-        if np.any(components & ~allowed):
-            raise InvalidInputError("alpha out of range of a marked "
-                                    "component")
-    if components.all():
-        return _move(instance, current, alpha, clique_gamma)
-    move = current.copy()
-    if components.any():
-        m = instance.num_components
-        rows = np.repeat(components, instance.num_variables // m)
-        if clique_gamma is not None:
-            clique_gamma = clique_gamma[
-                np.repeat(components, len(instance.cliques) // m)]
-        move[rows] = _move(instance.select(components), current[rows],
-                           alpha, clique_gamma)
-    return move
-
-
-def _move(instance, current, alpha, clique_gamma):
-    """best_expansion_move over every component of the instance, from a
-    checked labeling."""
+    if not 0 <= alpha < instance.component_labels.min():
+        raise InvalidInputError("alpha out of range of a component")
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -389,12 +351,10 @@ def _fix_forced(slot, paid, pay, sums, below):
     _move_network): the mask sums < below once no pass drops a term.
 
     Entry k adds pay[paid[k]] to sums[slot[k]].  A term that drops out
-    has its pay zeroed in place.  After the first pass that drops one,
-    the later passes read only the entries still paying.  A dropped
-    entry only ever adds a zero, so the sums are bit for bit those over
-    every entry.
+    has its pay zeroed in place, and each pass that drops one keeps only
+    the entries still paying for the next.  A dropped entry only ever
+    adds a zero, so the sums are bit for bit those over every entry.
     """
-    compacted = False
     while True:
         forced = sums < below
         # a clique with a member forced to switch pays pay_keep in every
@@ -403,12 +363,9 @@ def _fix_forced(slot, paid, pay, sums, below):
         if not np.count_nonzero(pay[fixed]):
             return forced
         pay[fixed] = 0.0
-        values = pay[paid]
-        if not compacted:
-            compacted = True
-            paying = values.nonzero()[0]
-            slot, paid, values = slot[paying], paid[paying], values[paying]
-        sums = np.bincount(slot, values, sums.size)
+        paying = pay[paid].nonzero()[0]
+        slot, paid = slot[paying], paid[paying]
+        sums = np.bincount(slot, pay[paid], sums.size)
 
 
 @dataclass

@@ -48,10 +48,13 @@ class RHst:
         for v, p in enumerate(self.parents):
             if p >= 0:
                 self.children[p].append(v)
+        # the walk ends only if node 0 is the root, no node's child;
+        # check() refuses any other tree before it reads the walk
+        self.order = (tuple(_parents_first(self.children))
+                      if self.parents[:1] == (-1,) else ())
         err = self.check()
         if err is not None:
             raise InvalidInputError("not an r-HST: %s" % err)
-        self.order = tuple(_parents_first(self.children))
         self._metric = None
         self._diameter = None
 
@@ -96,7 +99,7 @@ class RHst:
             return "leaf labels must be the dense set 0..H-1, each exactly once"
         # every node has one parent, so a node off the root's walk sits on
         # a cycle or under one
-        if len(_parents_first(self.children)) != self.num_nodes:
+        if len(self.order) != self.num_nodes:
             return "nodes not reachable from the root"
         return None
 

@@ -5,11 +5,12 @@ import json
 import os
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from parsilab import cli
+from parsilab import cli, oracle
 from parsilab.model import (Cliques, EnergyModel, PnPottsSpec, load_model,
                             save_model)
 from parsilab.oracle import exhaustive_minimize
@@ -40,6 +41,9 @@ BAD_TABLE_LABEL_PROBLEM = os.path.join(DATA, "bad_table_label_problem.json")
 # set {1} a second time; CI also runs it
 DUPLICATE_TABLE_ENTRY_PROBLEM = os.path.join(
     DATA, "duplicate_table_entry_problem.json")
+# two variables, one label and a diameter metric: every energy is 0; CI
+# also runs it through the script
+ZERO_ENERGY_PROBLEM = os.path.join(DATA, "zero_energy_problem.json")
 
 # energy of the committed fixture at k=10, seed 0; equals the exhaustive
 # optimum of that instance (verified when the fixture was generated)
@@ -63,6 +67,21 @@ def test_solve_oracle_flag(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ratio=" in out
     assert "E_opt=" in out
+
+
+def test_oracle_ratio_of_zero_energies_is_one(capsys):
+    """Equal energies have ratio 1, also when both are 0; only a positive
+    energy over an optimum of 0 reads inf."""
+    assert cli.main(["solve", ZERO_ENERGY_PROBLEM, "--oracle"]) \
+        == cli.EXIT_OK
+    assert "E_alg=0 E_opt=0 ratio=1 " in capsys.readouterr().out
+    zero = oracle.ExhaustiveResult(np.zeros(5, dtype=np.intp), 0.0, 0.0,
+                                   0.0)
+    with mock.patch.object(oracle, "exhaustive_minimize",
+                           return_value=zero):
+        assert cli.main(["solve", TINY_PROBLEM, "--oracle"]) \
+            == cli.EXIT_SOLVER
+    assert "E_opt=0 ratio=inf " in capsys.readouterr().out
 
 
 def test_solve_reports_are_byte_identical(tmp_path):

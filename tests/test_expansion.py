@@ -270,27 +270,6 @@ def test_components_must_split_the_instance(members, labels):
                         labels)
 
 
-@pytest.mark.parametrize("components", [
-    [True, True, False, True],          # one entry per variable
-    [True],                             # too few
-    [[True], [False]],                  # not flat
-    [1, 0],                             # not booleans
-])
-def test_move_components_must_be_one_boolean_each(components):
-    """A move is restricted by whole components, so no clique is split
-    between movers and fixed variables; any other mask is refused."""
-    cliques = Cliques.from_lists([[0, 1], [2, 3]], [1.0, 1.0])
-    inst = PnPottsInstance([[0.0, 1.0]] * 4, cliques, [0.5, 0.0],
-                           [1.0, 1.0], [2, 2])
-    current = np.ones(4, dtype=np.intp)
-    np.testing.assert_array_equal(
-        best_expansion_move(inst, current, 0,
-                            components=np.array([False, True])),
-        [1, 1, 0, 0])
-    with pytest.raises(InvalidInputError, match="component"):
-        best_expansion_move(inst, current, 0, components=components)
-
-
 def _padded_batch():
     """Two components of two variables, with 2 and 3 labels; component
     0's pad label 2 costs 0 like the others, and component 1 prefers
@@ -315,21 +294,29 @@ def test_labels_outside_a_components_range_are_refused(labeling):
 
 
 def test_move_covers_only_the_components_that_have_alpha():
-    """By default an alpha move covers the components with alpha among
-    their labels; a mask marking another component is refused."""
+    """A move covers every component of its instance; alpha_expansion
+    moves the instance of the components that have alpha among their
+    labels, and the others keep theirs."""
     inst = _padded_batch()
     current = np.zeros(4, dtype=np.intp)
-    np.testing.assert_array_equal(best_expansion_move(inst, current, 2),
-                                  [0, 0, 2, 2])
-    with pytest.raises(InvalidInputError, match="component"):
-        best_expansion_move(inst, current, 2,
-                            components=np.array([True, True]))
+    components = 2 < inst.component_labels
     np.testing.assert_array_equal(
-        best_expansion_move(inst, current, 2,
-                            components=np.array([False, True])),
+        best_expansion_move(inst.select(components), current[2:], 2),
+        [2, 2])
+    np.testing.assert_array_equal(
+        reference.masked_move(inst, current, 2, components)[0],
         [0, 0, 2, 2])
     labeling, _ = alpha_expansion(inst)
     np.testing.assert_array_equal(labeling, [0, 0, 2, 2])
+
+
+@pytest.mark.parametrize("alpha", [2, -1, 3])
+def test_alpha_outside_a_components_labels_is_refused(alpha):
+    """A move covers every component, so an alpha outside any one
+    component's labels is refused rather than moved around."""
+    inst = _padded_batch()
+    with pytest.raises(InvalidInputError, match="alpha out of range"):
+        best_expansion_move(inst, np.zeros(4, dtype=np.intp), alpha)
 
 
 def test_instance_takes_the_model_cliques_as_they_are():

@@ -8,6 +8,7 @@ arbitrary floats.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,8 +17,8 @@ from parsilab import expansion, hst, solver, tasks
 from conftest import pn_instance
 from parsilab.expansion import alpha_expansion, best_expansion_move
 from parsilab.model import (Cliques, DiameterDiversity, Diversity,
-                            EnergyModel, ExplicitTableDiversity, LabelMetric,
-                            PnPottsSpec)
+                            EnergyModel, ExplicitTableDiversity,
+                            InvalidInputError, LabelMetric, PnPottsSpec)
 from parsilab.solver import build_fusion_instance
 from reference import exhaustive_expansion_move, random_rhst
 
@@ -544,14 +545,26 @@ def slice_masks(instance, components):
             np.repeat(components, len(instance.cliques) // m))
 
 
+def slice_move(instance, current, alpha, components):
+    """The move of the marked components' instance, written back into
+    current: the variables of the others keep their labels."""
+    move = current.copy()
+    if components.any():
+        rows, _ = slice_masks(instance, components)
+        move[rows] = best_expansion_move(instance.select(components),
+                                         current[rows], alpha)
+    return move
+
+
 @SETTINGS
 @given(batches(), st.data())
 def test_moves_on_slices_match_masked_moves(batch, data):
     """The instance of some components (PnPottsInstance.select) has the
     clique costs and energies of the whole instance, bit for bit, and a
     move on it is the masked move over the whole instance: the same move
-    from the same network, arc for arc and capacity bit for bit.  Without
-    a mask the move covers every component that has alpha."""
+    from the same network, arc for arc and capacity bit for bit.  A move
+    on the whole instance is that masked move when every component has
+    alpha, and is refused otherwise."""
     labeling = data.draw(component_labelings(batch))
     alpha = data.draw(st.integers(0, int(batch.component_labels.max()) - 1))
     components = data.draw(component_masks(batch, alpha))
@@ -564,14 +577,17 @@ def test_moves_on_slices_match_masked_moves(batch, data):
     want, want_net = reference.masked_move(batch, labeling, alpha,
                                            components)
     np.testing.assert_array_equal(
-        best_expansion_move(batch, labeling, alpha, components=components),
-        want)
+        slice_move(batch, labeling, alpha, components), want)
     assert_same_network(
         expansion._move_network(part, labeling[rows], alpha)[0], want_net)
-    np.testing.assert_array_equal(
-        best_expansion_move(batch, labeling, alpha),
-        reference.masked_move(batch, labeling, alpha,
-                              alpha < batch.component_labels)[0])
+    allowed = alpha < batch.component_labels
+    if allowed.all():
+        np.testing.assert_array_equal(
+            best_expansion_move(batch, labeling, alpha),
+            reference.masked_move(batch, labeling, alpha, allowed)[0])
+    else:
+        with pytest.raises(InvalidInputError, match="alpha out of range"):
+            best_expansion_move(batch, labeling, alpha)
 
 
 def assert_passes_the_checks(instance):
@@ -656,7 +672,9 @@ def test_batch_components_match_lone_instances(case, data):
     components = np.array(data.draw(st.lists(
         st.booleans(), min_size=len(nodes), max_size=len(nodes))))
     components &= alpha < batch.component_labels
-    move = best_expansion_move(batch, labeling, alpha, components=components)
+    move = slice_move(batch, labeling, alpha, components)
+    np.testing.assert_array_equal(
+        move, reference.masked_move(batch, labeling, alpha, components)[0])
     for j, (inst, part) in enumerate(zip(lone, parts)):
         assert np.float64(energies[j]).tobytes() \
             == np.float64(inst.evaluate(part)).tobytes()

@@ -2,10 +2,12 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from parsilab import hst
 from parsilab.hst import RHst, frt_embed
 from parsilab.model import (DiameterDiversity, InvalidInputError,
                             LabelMetric)
@@ -79,6 +81,20 @@ def test_invalid_trees_rejected():
         RHst([-1, 0, 1, 1, 0], [4.0], [None, None, 0, 1, 2])
     with pytest.raises(InvalidInputError):        # a label missing
         RHst([-1, 0, 0], [1.0, 0.0, 0.0], [None, 0])
+    with pytest.raises(InvalidInputError):        # node 0 on a cycle
+        RHst([1, 0, 0], [1.0, 1.0, 0.0], [None, None, 0])
+
+
+def test_each_tree_is_walked_once(reference_tree):
+    """Building a tree walks it once, parents first; its check reads that
+    walk instead of walking again."""
+    doc = tree_to_json(reference_tree)
+    with mock.patch.object(hst, "_parents_first",
+                           wraps=hst._parents_first) as walk:
+        tree = RHst.from_json(doc)
+        assert tree.check() is None
+    assert walk.call_count == 1
+    assert tree.order == reference_tree.order
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-13, 1e13])
