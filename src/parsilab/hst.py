@@ -6,9 +6,9 @@ at least r > 1 along every root-to-leaf path.  The shortest-path metric
 of such a tree, together with its diameter diversity, is the label-
 consistency potential the hierarchical solver minimizes.  Each tree is
 walked once, parents first, when it is built (RHst.order); its metric
-and the diameter of every node's label cluster are read off that walk.
+and every node's cluster diameter come from one climb over that walk.
 frt_embed draws random FRT trees (Fakcharoenphol, Rao and Talwar, STOC
-2003) in two passes, clusters depth-first and then edge lengths
+2003) in a few array passes per level, clusters top-down and edges
 bottom-up, and builds each tree once, at the input metric's scale.
 """
 
@@ -110,7 +110,9 @@ class RHst:
 
         Every leaf pair climbs to its common ancestor, the deeper leaf
         first and then both in lockstep, adding edge lengths one at a
-        time; all pairs of a chunk climb together as arrays.
+        time; all pairs of a chunk climb together as arrays.  Each pair's
+        distance also raises its common ancestor's diameter, and one
+        children-first max passes the diameters up to the root.
         """
         if self._metric is None:
             h = self.num_labels
@@ -125,38 +127,25 @@ class RHst:
             edge = np.asarray(self.child_edge)
             depth, leaf = np.array(depth), np.array(leaf)
             m = np.zeros((h, h))
+            diam = np.zeros(self.num_nodes)
             rows, cols = np.triu_indices(h, 1)
             for start in range(0, rows.size, _PAIR_CHUNK):
                 i = rows[start:start + _PAIR_CHUNK]
                 j = cols[start:start + _PAIR_CHUNK]
-                m[i, j] = m[j, i] = _climb(leaf[i], leaf[j], parents, edge,
-                                           depth)
+                up = leaf[i]                # ends at the common ancestors
+                m[i, j] = m[j, i] = d = _climb(up, leaf[j], parents, edge,
+                                               depth)
+                np.maximum.at(diam, up, d)
+            diam = self._diameter = diam.tolist()
+            for v in reversed(self.order[1:]):      # children first
+                diam[self.parents[v]] = max(diam[self.parents[v]], diam[v])
             self._metric = LabelMetric(m, validate=False)
         return self._metric
 
     def diameter(self, node):
         """The largest tree distance between two labels below node (0.0
-        at a leaf).
-
-        One children-first pass sets it for every node: the largest of
-        the children's diameters and of the metric blocks between each
-        child's labels and those of the children before it.
-        """
-        if self._diameter is None:
-            m = self.metric().matrix
-            self._diameter = [0.0] * self.num_nodes
-            below = [None] * self.num_nodes     # labels under each node
-            for v in reversed(self.order):
-                kids = self.children[v]
-                if not kids:
-                    below[v] = np.array([self.leaf_label[v]])
-                    continue
-                labs, diam = below[kids[0]], self._diameter[kids[0]]
-                for c in kids[1:]:
-                    diam = max(diam, self._diameter[c],
-                               float(m[np.ix_(labs, below[c])].max()))
-                    labs = np.concatenate((labs, below[c]))
-                below[v], self._diameter[v] = labs, diam
+        at a leaf), set for every node when metric() is first read."""
+        self.metric()
         return self._diameter[node]
 
     # -- serialization ---------------------------------------------------------
@@ -173,7 +162,7 @@ class RHst:
         except KeyError as e:
             raise InvalidInputError("malformed tree: missing field %s"
                                     % e) from e
-        except (TypeError, AttributeError) as e:
+        except (TypeError, AttributeError, OverflowError) as e:
             raise InvalidInputError("malformed tree: %s" % e) from e
 
 
@@ -192,7 +181,8 @@ def _parents_first(children):
 
 
 def _climb(u, v, parents, edge, depth):
-    """Tree distances between the nodes of arrays u and v, pair by pair."""
+    """Tree distances between the nodes of arrays u and v, pair by pair;
+    both arrays end at each pair's common ancestor."""
     dist = np.zeros(u.shape[0])
     du, dv = depth[u], depth[v]
     for a, b, da, db in ((u, v, du, dv), (v, u, dv, du)):
@@ -215,17 +205,17 @@ def _climb(u, v, parents, edge, depth):
 
 
 def _frt_tree(dist, rng, scale):
-    """One FRT tree over a scaled metric, built in two passes, with its
-    edge lengths multiplied by scale.
+    """One FRT tree over a scaled metric, with its edge lengths
+    multiplied by scale.
 
-    Clusters, depth-first: at level i each label joins the first center,
-    in a random order, within beta * 2^(i-1).  A cluster that does not
-    split stays one node and tries the next level, and one label is a
-    leaf; level 0 makes singletons, as the least nonzero distance is 1.
-    The last group gets the next id, which fixes RHst.children order.
-
-    Edges, bottom-up: each is the least length that keeps the factor-2
-    decrease and dominance d_tree >= d for every pair split at its node.
+    Clusters, one level at a time: at level i each label joins the first
+    center, in a random order, within beta * 2^(i-1), and every cluster
+    splits by center; level 0 makes singletons, as the least nonzero
+    distance is 1.  Nodes, depth-first: a cluster that does not split
+    stays one node, and the last group gets the next id, which fixes
+    RHst.children order.  Edges, one level at a time from the bottom:
+    each is the least length that keeps the factor-2 decrease and
+    dominance d_tree >= d for every pair split at its node.
     """
     h = dist.shape[0]
     if h == 1:
@@ -237,48 +227,73 @@ def _frt_tree(dist, rng, scale):
     while beta * 2.0 ** (top - 1) < diameter:
         top += 1
 
-    parents, leaf_label = [], []
-    stack = [(-1, np.arange(h), top - 1)]   # (parent, labels, first level)
+    # one partition per level, top - 1 down: every label takes the rank of
+    # the first center in order within the level's radius (itself at the
+    # latest), and a cluster splits by rank, its groups in rank order
+    ordered = dist[order]
+    cluster = np.zeros(h, dtype=np.intp)
+    bounds, first, size = [[0, 1]], [[0]], [[h]]
+    for level in range(top - 1, -1, -1):
+        rank = (ordered <= beta * 2.0 ** (level - 1)).argmax(axis=0)
+        keys, at, cluster, count = np.unique(
+            cluster * h + rank, return_index=True, return_inverse=True,
+            return_counts=True)
+        # groups of cluster c above: bounds[-1][c] to bounds[-1][c + 1]
+        bounds.append(np.searchsorted(keys, np.arange(len(size[-1]) + 1) * h)
+                      .tolist())
+        first.append(at.tolist())
+        size.append(count.tolist())
+        if keys.size == h:              # all singletons
+            break
+    del ordered, rank
+
+    # nodes depth-first: a cluster that does not split stays one node, one
+    # label is a leaf, and the last group gets the next id.  Each node's
+    # labels form one run of lab, the leaves in the order met; sep[t] is
+    # the partition that parts lab[t] from lab[t + 1], and splits[p] lists
+    # the nodes split in partition p as (node, first position, labels)
+    parents, leaf_label, lab, sep, splits = [], [], [], [], {}
+    stack = [(-1, 0, 0)]            # (parent, partition, cluster)
     while stack:
-        parent, pts, level = stack.pop()
+        parent, k, c = stack.pop()
+        if leaf_label and leaf_label[-1] is not None:
+            sep.append(k)
         node = len(parents)
         parents.append(parent)
-        leaf_label.append(int(pts[0]) if pts.size == 1 else None)
-        while pts.size > 1:
-            # each point joins the first center in order within radius;
-            # every point is within radius of itself, so all are assigned
-            radius = beta * 2.0 ** (level - 1)
-            rank = (dist[np.ix_(order, pts)] <= radius).argmax(axis=0)
-            by_rank = np.argsort(rank, kind="stable")
-            groups = np.flatnonzero(np.diff(rank[by_rank])) + 1
-            level -= 1
-            if groups.size:
-                stack.extend((node, pts[members], level)
-                             for members in np.split(by_rank, groups))
-                break
+        leaf_label.append(first[k][c] if size[k][c] == 1 else None)
+        if size[k][c] == 1:
+            lab.append(first[k][c])
+            continue
+        while bounds[k + 1][c + 1] - bounds[k + 1][c] == 1:
+            k, c = k + 1, bounds[k + 1][c]
+        splits.setdefault(k + 1, []).append((node, len(lab), size[k][c]))
+        stack.extend((node, k + 1, g)
+                     for g in range(bounds[k + 1][c], bounds[k + 1][c + 1]))
 
-    # below[v]: per child of v in split order, (labels, distances down, edge)
-    edge = [0.0] * len(parents)
-    below = [[] for _ in parents]
-    for v in reversed(range(len(parents))):
-        if leaf_label[v] is None:
-            labs, lows, edges = zip(*below[v])
-            below[v] = None
-            lab, low = np.concatenate(labs), np.concatenate(lows)
-            group = np.repeat(np.arange(len(labs)), [l.size for l in labs])
-            # u from the earlier child: d - du - dw rounds in that order
-            gap = dist[np.ix_(lab, lab)]
-            gap -= low[:, None]
-            gap -= low[None, :]
-            split = group[:, None] < group[None, :]
-            need = float(gap.max(where=split, initial=-np.inf)) / 2.0
-            del labs, lows, gap, split       # one block alive at a time
-            edge[v] = max(2.0 * max(edges), max(0.0, need))
-            low = low + edge[v]
-        else:
-            lab, low = np.array([leaf_label[v]]), np.zeros(1)
-        if v:
-            below[parents[v]].append((lab, low, edge[v]))
+    # edges, children first: one partition at a time from the finest.  For
+    # positions i < j, part[i, j] is where lab[i] and lab[j] part, the least
+    # sep between them, and the pairs of one node are one run of its
+    # row-major order; low is each label's distance up to the node below
+    lab, pos = np.array(lab), np.arange(h)
+    part = np.minimum.accumulate(np.where(
+        pos[:, None] < pos, np.array([0] + sep, dtype=np.int16),
+        np.int16(len(size))), axis=1).ravel()
+    low = np.zeros(h)
+    edge, longest = [0.0] * len(parents), [0.0] * len(parents)
+    for p in sorted(splits, reverse=True):
+        i, j = np.divmod(np.flatnonzero(part == p), h)
+        # the last group is met first, so lab[j] lies in the earlier child:
+        # d - du - dw rounds in that order
+        gap = dist[lab[j], lab[i]]
+        gap -= low[j]
+        gap -= low[i]
+        need = np.maximum.reduceat(
+            gap, np.searchsorted(i, [a for _, a, _ in splits[p]]))
+        for (v, a, n), e in zip(splits[p], need.tolist()):
+            edge[v] = max(2.0 * longest[v], max(0.0, e / 2.0))
+            low[a:a + n] += edge[v]
+            if v:
+                longest[parents[v]] = max(longest[parents[v]], edge[v])
     return RHst(parents, [e * scale for e in edge], leaf_label)
 
 

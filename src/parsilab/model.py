@@ -676,8 +676,8 @@ def model_from_json(doc):
         raise
     except KeyError as e:
         raise InvalidInputError("missing field: %s" % e) from e
-    except (TypeError, AttributeError, ValueError) as e:
-        # numpy raises ValueError for text, ragged or wrongly sized arrays
+    except (TypeError, AttributeError, ValueError, OverflowError) as e:
+        # text, ragged or wrongly sized arrays, an integer beyond the doubles
         raise InvalidInputError("malformed problem: %s" % e) from e
     return EnergyModel(unaries, cliques, potential)
 

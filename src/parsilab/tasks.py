@@ -172,6 +172,10 @@ def build_stereo(task):
     n = height * width
     h = task.num_labels
     _check_label_count(h)
+    if np.isnan(task.grad_threshold):
+        raise InvalidInputError("gradient threshold must be a number")
+    if task.unary_truncation is not None and not task.unary_truncation >= 0:
+        raise InvalidInputError("unary truncation must be non-negative")
 
     # right-image column is the left column minus the disparity, edge-clamped
     unaries = np.empty((n, h))

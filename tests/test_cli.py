@@ -41,6 +41,11 @@ BAD_TABLE_LABEL_PROBLEM = os.path.join(DATA, "bad_table_label_problem.json")
 # set {1} a second time; CI also runs it
 DUPLICATE_TABLE_ENTRY_PROBLEM = os.path.join(
     DATA, "duplicate_table_entry_problem.json")
+# tiny_problem.json with a clique weight of 10^400, an integer beyond the
+# largest double; CI also runs it
+HUGE_INT_PROBLEM = os.path.join(DATA, "huge_int_problem.json")
+# a two-label tree whose root edge is 10^400; CI also runs it
+HUGE_INT_TREE = os.path.join(DATA, "huge_int_tree.json")
 # two variables, one label and a diameter metric: every energy is 0; CI
 # also runs it through the script
 ZERO_ENERGY_PROBLEM = os.path.join(DATA, "zero_energy_problem.json")
@@ -121,14 +126,26 @@ INPAINT_GOLDEN = ["inpaint", os.path.join(DATA, "ramp6.pgm"), "--mask",
                   "-k", "2", "--seed", "0"]
 
 
-def test_inpaint_report_matches_golden_file(tmp_path):
+def assert_inpaint_report_matches(tmp_path, args, golden):
     report = tmp_path / "report.json"
     with pytest.warns(UserWarning, match="no superpixel map"):
-        assert cli.main(INPAINT_GOLDEN + ["--out", str(tmp_path / "out.pgm"),
-                                          "--report", str(report)]) \
-            == cli.EXIT_OK
-    assert report.read_bytes() \
-        == Path(DATA, "ramp6.seed0_k2.report.json").read_bytes()
+        assert cli.main(args + ["--out", str(tmp_path / "out.pgm"),
+                                "--report", str(report)]) == cli.EXIT_OK
+    assert report.read_bytes() == Path(DATA, golden).read_bytes()
+
+
+def test_inpaint_report_matches_golden_file(tmp_path):
+    assert_inpaint_report_matches(tmp_path, INPAINT_GOLDEN,
+                                  "ramp6.seed0_k2.report.json")
+
+
+def test_inpaint_h256_report_matches_golden_file(tmp_path):
+    """The same ramp over 256 labels, as in the inpaint-h256 benchmark:
+    each FRT tree has hundreds of nodes."""
+    args = INPAINT_GOLDEN[:4] + ["--labels", "256", "--lam", "4",
+                                 "--truncation", "40"] + INPAINT_GOLDEN[10:]
+    assert_inpaint_report_matches(tmp_path, args,
+                                  "ramp6.seed0_k2_h256.report.json")
 
 
 def test_solve_timings_flag(tmp_path):
@@ -202,6 +219,23 @@ def _tiny_with(**changes):
     return doc
 
 
+def _huge_int(problem, path, potential=None):
+    """The problem with the integer 10^400, beyond the largest double, at
+    path, under the given potential."""
+    doc = json.loads(Path(DATA, problem).read_text())
+    if potential is not None:
+        doc["potential"] = potential
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = 10 ** 400
+    return doc
+
+
+def _metric(**metric):
+    return {"kind": "diameter_metric", "metric": metric}
+
+
 MALFORMED = {
     "top-level list": [1, 2, 3],
     "cliques not a list": json.loads(Path(MALFORMED_PROBLEM).read_text()),
@@ -209,6 +243,24 @@ MALFORMED = {
                                            "weight": 1.0}]),
     "null weight": _tiny_with(cliques=[{"members": [0, 1], "weight": None}]),
     "potential not an object": _tiny_with(potential=[]),
+    # every float field, not an OverflowError traceback
+    "huge unary": _huge_int("tiny_problem.json", ["unaries", 0]),
+    "huge clique weight": json.loads(Path(HUGE_INT_PROBLEM).read_text()),
+    "huge table value": _huge_int("tiny_problem.json",
+                                  ["potential", "entries", 2, "value"]),
+    "huge gamma": _huge_int("pn_problem.json", ["potential", "gamma", 1]),
+    "huge gamma_max": _huge_int("pn_problem.json",
+                                ["potential", "gamma_max"]),
+    "huge lam": _huge_int("tiny_problem.json", ["potential", "metric", "lam"],
+                          _metric(kind="truncated_linear", lam=1.0, M=2)),
+    "huge M": _huge_int("tiny_problem.json", ["potential", "metric", "M"],
+                        _metric(kind="truncated_linear", lam=1.0, M=2)),
+    "huge scale": _huge_int("tiny_problem.json",
+                            ["potential", "metric", "scale"],
+                            _metric(kind="uniform", scale=1.0)),
+    "huge matrix entry": _huge_int(
+        "tiny_problem.json", ["potential", "metric", "matrix", 0, 1],
+        _metric(kind="explicit", matrix=[[0, 1, 1], [1, 0, 1], [1, 1, 0]])),
 }
 
 
@@ -399,6 +451,11 @@ MALFORMED_TREES = {
         {"parent": -1, "edge_to_children": 1.0, "label": None},
         {"parent": 0, "edge_to_children": 0.0, "label": 0},
         {"parent": 0, "edge_to_children": 0.0, "label": 1.5}]},
+    "huge edge": json.loads(Path(HUGE_INT_TREE).read_text()),
+    "huge r": {"r": 10 ** 400, "nodes": [
+        {"parent": -1, "edge_to_children": 1.0, "label": None},
+        {"parent": 0, "edge_to_children": 0.0, "label": 0},
+        {"parent": 0, "edge_to_children": 0.0, "label": 1}]},
 }
 
 
@@ -518,6 +575,15 @@ def _image_files(tmp_path, flat):
                  id="stereo-sigma-inf"),
     pytest.param("stereo", ["--seed", "-1"], False, "seed",
                  id="stereo-seed-neg1"),
+    pytest.param("stereo", ["--grad-threshold", "nan"], False,
+                 "gradient threshold must be a number",
+                 id="stereo-grad-threshold-nan"),
+    pytest.param("stereo", ["--unary-truncation", "-1"], False,
+                 "unary truncation must be non-negative",
+                 id="stereo-unary-truncation-neg1"),
+    pytest.param("stereo", ["--unary-truncation", "nan"], False,
+                 "unary truncation must be non-negative",
+                 id="stereo-unary-truncation-nan"),
     pytest.param("stereo", ["--superpixels", "/nonexistent/regions.pgm"],
                  False, "cannot read superpixel map",
                  id="stereo-superpixels-missing"),
@@ -528,9 +594,9 @@ def _image_files(tmp_path, flat):
 def test_image_command_bad_input_exits_2(tmp_path, capsys, command, bad,
                                          flat, message):
     """Label counts below one, an empty fallback tile, a sigma that is
-    not positive and finite, a negative seed and an unreadable superpixel
-    map are input errors: exit 2 with a message, no traceback and no
-    output."""
+    not positive and finite, a negative seed, a NaN gradient threshold, a
+    negative or NaN unary truncation and an unreadable superpixel map are
+    input errors: exit 2 with a message, no traceback and no output."""
     left, right, gray = _image_files(tmp_path, flat)
     inputs = [left, right] if command == "stereo" else [gray]
     out = tmp_path / "out.pgm"

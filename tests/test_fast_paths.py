@@ -814,6 +814,10 @@ def _scaled(matrix):
 @given(h=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
        kind=st.sampled_from(["truncated", "uniform", "points"]))
 @example(h=256, seed=0, kind="inpaint-h256")
+@example(h=64, seed=1, kind="points")
+@example(h=256, seed=2, kind="points")
+@example(h=64, seed=3, kind="truncated")
+@example(h=256, seed=4, kind="truncated")
 def test_frt_tree_matches_reference(h, seed, kind):
     rng = np.random.default_rng(seed)
     if kind == "inpaint-h256":          # the inpaint-h256 workload's metric
@@ -882,6 +886,17 @@ def _lopsided_rhst():
                       depth=st.integers(2, 5), seed=st.integers(0, 10 ** 6)))
 @example(tree=_lopsided_rhst())
 def test_random_rhst_walk_and_diameters_match_reference(tree):
+    assert_walks_tree_once(tree)
+
+
+@pytest.mark.parametrize("tree", [0, 1, "lopsided"])
+def test_metric_fills_the_reference_diameters(tree):
+    """The diameters that metric() sets from its climb: on the two trees
+    of the inpaint-h256 benchmark (426 and 423 nodes over 256 labels) and
+    on a 1.1-HST whose root diameter lies inside one child."""
+    tree = _lopsided_rhst() if tree == "lopsided" else hst.frt_embed(
+        LabelMetric.truncated_linear(256, 4.0, 40), 2, 0)[tree]
+    tree.metric()
     assert_walks_tree_once(tree)
 
 
