@@ -5,6 +5,7 @@ Exit codes: 0 ok, 1 solver failure, 2 input error.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -31,12 +32,23 @@ def _fail(msg, code=EXIT_INPUT):
     return code
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """A path that cannot be written (a missing directory, no permission)
+    is an input error."""
+    try:
+        yield
+    except OSError as e:
+        raise InvalidInputError(
+            "cannot write %s: %s" % (path, e.strerror or e)) from e
+
+
 def _write_report(report, model, path, include_timings):
     # the reported energy is always re-verified before writing
     recheck = model.evaluate_energy(report.labeling)
     if not abs(recheck - report.energy) <= 1e-9:
         raise SolverError("reported energy does not match its labeling")
-    with open(path, "w") as f:
+    with _writing(path), open(path, "w") as f:
         json.dump(report.to_json(include_timings=include_timings), f,
                   indent=2, sort_keys=True)
         f.write("\n")
@@ -64,7 +76,8 @@ def cmd_solve(args):
             return _fail("multiplicative bound violated", EXIT_SOLVER)
 
     if args.labeling_out:
-        tasks.write_labeling_text(args.labeling_out, labeling)
+        with _writing(args.labeling_out):
+            tasks.write_labeling_text(args.labeling_out, labeling)
     if args.report:
         _write_report(report, model, args.report, args.timings)
     print("energy %.9g" % report.energy)
@@ -87,7 +100,7 @@ def cmd_synth_bench(args):
                      "unique_labels": len(set(int(x) for x in labeling))})
         print("w_c=%g energy=%.6g unique=%d" % (wc, report.energy,
                                                 rows[-1]["unique_labels"]))
-    with open(args.csv, "w", newline="") as f:
+    with _writing(args.csv), open(args.csv, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=["schema_version", "w_c",
                                                "energy", "time_ms",
                                                "unique_labels"])
@@ -112,8 +125,9 @@ def _read_superpixels(args):
 
 def _solve_image(args, model, height, width):
     labeling, report = solver.solve(model, args.trees, args.seed)
-    tasks.write_raster(args.out, tasks.labeling_to_raster(
-        labeling, height, width, args.labels))
+    with _writing(args.out):
+        tasks.write_raster(args.out, tasks.labeling_to_raster(
+            labeling, height, width, args.labels))
     if args.report:
         _write_report(report, model, args.report, args.timings)
     print("energy %.9g" % report.energy)

@@ -1,17 +1,22 @@
 """Min st-cut / max-flow on sparse directed networks.
 
 This is the inner engine behind every expansion move.  A network is made
-with all its nodes, and building it only appends each arc and its reverse
-twin to two flat lists, the arc heads and the capacities.  The solve,
-after the last arc, first lays the arcs out once: one numpy sort orders
-the arc ids by tail, stably, and a bincount cumsum gives each node's
-start offset, from which each node gets the list of its arcs.  It then
-runs two steps on one residual list.  A greedy pass first pushes flow
-along the residual paths from the source with one, two or three middle
-nodes to the sink.  Those are the paths of the robust P^n gadget,
-source -> hub -> mover -> hub -> sink, so on expansion-move networks the
-pass carries almost all of the flow.  Boykov-Kolmogorov augmentation
-(PAMI 2004) then finishes the flow: a source tree and a sink tree
+with all its nodes.  The source and the sink are not among them: as in
+Boykov and Kolmogorov's own code (PAMI 2004), each node keeps its
+capacity from the source and to the sink, in two per-node lists.
+Building a network adds into those lists, and appends each inner arc to
+two flat lists: the heads of the arc and of its reverse twin, and the
+arc's capacity.  The solve, after the last arc, first lays the inner
+arcs out once: one numpy sort orders the arc ids by tail, stably, and a
+bincount cumsum gives each node's start offset, from which each node
+gets the list of its arcs.  It then runs two steps on one residual: a
+residual list of the inner arcs and a terminal residual per node.  The
+built capacities stay as they were.  A greedy pass first
+pushes flow along the residual paths from the source to the sink with
+one, two or three middle nodes.  Those are the paths of the robust P^n
+gadget, source -> hub -> mover -> hub -> sink, so on expansion-move
+networks the pass carries almost all of the flow.  Boykov-Kolmogorov
+augmentation then finishes the flow: a source tree and a sink tree
 persist across augmentations, so each path costs a local search instead
 of a scan of the whole graph.
 
@@ -36,7 +41,7 @@ import numpy as np
 FLOW_TOL = 1e-11
 
 # parent-arc markers of the search trees
-_ROOT = -1                             # the source or the sink itself
+_ROOT = -1                             # a node with terminal residual
 _ORPHAN = -2                           # lost its parent arc, not re-attached
 
 
@@ -45,14 +50,15 @@ class FlowNetwork:
 
     The network is made with its num_nodes nodes, 0..num_nodes-1.
     add_arc joins two of them; the terminals are reached only through
-    add_terminal_arc.  Internally node 0 is the source, 1 the sink and
-    v + 2 the caller's node v.  Arcs are stored flat, in insertion order:
-    arc a runs to the internal node _to[a] with capacity _cap[a], and its
-    reverse twin is arc a ^ 1, of capacity 0, so the tail of a is
-    _to[a ^ 1].  Building the network only appends to those two lists.
-    compute_max_flow lays the arcs out per node and solves once, after
-    the last arc is added; the residual lives apart from the capacities.
-    Terminal capacities accumulate across repeated add_terminal_arc calls.
+    add_terminal_arc, which adds node v's capacities into _source[v] and
+    _sink[v], so they accumulate across repeated calls.  Inner arcs are
+    stored flat, in insertion order: arc a runs to node _to[a], and its
+    reverse twin is arc a ^ 1, so the tail of a is _to[a ^ 1].  The k-th
+    arc added is arc 2k, of capacity _cap[k]; its twin has capacity 0.
+    Building the network only appends to those two lists and adds into
+    the terminal ones.  compute_max_flow lays the arcs out per node and
+    solves once, after the last arc is added; the residual lives apart
+    from the capacities.
     """
 
     def __init__(self, num_nodes):
@@ -60,7 +66,9 @@ class FlowNetwork:
             raise ValueError("node count must be non-negative")
         self._to = []
         self._cap = []
-        self._nodes = num_nodes        # user nodes, internal ids 2..nodes+1
+        self._source = [0.0] * num_nodes   # per node, capacity from the source
+        self._sink = [0.0] * num_nodes     # and to the sink
+        self._nodes = num_nodes
         self._head = None              # per node its arc ids, after the solve
         self._res = None               # residual capacities after the solve
         self._source_tree = None       # (tree, its queued nodes) of the solve
@@ -78,11 +86,9 @@ class FlowNetwork:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError("unknown node id %r" % (v if 0 <= u < n else u))
         to = self._to                  # list.append is the fastest way in
-        to.append(v + 2)
-        to.append(u + 2)
-        caps = self._cap
-        caps.append(float(cap))
-        caps.append(0.0)
+        to.append(v)
+        to.append(u)
+        self._cap.append(float(cap))
 
     def add_terminal_arc(self, v, cap_from_source, cap_to_sink):
         if not (0 <= cap_from_source < inf and 0 <= cap_to_sink < inf):
@@ -90,27 +96,21 @@ class FlowNetwork:
                 "terminal capacities must be finite and non-negative")
         if not 0 <= v < self._nodes:
             raise ValueError("unknown node id %r" % v)
-        iv = v + 2
-        to, cap = self._to, self._cap
         if cap_from_source > 0:
-            to.append(iv)
-            to.append(0)
-            cap.append(float(cap_from_source))
-            cap.append(0.0)
+            self._source[v] += float(cap_from_source)
         if cap_to_sink > 0:
-            to.append(1)
-            to.append(iv)
-            cap.append(float(cap_to_sink))
-            cap.append(0.0)
+            self._sink[v] += float(cap_to_sink)
 
     # -- max-flow -----------------------------------------------------------
 
     def compute_max_flow(self):
-        self._head = _arc_lists(self._to, self._nodes + 2)
-        res = list(self._cap)
-        total = _short_paths(self._head, self._to, res)
-        flow, tree, open_nodes = _search_trees(self._head, self._to, res)
-        self._res = res
+        to = self._to
+        self._head = head = _arc_lists(to, self._nodes)
+        self._res = res = [0.0] * len(to)
+        res[::2] = self._cap
+        source, sink = list(self._source), list(self._sink)
+        total = _short_paths(head, to, res, source, sink)
+        flow, tree, open_nodes = _search_trees(head, to, res, source, sink)
         self._source_tree = tree, open_nodes
         self._reachable = None
         return total + flow
@@ -136,11 +136,11 @@ class FlowNetwork:
 
     def source_side_mask(self):
         """Boolean array over the nodes: True on the source side of the cut."""
-        return np.array(self._residual_reachable()[2:], dtype=bool)
+        return np.array(self._residual_reachable(), dtype=bool)
 
 
 def _arc_lists(to, n):
-    """Per internal node, the ids of the arcs leaving it in insertion order.
+    """Per node, the ids of the arcs leaving it in insertion order.
 
     The arcs are laid out in CSR form: sorted by tail, stably, with node
     u's arcs at adj[start[u]:start[u + 1]].  Arc b's head is the tail of
@@ -164,147 +164,129 @@ def _arc_lists(to, n):
     return [adj[s:e] for s, e in zip(start, start[1:])]
 
 
-def _short_paths(head, to, res):
-    """Push flow along the residual paths with at most three middle nodes,
-    the source's arcs taken in order.  Returns the flow pushed.
+def _short_paths(head, to, res, source, sink):
+    """Push flow along the residual paths with at most three middle nodes.
+    Returns the flow pushed.
 
-    From each source arc's head u the pass tries u -> sink, then for each
-    residual arc u -> v in order v -> sink and then v -> w -> sink.  The
-    nodes with a residual arc into the sink are the drains.  The first
-    time a path reaches v, v gets the list of its residual arcs to drains,
-    taken last first; an entry leaves the list once its arc saturates or
-    its drain is no longer one.  So each arc is scanned once here, and
-    the pass costs O(arcs + pushes).  On expansion-move networks, where a
-    P^n gadget's paths run source -> hub -> mover -> hub -> sink, it
-    carries almost all of the flow.
+    source[v] and sink[v] are node v's residual from the source and to
+    the sink.  The pass first pushes source -> v -> sink at every node,
+    which leaves no node with residual both ways.  It then walks the
+    nodes u with residual from the source, in node order, and for each
+    residual arc u -> v in order tries v -> sink and then v -> w -> sink.
+    The nodes with residual to the sink are the drains.  The first time a
+    path reaches v, v gets the list of its residual arcs to drains, taken
+    last first; an entry leaves the list once its arc saturates or its
+    drain is no longer one.  So each arc is scanned once here, and the
+    pass costs O(nodes + arcs + pushes).  On expansion-move networks,
+    where a P^n gadget's paths run source -> hub -> mover -> hub -> sink,
+    it carries almost all of the flow.
 
-    A sink arc only loses residual here, so once u -> sink is tried with
-    flow left over, u is no drain: no path runs back through u to the
-    sink, and no pushed path uses an arc twice.
+    A sink residual only shrinks here, and u is no drain: no path runs
+    back through u to the sink, and no pushed path uses an arc twice.
     """
     tol = FLOW_TOL
-    sink_arc = [-1] * len(head)        # per drain, its arc into the sink
-    for b in head[1]:
-        if res[b ^ 1] > tol:
-            sink_arc[to[b]] = b ^ 1
-    drains = [None] * len(head)        # per middle node, its arcs to drains
-    drains[0] = drains[1] = ()         # the terminals are never in a path
     total = 0.0
-    for a in head[0]:
-        r = res[a]
+    for v, (s, t) in enumerate(zip(source, sink)):
+        if s and t:
+            d = min(s, t)
+            source[v] = s - d
+            sink[v] = t - d
+            total += d
+    drains = [None] * len(head)        # per middle node, its arcs to drains
+    for u, r in enumerate(source):
         if r <= tol:
             continue
-        u = to[a]
-        t = sink_arc[u]
-        if t >= 0:
-            d = min(r, res[t])
-            res[t] -= d
-            res[t ^ 1] += d
-            r -= d
-            if res[t] <= tol:
-                sink_arc[u] = -1
-        if r > tol:
-            for b in head[u]:
-                if res[b] <= tol:
-                    continue
-                v = to[b]
-                t = sink_arc[v]
-                if t >= 0:
-                    d = min(r, res[b], res[t])
-                    res[b] -= d
-                    res[b ^ 1] += d
-                    res[t] -= d
-                    res[t ^ 1] += d
-                    r -= d
-                    if res[t] <= tol:
-                        sink_arc[v] = -1
-                    if r <= tol:
-                        break
-                    if res[b] <= tol:
-                        continue
-                arcs = drains[v]
-                if arcs is None:
-                    arcs = drains[v] = []
-                    for c in head[v]:
-                        if sink_arc[to[c]] >= 0 and res[c] > tol:
-                            arcs.append(c)
-                while arcs:
-                    c = arcs[-1]
-                    w = to[c]
-                    t = sink_arc[w]
-                    if t < 0 or res[c] <= tol:
-                        arcs.pop()
-                        continue
-                    d = min(r, res[b], res[c], res[t])
-                    res[b] -= d
-                    res[b ^ 1] += d
-                    res[c] -= d
-                    res[c ^ 1] += d
-                    res[t] -= d
-                    res[t ^ 1] += d
-                    r -= d
-                    if res[t] <= tol:
-                        sink_arc[w] = -1
-                    if r <= tol or res[b] <= tol:
-                        break
+        for b in head[u]:
+            if res[b] <= tol:
+                continue
+            v = to[b]
+            t = sink[v]
+            if t > tol:
+                # comparisons, not min(): a call per push costs more
+                d = res[b]
+                if r < d:
+                    d = r
+                if t < d:
+                    d = t
+                res[b] -= d
+                res[b ^ 1] += d
+                sink[v] = t - d
+                r -= d
                 if r <= tol:
                     break
-        d = res[a] - r                 # what this source arc carried
-        res[a] = r
-        res[a ^ 1] += d
-        total += d
+                if res[b] <= tol:
+                    continue
+            arcs = drains[v]
+            if arcs is None:
+                arcs = drains[v] = [c for c in head[v]
+                                    if sink[to[c]] > tol and res[c] > tol]
+            while arcs:
+                c = arcs[-1]
+                w = to[c]
+                t = sink[w]
+                if t <= tol or res[c] <= tol:
+                    arcs.pop()
+                    continue
+                d = res[c]
+                if r < d:
+                    d = r
+                if res[b] < d:
+                    d = res[b]
+                if t < d:
+                    d = t
+                res[b] -= d
+                res[b ^ 1] += d
+                res[c] -= d
+                res[c ^ 1] += d
+                sink[w] = t - d
+                r -= d
+                if r <= tol or res[b] <= tol:
+                    break
+            if r <= tol:
+                break
+        total += source[u] - r         # what this node passed on
+        source[u] = r
     return total
 
 
-def _search_trees(head, to, res):
+def _search_trees(head, to, res, source, sink):
     """Boykov-Kolmogorov augmentation on the residual.
 
     Returns the flow, the final tree of every node and the source-tree
-    nodes still queued for growth.
+    nodes still queued for growth.  source[v] and sink[v] are node v's
+    terminal residuals; no node may have both, which the pre-pass
+    ensures.
 
     tree[v] is 1 in the source tree, -1 in the sink tree and 0 when free.
-    parent[v] is the arc from v to its parent: in the source tree its
-    reverse twin carries residual, in the sink tree the arc itself does.
-    Active nodes wait in a FIFO queue to grow their tree into free
-    neighbours; an arc between the trees closes an augmenting path.  The
-    nodes whose parent arc the augmentation saturates become orphans, and
-    each adopts the first neighbour of its tree whose origin is the root,
-    or is freed, orphaning its children.
+    The trees are rooted at the nodes with terminal residual, whose
+    parent[v] is _ROOT.  Any other tree node's parent[v] is the arc from v
+    to its parent: in the source tree its reverse twin carries residual,
+    in the sink tree the arc itself does.  Active nodes wait in a FIFO
+    queue to grow their tree into free neighbours; an arc between the
+    trees closes an augmenting path, whose two ends draw on their roots'
+    terminal residuals.  The nodes whose parent arc or terminal residual
+    the augmentation saturates become orphans, and each adopts the first
+    neighbour of its tree whose origin is a root, or is freed, orphaning
+    its children.  A node with terminal residual stays a root until the
+    residual is spent, so an orphan has none left.
     """
     tol = FLOW_TOL
     n = len(head)
     tree = [0] * n
     parent = [_ORPHAN] * n
-    tree[0] = 1
-    tree[1] = -1
-    parent[0] = parent[1] = _ROOT
     active = deque()
-    for a in head[0]:
-        v = to[a]
-        if res[a] > tol and not tree[v]:
-            tree[v] = 1
-            parent[v] = a ^ 1
-            active.append(v)
-    bridged = False
-    for b in head[1]:
-        v = to[b]
-        if res[b ^ 1] > tol:
-            if not tree[v]:
-                tree[v] = -1
-                parent[v] = b ^ 1
+    for side, residual in ((1, source), (-1, sink)):
+        for v, r in enumerate(residual):
+            if r > tol:
+                tree[v] = side
+                parent[v] = _ROOT
                 active.append(v)
-            elif tree[v] > 0:
-                # a node with arcs from the source and to the sink stays
-                # active in the source tree, where growth finds the arc to
-                # the sink
-                bridged = True
     queued = [False] * n
     # queued tree nodes by tree (1, -1).  A tree none of whose nodes is
     # queued is closed: every residual arc out of the source tree, or into
-    # the sink tree, stays inside it, so no augmenting path is left.  The
-    # roots are never queued; the sink's arcs from source-tree nodes are
-    # only seen from those nodes, so such an arc keeps the sink tree open.
-    waiting = [0, 0, int(bridged)]
+    # the sink tree, stays inside it, and every node with terminal
+    # residual is a root of its own tree, so no augmenting path is left
+    waiting = [0, 0, 0]
     for v in active:
         queued[v] = True
         waiting[tree[v]] += 1
@@ -353,44 +335,61 @@ def _search_trees(head, to, res):
             if bridge < 0:
                 break
 
-            # augment along source ... x -> y ... sink by the bottleneck
+            # augment along source -> ... x -> y ... -> sink by the
+            # bottleneck, the roots' terminal residuals included
             x = to[bridge ^ 1]
             y = to[bridge]
             d = res[bridge]
             v = x
-            while v != 0:
-                a = parent[v]
+            a = parent[v]
+            while a >= 0:
                 if res[a ^ 1] < d:
                     d = res[a ^ 1]
                 v = to[a]
-            v = y
-            while v != 1:
                 a = parent[v]
+            if source[v] < d:
+                d = source[v]
+            v = y
+            a = parent[v]
+            while a >= 0:
                 if res[a] < d:
                     d = res[a]
                 v = to[a]
+                a = parent[v]
+            if sink[v] < d:
+                d = sink[v]
             res[bridge] -= d
             res[bridge ^ 1] += d
             total += d
             orphans = []
             v = x
-            while v != 0:
-                a = parent[v]
+            a = parent[v]
+            while a >= 0:
                 res[a] += d
                 res[a ^ 1] -= d
                 if res[a ^ 1] <= tol:
                     parent[v] = _ORPHAN
                     orphans.append(v)
                 v = to[a]
-            v = y
-            while v != 1:
                 a = parent[v]
+            source[v] -= d
+            if source[v] <= tol:
+                parent[v] = _ORPHAN
+                orphans.append(v)
+            v = y
+            a = parent[v]
+            while a >= 0:
                 res[a] -= d
                 res[a ^ 1] += d
                 if res[a] <= tol:
                     parent[v] = _ORPHAN
                     orphans.append(v)
                 v = to[a]
+                a = parent[v]
+            sink[v] -= d
+            if sink[v] <= tol:
+                parent[v] = _ORPHAN
+                orphans.append(v)
 
             # re-attach the orphans, those nearest a root first
             time += 1
@@ -422,7 +421,7 @@ def _search_trees(head, to, res):
                         w = to[a]
                         if tree[w] != side:
                             continue
-                        if res[a ^ flip] > tol and not queued[w] and w > 1:
+                        if res[a ^ flip] > tol and not queued[w]:
                             queued[w] = True
                             waiting[side] += 1
                             active.append(w)

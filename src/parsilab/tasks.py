@@ -251,15 +251,18 @@ def read_raster(path):
         width = int(_read_header_token(f))
         height = int(_read_header_token(f))
         maxval = int(_read_header_token(f))
+        if width < 1 or height < 1:
+            raise InvalidInputError("raster width and height must be positive")
         channels = 3 if magic == b"P6" else 1
-        if maxval < 256:
-            data = np.frombuffer(f.read(width * height * channels),
-                                 dtype=np.uint8)
-        else:
-            data = np.frombuffer(f.read(width * height * channels * 2),
-                                 dtype=">u2").astype(np.uint16)
-        if data.size != width * height * channels:
+        wide = maxval > 255               # two bytes per sample
+        count = width * height * channels
+        # the read takes what the file holds, so a huge header cannot size it
+        data = f.read()
+        if count > len(data) // (2 if wide else 1):
             raise InvalidInputError("truncated raster data")
+        data = np.frombuffer(data, ">u2" if wide else np.uint8, count)
+        if wide:
+            data = data.astype(np.uint16)
     if channels == 3:
         return data.reshape(height, width, 3)
     return data.reshape(height, width)

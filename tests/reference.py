@@ -12,7 +12,7 @@ from parsilab.expansion import ACCEPT_TOL, MoveTrace, alpha_expansion
 from parsilab.model import Cliques, InvalidInputError, check_labeling
 from parsilab.hst import ROOT, RHst
 from parsilab.maxflow import (FLOW_TOL, FlowNetwork, _arc_lists,
-                              _search_trees)
+                              _search_trees, _short_paths)
 from parsilab.oracle import SizeError
 
 MAX_MOVE_SPACE = 10 ** 6
@@ -129,8 +129,8 @@ def best_expansion_move(instance, current, alpha):
 
 def infinite_capacity(net):
     """A capacity larger than any flow of net: the sum of its finite
-    capacities plus one, over every arc slot."""
-    return sum(net._cap) + 1.0
+    capacities plus one, over every arc slot and terminal capacity."""
+    return sum(net._cap) + sum(net._source) + sum(net._sink) + 1.0
 
 
 def forced_movers(instance, current, alpha):
@@ -600,17 +600,14 @@ def metric_violation(m, tol):
 def min_cut_side(net, v):
     """True if node v of the solved network lies on the source side of
     the minimum cut."""
-    return net._residual_reachable()[v + 2]
+    return net._residual_reachable()[v]
 
 
-def source_reachable(net):
-    """Per internal node of the solved net, whether the residual graph
-    reaches it: a breadth-first search from the source alone, where
-    FlowNetwork starts from its final source tree."""
-    head, to, res = net._head, net._to, net._res
-    seen = [False] * len(head)
-    seen[0] = True
-    queue = [0]
+def source_reachable(head, to, res, seen):
+    """Marks in seen, and returns it, every node that the residual res
+    reaches from the nodes seen already marks: a breadth-first search over
+    the arcs head lists per node."""
+    queue = [v for v, s in enumerate(seen) if s]
     for u in queue:
         for a in head[u]:
             v = to[a]
@@ -620,102 +617,129 @@ def source_reachable(net):
     return seen
 
 
-def arc_lists(net):
-    """Per internal node of net (0 the source, 1 the sink, v + 2 node v),
-    the ids of the arcs leaving it in insertion order, read from the flat
-    arc heads: the tail of arc a is the head of its twin a ^ 1."""
-    to = net._to
-    head = [[] for _ in range(net.num_nodes + 2)]
+def arc_lists(to, n):
+    """Per node 0..n-1, the ids of the arcs leaving it in insertion
+    order, read from the flat arc heads to: the tail of arc a is the head
+    of its twin a ^ 1."""
+    head = [[] for _ in range(n)]
     for a in range(len(to)):
         head[to[a ^ 1]].append(a)
     return head
 
 
-class _OracleNetwork(FlowNetwork):
-    """FlowNetwork solved another way, its cut read by source_reachable."""
-
-    @classmethod
-    def copy_of(cls, net):
-        """A network of this class with the nodes and arcs of net, in its
-        arc order."""
-        copy = cls(net.num_nodes)
-        copy._to = list(net._to)
-        copy._cap = list(net._cap)
-        return copy
-
-    def _residual_reachable(self):
-        if self._reachable is None:
-            self._reachable = source_reachable(self)
-        return self._reachable
+def slot_capacities(net):
+    """The capacity of every arc slot of net, the reverse twins' 0
+    included: the residual before any flow."""
+    caps = [0.0] * len(net._to)
+    caps[::2] = net._cap
+    return caps
 
 
-def two_hop_paths(head, to, res):
+def solve_residual(net, short_paths=_short_paths):
+    """net solved as compute_max_flow solves it, with the greedy pass
+    short_paths, on copies of its capacities: (flow, per-node arc lists,
+    inner residual, residual from the source, residual to the sink)."""
+    to = net._to
+    head = _arc_lists(to, net.num_nodes)
+    res = slot_capacities(net)
+    source, sink = list(net._source), list(net._sink)
+    flow = short_paths(head, to, res, source, sink)
+    flow += _search_trees(head, to, res, source, sink)[0]
+    return flow, head, res, source, sink
+
+
+def two_hop_paths(head, to, res, source, sink):
     """The greedy pass before the three-hop one: push flow along the
     residual paths source -> u -> sink and source -> u -> v -> sink, the
-    source's arcs taken in order.  Returns the flow pushed."""
+    nodes u taken in order.  Returns the flow pushed."""
     tol = FLOW_TOL
-    sink_arc = [-1] * len(head)        # per node, one arc into the sink
-    for b in head[1]:
-        sink_arc[to[b]] = b ^ 1
     total = 0.0
-    for a in head[0]:
-        r = res[a]
-        if r <= tol:
-            continue
-        u = to[a]
-        t = sink_arc[u]
-        if t >= 0 and res[t] > tol:
-            d = min(r, res[t])
-            res[t] -= d
-            res[t ^ 1] += d
-            r -= d
+    for u, r in enumerate(source):
+        d = min(r, sink[u])
+        sink[u] -= d
+        r -= d
         if r > tol:
             for b in head[u]:
-                if res[b] > tol:
-                    t = sink_arc[to[b]]
-                    if t >= 0 and res[t] > tol:
-                        d = min(r, res[b], res[t])
-                        res[b] -= d
-                        res[b ^ 1] += d
-                        res[t] -= d
-                        res[t ^ 1] += d
-                        r -= d
-                        if r <= tol:
-                            break
-        d = res[a] - r                 # what this source arc carried
-        res[a] = r
-        res[a ^ 1] += d
-        total += d
+                v = to[b]
+                if res[b] > tol and sink[v] > tol:
+                    d = min(r, res[b], sink[v])
+                    res[b] -= d
+                    res[b ^ 1] += d
+                    sink[v] -= d
+                    r -= d
+                    if r <= tol:
+                        break
+        total += source[u] - r
+        source[u] = r
     return total
 
 
-class TwoHopNetwork(_OracleNetwork):
+class TwoHopNetwork(FlowNetwork):
     """FlowNetwork whose greedy pass is two_hop_paths; the package's
-    layout and Boykov-Kolmogorov augmentation do the rest."""
+    layout and Boykov-Kolmogorov augmentation do the rest.  Its cut is
+    read by a search from the source alone."""
+
+    @classmethod
+    def copy_of(cls, net):
+        copy = cls(net.num_nodes)
+        copy._to, copy._cap = list(net._to), list(net._cap)
+        copy._source, copy._sink = list(net._source), list(net._sink)
+        return copy
 
     def compute_max_flow(self):
-        to = self._to
-        self._head = head = _arc_lists(to, self._nodes + 2)
-        res = list(self._cap)
-        total = two_hop_paths(head, to, res)
-        total += _search_trees(head, to, res)[0]
-        self._res = res
+        flow, head, res, source, _ = solve_residual(self, two_hop_paths)
+        self._reachable = source_reachable(
+            head, self._to, res, [r > FLOW_TOL for r in source])
+        return flow
+
+
+class DinicNetwork:
+    """The arc-list network FlowNetwork was before it kept its terminal
+    capacities per node, solved by Dinic's algorithm.  Node 0 is the
+    source, 1 the sink and v + 2 node v; every terminal capacity is an
+    arc, stored with its reverse twin like an inner arc.  The per-node
+    arc lists are built by arc_lists instead of the solve-time layout,
+    and the cut is read by a search from the source."""
+
+    def __init__(self, num_nodes):
+        self.num_nodes = num_nodes
+        self._to = []
+        self._cap = []
         self._reachable = None
-        return total
 
+    @classmethod
+    def copy_of(cls, net):
+        """The nodes and arcs of FlowNetwork net: its terminal arcs in
+        node order, then its inner arcs in their order."""
+        copy = cls(net.num_nodes)
+        for v, (s, t) in enumerate(zip(net._source, net._sink)):
+            copy.add_terminal_arc(v, s, t)
+        to = net._to
+        for k, cap in enumerate(net._cap):
+            copy.add_arc(to[2 * k + 1], to[2 * k], cap)
+        return copy
 
-class DinicNetwork(_OracleNetwork):
-    """FlowNetwork solved by Dinic's algorithm instead of the short-path
-    pass and Boykov-Kolmogorov augmentation, on per-node arc lists built
-    by arc_lists instead of the solve-time layout."""
+    def add_arc(self, u, v, cap):
+        self._to += [v + 2, u + 2]
+        self._cap += [float(cap), 0.0]
+
+    def add_terminal_arc(self, v, cap_from_source, cap_to_sink):
+        if cap_from_source > 0:
+            self._to += [v + 2, 0]
+            self._cap += [float(cap_from_source), 0.0]
+        if cap_to_sink > 0:
+            self._to += [1, v + 2]
+            self._cap += [float(cap_to_sink), 0.0]
+
+    def source_side_mask(self):
+        return np.array(self._reachable[2:], dtype=bool)
 
     def compute_max_flow(self):
         to = self._to
-        self._head = head = arc_lists(self)
+        head = arc_lists(to, self.num_nodes + 2)
         res = list(self._cap)
         n = len(head)
         total = 0.0
-
         while True:
             # BFS layering on the residual graph.  It stops once the sink
             # has its layer: the nodes still unlayered would be dead ends,
@@ -766,6 +790,6 @@ class DinicNetwork(_OracleNetwork):
                     res[a ^ 1] += bottleneck
                 total += bottleneck
 
-        self._res = res
-        self._reachable = None
+        self._reachable = source_reachable(head, to, res,
+                                           [True] + [False] * (n - 1))
         return total

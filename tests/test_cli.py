@@ -46,6 +46,8 @@ DUPLICATE_TABLE_ENTRY_PROBLEM = os.path.join(
 HUGE_INT_PROBLEM = os.path.join(DATA, "huge_int_problem.json")
 # a two-label tree whose root edge is 10^400; CI also runs it
 HUGE_INT_TREE = os.path.join(DATA, "huge_int_tree.json")
+# a PGM whose header claims 2^40 x 3 pixels over 9 bytes; CI also runs it
+HUGE_HEADER_RASTER = os.path.join(DATA, "huge_header.pgm")
 # two variables, one label and a diameter metric: every energy is 0; CI
 # also runs it through the script
 ZERO_ENERGY_PROBLEM = os.path.join(DATA, "zero_energy_problem.json")
@@ -137,6 +139,22 @@ def assert_inpaint_report_matches(tmp_path, args, golden):
 def test_inpaint_report_matches_golden_file(tmp_path):
     assert_inpaint_report_matches(tmp_path, INPAINT_GOLDEN,
                                   "ramp6.seed0_k2.report.json")
+
+
+def test_stereo_report_matches_golden_file(tmp_path):
+    """A 12x12 planted stereo pair over 8 labels, disparity 1 with a
+    central 6x6 square at 4: pair arcs, superpixel gadgets and
+    augmentations the greedy pass leaves over."""
+    report = tmp_path / "report.json"
+    with pytest.warns(UserWarning, match="no superpixel map"):
+        assert cli.main([
+            "stereo", os.path.join(DATA, "stereo12_left.ppm"),
+            os.path.join(DATA, "stereo12_right.ppm"), "--labels", "8",
+            "--block", "4", "-k", "2", "--seed", "0",
+            "--out", str(tmp_path / "out.pgm"),
+            "--report", str(report)]) == cli.EXIT_OK
+    assert report.read_bytes() \
+        == Path(DATA, "stereo12.seed0_k2.report.json").read_bytes()
 
 
 def test_inpaint_h256_report_matches_golden_file(tmp_path):
@@ -608,12 +626,56 @@ def test_image_command_bad_input_exits_2(tmp_path, capsys, command, bad,
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:no superpixel map given")
+@pytest.mark.parametrize("command,flag", [
+    ("solve", "--report"), ("solve", "--labeling-out"),
+    ("stereo", "--out"), ("stereo", "--report"),
+    ("inpaint", "--out"), ("inpaint", "--report"),
+    ("synth-bench", "--csv")])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, flag):
+    """An output path that cannot be written is an input error: exit 2
+    with one line naming it, no traceback."""
+    left, right, gray = _image_files(tmp_path, False)
+    argv = {"solve": [TINY_PROBLEM],
+            "stereo": [left, right, "--labels", "3", "--trees", "1"],
+            "inpaint": [gray, "--labels", "4", "--trees", "1"],
+            "synth-bench": ["--size", "3", "--labels", "3", "--window", "2",
+                            "--trees", "1"]}[command]
+    if command in ("stereo", "inpaint") and flag != "--out":
+        argv += ["--out", str(tmp_path / "out.pgm")]
+    path = tmp_path / "missing" / "output"
+    assert cli.main([command, *argv, flag, str(path)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err \
+        == "error: cannot write %s: No such file or directory\n" % path
+
+
 def test_malformed_raster_header_exits_2(tmp_path, capsys):
     image = tmp_path / "bad.pgm"
     image.write_bytes(b"P5\nsix 6\n255\n" + bytes(36))
     assert cli.main(["inpaint", str(image), "--out",
                      str(tmp_path / "out.pgm")]) == cli.EXIT_INPUT
     assert "cannot read image" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header,message", [
+    (Path(HUGE_HEADER_RASTER).read_bytes()[:-9], "truncated raster data"),
+    (b"P5\n%d 3\n255\n" % 10 ** 400, "truncated raster data"),
+    (b"P5\n3 3\n65535\n", "truncated raster data"),
+    (b"P5\n0 3\n255\n", "raster width and height must be positive"),
+    (b"P5\n%d 0\n255\n" % 2 ** 62,
+     "raster width and height must be positive"),
+], ids=["2^40 wide", "10^400 wide", "odd 16-bit data", "0 wide",
+        "2^62 wide, 0 high"])
+def test_raster_header_beyond_its_data_exits_2(tmp_path, capsys, header,
+                                               message):
+    """A header is checked against the bytes the file holds (here 9), so a
+    huge width sizes no read and overflows no index."""
+    image = tmp_path / "bad.pgm"
+    image.write_bytes(header + bytes(range(9)))
+    assert cli.main(["inpaint", str(image), "--out",
+                     str(tmp_path / "out.pgm")]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err \
+        == "error: cannot read image: %s\n" % message
 
 
 def test_missing_file_exits_2(capsys):

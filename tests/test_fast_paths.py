@@ -138,7 +138,10 @@ def assert_same_network(net, want):
     if net is not None:
         assert net.num_nodes == want.num_nodes
         assert net._to == want._to
-        assert np.array(net._cap).tobytes() == np.array(want._cap).tobytes()
+        for caps, want_caps in ((net._cap, want._cap),
+                                (net._source, want._source),
+                                (net._sink, want._sink)):
+            assert np.array(caps).tobytes() == np.array(want_caps).tobytes()
 
 
 def assert_same_move_network(inst, current, alpha):

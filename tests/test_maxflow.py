@@ -10,10 +10,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from parsilab.expansion import _move_network
-from parsilab.maxflow import (FlowNetwork, _arc_lists, _search_trees,
-                              _short_paths)
-from reference import (DinicNetwork, TwoHopNetwork, arc_lists,
-                       infinite_capacity, source_reachable, two_hop_paths)
+from parsilab.maxflow import (FLOW_TOL, FlowNetwork, _arc_lists,
+                              _search_trees, _short_paths)
+from reference import (DinicNetwork, TwoHopNetwork, infinite_capacity,
+                       slot_capacities, solve_residual, source_reachable,
+                       two_hop_paths)
 from test_fast_paths import labelings, pn_instances
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
@@ -42,18 +43,14 @@ def _min_cut_enumeration(n, terminal, arcs):
 
 
 def _cut_capacity(net):
-    """Capacity of the cut read off the solved network."""
-    reach = net._residual_reachable()
-    return sum(net._cap[a] for u, arcs in enumerate(arc_lists(net))
-               if reach[u] for a in arcs if not reach[net._to[a]])
-
-
-def _flow_excess(net, v, res=None):
-    """Net inflow at internal node v (0 the source, 1 the sink, u + 2 node
-    u) of the residual res, by default that of the solved network."""
-    res = net._res if res is None else res
-    # cap - res on each arc slot leaving v is the net flow it carries out
-    return -sum(net._cap[a] - res[a] for a in arc_lists(net)[v])
+    """Capacity of the cut read off the solved network: its inner arcs
+    from the source side to the sink side, and the terminal capacities
+    that cross it."""
+    reach, to = net._residual_reachable(), net._to
+    return (sum(cap for k, cap in enumerate(net._cap)
+                if reach[to[2 * k + 1]] and not reach[to[2 * k]])
+            + sum(cap for cap, side in zip(net._source, reach) if not side)
+            + sum(cap for cap, side in zip(net._sink, reach) if side))
 
 
 def _build(terminal, arcs):
@@ -143,9 +140,8 @@ def test_random_networks_match_cut_enumeration():
         assert abs(flow - expect) <= 1e-9
         # strong duality: the reported cut has capacity equal to the flow
         assert abs(_cut_capacity(net) - flow) <= 1e-9
-        # conservation at every non-terminal node
-        for v in range(n):
-            assert abs(_flow_excess(net, v + 2)) <= 1e-9
+        # a flow of that value, conserved at every node
+        _assert_is_flow(net, flow, *solve_residual(net)[2:])
 
 
 def test_terminal_arcs_accumulate():
@@ -161,7 +157,7 @@ def test_source_side_nodes():
     net = _build(terminal, arcs)
     net.compute_max_flow()
     assert net.source_side_mask().tolist() == [True, False]
-    assert net._residual_reachable()[:2] == [True, False]   # source, sink
+    assert net._residual_reachable() == [True, False]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
@@ -173,7 +169,8 @@ def test_non_finite_or_negative_capacities_are_rejected(bad):
                 lambda: net.add_terminal_arc(a, 0.0, bad)):
         with pytest.raises(ValueError):
             add()
-    assert net._to == []                   # nothing was added
+    # nothing was added
+    assert (net._to, net._source, net._sink) == ([], [0.0] * 2, [0.0] * 2)
 
 
 def test_unknown_node_is_rejected():
@@ -182,7 +179,8 @@ def test_unknown_node_is_rejected():
     net = FlowNetwork(2)
     net.add_arc(0, 1, 1.0)
     net.add_terminal_arc(1, 2.0, 3.0)
-    before = (list(net._to), list(net._cap))
+    before = (list(net._to), list(net._cap), list(net._source),
+              list(net._sink))
     for bad in (2, -1, -2, -3):
         for add in (lambda: net.add_arc(0, bad, 1.0),
                     lambda: net.add_arc(bad, 0, 1.0),
@@ -190,7 +188,8 @@ def test_unknown_node_is_rejected():
                     lambda: net.add_terminal_arc(bad, 0.0, 5.0)):
             with pytest.raises(ValueError):
                 add()
-    assert (net._to, net._cap) == before and net.num_nodes == 2
+    assert (net._to, net._cap, net._source, net._sink) == before
+    assert net.num_nodes == 2
 
 
 def test_negative_node_count_is_rejected():
@@ -227,33 +226,45 @@ def networks(draw, max_nodes=14, caps=capacities):
     return net
 
 
-def _assert_is_flow(net, res):
-    """The residual res is a flow on net: within capacity, twin residuals
-    sum to the twin capacities, and every node but the terminals conserves
-    it."""
-    res, cap = np.asarray(res), np.asarray(net._cap)
+def _assert_is_flow(net, value, res, source, sink):
+    """The residuals res of the inner arcs, source from the source and
+    sink to the sink are a flow of the given value on net: within
+    capacity, twin residuals sum to the twin capacities, and every node
+    conserves it."""
+    res, cap = np.asarray(res), np.asarray(slot_capacities(net))
     twin = np.arange(cap.size) ^ 1
     assert np.all(res >= -1e-9)
     np.testing.assert_allclose(res + res[twin], cap + cap[twin], rtol=0,
                                atol=1e-9)
-    for v in range(2, net.num_nodes + 2):
-        assert abs(_flow_excess(net, v, res)) <= 1e-9
+    fed = np.asarray(net._source) - source       # flow in from the source
+    drained = np.asarray(net._sink) - sink       # and out to the sink
+    assert np.all(np.minimum(source, sink) >= -1e-9)
+    assert np.all(np.minimum(fed, drained) >= -1e-9)
+    # cap - res on each arc slot leaving a node is the net flow it carries
+    # out; the tail of arc a is the head of its twin
+    tails = np.asarray(net._to, dtype=np.intp)[twin]
+    carried = np.bincount(tails, cap - res, net.num_nodes)
+    np.testing.assert_allclose(fed - drained, carried, rtol=0, atol=1e-9)
+    assert abs(drained.sum() - value) <= 1e-9
 
 
 def _assert_same_as_oracles(net):
     """The greedy pass alone pushes a flow of the value it returns, and the
     full solve matches Dinic's algorithm and the two-hop pass followed by
     the same augmentation, in flow and in cut."""
-    res = list(net._cap)
-    pushed = _short_paths(_arc_lists(net._to, net.num_nodes + 2), net._to, res)
-    _assert_is_flow(net, res)
-    assert abs(_flow_excess(net, 1, res) - pushed) <= 1e-9
+    res, source, sink = (slot_capacities(net), list(net._source),
+                         list(net._sink))
+    pushed = _short_paths(_arc_lists(net._to, net.num_nodes), net._to, res,
+                          source, sink)
+    _assert_is_flow(net, pushed, res, source, sink)
     flow = net.compute_max_flow()
     for oracle in (DinicNetwork.copy_of(net), TwoHopNetwork.copy_of(net)):
         assert abs(flow - oracle.compute_max_flow()) <= 1e-9
         np.testing.assert_array_equal(net.source_side_mask(),
                                       oracle.source_side_mask())
-    _assert_is_flow(net, net._res)
+    value, _, *residual = solve_residual(net)
+    assert value == flow
+    _assert_is_flow(net, flow, *residual)
 
 
 def _network(arcs, terminal):
@@ -283,6 +294,12 @@ def _network(arcs, terminal):
                    (2, 4, 5.0)],
                   [(0, 1.0, 0.0), (5, 1.0, 0.0), (1, 3.0, 0.0),
                    (3, 0.0, 1.0), (4, 0.0, 2.0)]))
+# the augmentation source -> 2 -> 0 -> 3 -> 4 -> 5 -> sink spends the
+# source capacity of 2, which is freed, while 0 is adopted by 6; the
+# reverse of 2 -> 0 then reaches 2 again, so 0 must be queued once more
+@example(_network([(3, 4, 1.0), (4, 5, 1.0), (0, 3, 1.0), (2, 0, 1.0),
+                   (6, 0, 1.0)],
+                  [(6, 1.0, 0.0), (2, 1.0, 0.0), (5, 0.0, 1.0)]))
 def test_random_networks_match_dinic(net):
     _assert_same_as_oracles(net)
 
@@ -331,13 +348,13 @@ def test_three_hop_pass_carries_shared_gadget_flow():
             net.add_arc(i, a, inf)
     flow = DinicNetwork.copy_of(net).compute_max_flow()
     assert flow == 5.0
-    head = _arc_lists(net._to, net.num_nodes + 2)
-    res = list(net._cap)
-    assert _short_paths(head, net._to, res) == flow
-    assert _search_trees(head, net._to, res)[0] == 0.0
-    res = list(net._cap)
-    assert two_hop_paths(head, net._to, res) == 0.0
-    assert _search_trees(head, net._to, res)[0] == flow
+    head = _arc_lists(net._to, net.num_nodes)
+    residual = slot_capacities(net), list(net._source), list(net._sink)
+    assert _short_paths(head, net._to, *residual) == flow
+    assert _search_trees(head, net._to, *residual)[0] == 0.0
+    residual = slot_capacities(net), list(net._source), list(net._sink)
+    assert two_hop_paths(head, net._to, *residual) == 0.0
+    assert _search_trees(head, net._to, *residual)[0] == flow
 
 
 @pytest.mark.parametrize("family", [networks(), move_networks()],
@@ -349,7 +366,9 @@ def test_cut_read_from_source_tree_matches_source_search(family, data):
     nodes reaches the same nodes as a search from the source alone."""
     net = data.draw(family)
     net.compute_max_flow()
-    assert net._residual_reachable() == source_reachable(net)
+    _, head, res, source, _ = solve_residual(net)
+    assert net._residual_reachable() == source_reachable(
+        head, net._to, res, [r > FLOW_TOL for r in source])
 
 
 @SETTINGS
@@ -360,12 +379,11 @@ def test_cut_read_is_the_least_minimum_cut(net):
     Integer capacities make ties between cuts exact."""
     net.compute_max_flow()
     n = net.num_nodes
-    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
-    side = np.hstack([np.ones((2 ** n, 1), int), np.zeros((2 ** n, 1), int),
-                      bits]).astype(bool)     # column 0 the source, 1 the sink
-    heads = np.asarray(net._to, dtype=int)   # arc slot a runs from the
-    tails = heads[np.arange(heads.size) ^ 1]  # head of its twin a ^ 1
-    cut = (side[:, tails] & ~side[:, heads]) @ np.asarray(net._cap)
-    least = np.all(bits[cut == cut.min()], axis=0)
+    side = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    heads = np.asarray(net._to[::2], dtype=int)   # arc 2k runs from the
+    tails = np.asarray(net._to[1::2], dtype=int)  # head of its twin
+    cut = ((side[:, tails] & ~side[:, heads]) @ np.asarray(net._cap)
+           + ~side @ np.asarray(net._source) + side @ np.asarray(net._sink))
+    least = np.all(side[cut == cut.min()], axis=0)
     assert cut.min() == net.compute_max_flow()
     np.testing.assert_array_equal(net.source_side_mask(), least)
