@@ -6,20 +6,20 @@ optimal expansion move for such an energy is a single min st-cut; the
 sweep over alpha labels then descends monotonically to a local minimum.
 A PnPottsInstance keeps its cliques as a model.Cliques, so energies and
 move networks are built from the CSR clique arrays.  An instance may be
-a disjoint union of components, such as one height's fusion nodes of a
-tree solve; alpha_expansion sweeps it as if each component were swept
-alone, with one cut per move for all the components the move covers.
-Each move, its clique costs and its energies are computed on the
-instance of those components alone (PnPottsInstance.select, slices of
-the checked arrays), so a move does work only for the variables it can
-move.  Before a move's
-network is built, every variable whose costs decide it (it keeps, or
-switches, in every optimal move) is fixed, to a fixpoint; only the free
-variables get nodes, and on lattices most moves are left with none.  A
-move network's per-node arc lists hold no reference cycles, so each move
-is built, solved and read with the cyclic garbage collector paused:
-otherwise its allocations set off collections that traverse those lists
-for nothing.
+several copies of one component's cliques, each with its own costs,
+such as one height's fusion nodes of a tree solve; alpha_expansion
+sweeps it as if each component were swept alone, with one cut per move
+for all the components the move covers.  Each move, its clique costs
+and its energies are computed on the instance of those components alone
+(PnPottsInstance.select, slices of the checked arrays over the same
+component cliques), so a move does work only for the variables it can
+move.  Before a move's network is built, every variable whose costs
+decide it (it keeps, or switches, in every optimal move) is fixed, to a
+fixpoint; only the free variables get nodes, and on lattices most moves
+are left with none.  A move network's per-node arc lists hold no
+reference cycles, so each move is built, solved and read with the
+cyclic garbage collector paused: otherwise its allocations set off
+collections that traverse those lists for nothing.
 """
 
 import gc
@@ -43,12 +43,14 @@ class PnPottsInstance:
     also has the per-label cost table gamma[c] and the disagreement cost
     gamma_max[c].  gamma may also be one table shared by every clique.
 
-    An instance may be a disjoint union of components (see
+    An instance may be m copies of one component (see
     solver.build_fusion_instance): with component_labels of m entries,
-    the variables and the cliques each split into m equal consecutive
-    blocks, component j's cliques lie inside its variables, and component
-    j uses only the labels below component_labels[j].  By default the
-    instance is one component that uses every label.
+    cliques are one component's, over N / m variables, and the instance
+    tiles them (Cliques.tile), copy j over the variables j * N / m
+    onward.  Unaries, gamma and gamma_max have a row per variable and
+    per tiled clique, and component j uses only the labels below
+    component_labels[j].  By default the instance is one component that
+    uses every label.
     """
 
     def __init__(self, unaries, cliques, gamma, gamma_max,
@@ -58,8 +60,16 @@ class PnPottsInstance:
             raise InvalidInputError("unaries must be N x H")
         require_finite(unaries, "unaries")
         n, h = unaries.shape
-        cliques.check_members(n)
-        count = len(cliques)
+        if component_labels is None:
+            component_labels = [h]
+        labels = np.array(component_labels, dtype=np.intp)
+        m = labels.size
+        if (labels.ndim != 1 or not m or n % m
+                or labels.min() < 1 or labels.max() > h):
+            raise InvalidInputError("components must split the variables "
+                                    "evenly, each with 1..H labels")
+        cliques.check_members(n // m)
+        count = m * len(cliques)
         try:
             gamma = np.broadcast_to(np.asarray(gamma, dtype=float), (count, h))
         except ValueError as e:
@@ -72,72 +82,59 @@ class PnPottsInstance:
         require_finite(gamma_max, "gamma_max")
         if np.any(gamma < 0) or np.any(gamma_max < 0):
             raise InvalidInputError("gamma values must be non-negative")
-        weighted = cliques.weights > 0
+        weighted = np.tile(cliques.weights, m) > 0
         if np.any(gamma[weighted] >= gamma_max[weighted, None]):
             raise InvalidInputError(
                 "gamma_max must strictly exceed every gamma[k] when weighted")
-        if component_labels is None:
-            component_labels = [h]
-        labels = np.array(component_labels, dtype=np.intp)
-        m = labels.size
-        if (labels.ndim != 1 or not m or n % m or count % m
-                or labels.min() < 1 or labels.max() > h):
-            raise InvalidInputError("components must split the variables "
-                                    "and cliques evenly, each with 1..H "
-                                    "labels")
-        if m > 1 and np.any(cliques.owner // (count // m)
-                            != cliques.members // (n // m)):
-            raise InvalidInputError("each clique must lie inside one "
-                                    "component")
         self._set(unaries, cliques, gamma, gamma_max, labels)
 
     @classmethod
     def from_checked(cls, unaries, cliques, gamma, gamma_max,
                      component_labels):
         """The instance of arrays that pass __init__'s checks as they are,
-        such as the slices of a checked instance: gamma is count x H (a
-        broadcast view when one table is shared), gamma_max and the
-        component labels are arrays.  Nothing is checked again."""
+        such as the slices of a checked instance: cliques are one
+        component's, gamma is count x H (a broadcast view when one table
+        is shared), gamma_max and the component labels are arrays.
+        Nothing is checked again."""
         instance = cls.__new__(cls)
         instance._set(unaries, cliques, gamma, gamma_max, component_labels)
         return instance
 
     def _set(self, unaries, cliques, gamma, gamma_max, component_labels):
         n, h = unaries.shape
-        count = len(cliques)
+        m = component_labels.size
         self.unaries = unaries
         self.num_variables = n
         self.num_labels = h
-        self.cliques = cliques
+        self._component_cliques = cliques
+        self.cliques = tiled = cliques.tile(m, n // m)
         self.gamma = gamma
         self.gamma_max = gamma_max
         self.component_labels = component_labels
-        self.num_components = component_labels.size
+        self.num_components = m
         # some component uses fewer than H labels
         self._padded = bool(component_labels.min() < h)
-        self._rows = np.arange(count)
+        self._rows = np.arange(len(tiled))
         # every clique entry twice, as the slots of a move's per-variable
         # sums: member i at slot i with its clique's pay_keep (paid entry
         # c), and at slot n + i with its pay_switch (paid entry count + c)
-        self._slot = np.concatenate((cliques.members, cliques.members + n))
-        self._paid = np.concatenate((cliques.owner, cliques.owner + count))
+        self._slot = np.concatenate((tiled.members, tiled.members + n))
+        self._paid = np.concatenate((tiled.owner, tiled.owner + len(tiled)))
 
     def select(self, components):
         """The instance made of the components that the boolean mask
-        marks, at least one, in order: their unaries rows, their cliques
-        with the members renumbered, their gamma rows, gamma_max and
-        label counts.  They are slices of checked arrays, so they are not
-        checked again.  With every component marked it is the instance
-        itself."""
+        marks, at least one, in order: their unaries rows, gamma rows,
+        gamma_max and label counts, over the same component cliques.
+        They are slices of checked arrays, so they are not checked again.
+        With every component marked it is the instance itself."""
         if components.all():
             return self
         m = self.num_components
         rows = np.repeat(components, self.num_variables // m)
         keep = np.repeat(components, len(self.cliques) // m)
         return PnPottsInstance.from_checked(
-            self.unaries[rows], self.cliques.select(keep, rows.cumsum() - 1),
-            self.gamma[keep], self.gamma_max[keep],
-            self.component_labels[components])
+            self.unaries[rows], self._component_cliques, self.gamma[keep],
+            self.gamma_max[keep], self.component_labels[components])
 
     def check_labeling(self, labeling):
         """labeling as an index array, checked (model.check_labeling) and

@@ -176,12 +176,12 @@ class LabelMetric:
 
     @staticmethod
     def uniform(num_labels, scale):
-        """d(a, b) = scale for a != b, 0 on the diagonal."""
+        """d(a, b) = scale for a != b, 0 on the diagonal: the truncated
+        linear metric of truncation 1, an O(H) view with the same bits."""
         if not 0 < scale < math.inf:
             raise InvalidInputError(
                 "uniform metric scale must be positive and finite")
-        m = scale * (1.0 - np.eye(num_labels))
-        return LabelMetric(m, validate=False)
+        return LabelMetric.truncated_linear(num_labels, scale, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -500,22 +500,15 @@ class Cliques:
         flat = np.array(list(itertools.chain.from_iterable(members)))
         return cls(np.cumsum([0] + [len(m) for m in members]), flat, weights)
 
-    def select(self, keep, renumber=None):
-        """The cliques where the boolean mask keep is True, in order, each
-        member i renamed renumber[i] if renumber is given.
-
-        A subset of valid cliques is valid, and so is its renaming by a
-        renumber that is increasing over the kept members, so it is not
-        checked again.
-        """
+    def select(self, keep):
+        """The cliques where the boolean mask keep is True, in order.  A
+        subset of valid cliques is valid, so it is not checked again."""
         sizes = self.sizes[keep]
         offsets = np.zeros(sizes.size + 1, dtype=np.intp)
         np.cumsum(sizes, out=offsets[1:])
-        members = self.members[keep[self.owner]]
-        if renumber is not None:
-            members = renumber[members]
         subset = Cliques.__new__(Cliques)
-        subset._set(offsets, members, self.weights[keep], sizes,
+        subset._set(offsets, self.members[keep[self.owner]],
+                    self.weights[keep], sizes,
                     np.repeat(np.arange(sizes.size), sizes))
         return subset
 

@@ -27,17 +27,6 @@ def _all_labelings(n, h):
     return out
 
 
-def _mask_potential_table(model):
-    """Clique potential per label-subset bitmask (0 for empty/singletons of
-    zero value as the potential defines)."""
-    h = model.num_labels
-    table = np.zeros(1 << h)
-    for mask in range(1, 1 << h):
-        subset = tuple(i for i in range(h) if mask >> i & 1)
-        table[mask] = model.potential.value(subset)
-    return table
-
-
 class ExhaustiveResult:
     def __init__(self, labeling, energy, unary_term, clique_term):
         self.labeling = labeling
@@ -49,6 +38,9 @@ class ExhaustiveResult:
 def exhaustive_minimize(model):
     """Global optimum by full enumeration; also returns the term split."""
     n, h = model.num_variables, model.num_labels
+    # a label set is keyed as a 64-bit mask: more labels would merge sets
+    if h > 64:
+        raise SizeError("too many labels to enumerate (%d, at most 64)" % h)
     if h ** n > MAX_LABELINGS:
         raise SizeError("instance too large to enumerate (%d^%d labelings)"
                         % (h, n))
@@ -57,12 +49,16 @@ def exhaustive_minimize(model):
 
     clique = np.zeros(labelings.shape[0])
     c = model.cliques
-    if len(c):
-        table = _mask_potential_table(model)
-        for k in np.flatnonzero(c.weights):     # zero weights add nothing
-            labs = labelings[:, c.members[c.offsets[k]:c.offsets[k + 1]]]
-            masks = np.bitwise_or.reduce(np.int64(1) << labs, axis=1)
-            clique += c.weights[k] * table[masks]
+    values = {}             # label-set mask -> potential value, each once
+    for k in np.flatnonzero(c.weights):         # zero weights add nothing
+        labs = labelings[:, c.members[c.offsets[k]:c.offsets[k + 1]]]
+        masks = np.bitwise_or.reduce(np.int64(1) << labs, axis=1)
+        sets, inverse = np.unique(masks, return_inverse=True)
+        for mask in set(sets.tolist()).difference(values):
+            values[mask] = model.potential.value(
+                tuple(l for l in range(h) if mask >> l & 1))
+        clique += c.weights[k] * np.array(
+            [values[mask] for mask in sets.tolist()])[inverse]
 
     energy = unary + clique
     best = int(np.argmin(energy))   # first minimum = lexicographic tie-break

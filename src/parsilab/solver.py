@@ -108,8 +108,9 @@ def build_fusion_instance(model, tree, nodes, child_labelings):
     diversity of child k's labels on it when all members choose k, and
     the diameter of the node's whole cluster (tree.diameter) otherwise.
     Cliques of weight 0 are dropped (model.weighted_cliques, selected
-    once per model).  The kept cliques are read once for every child of
-    every node whose labeling is not constant, and tiled once per node.
+    once per model), and the kept ones are every component's cliques,
+    which the instance tiles.  They are read once for every child of
+    every node whose labeling is not constant.
     A node with fewer children than another pads its meta-labels with
     unaries and gamma 0; it never moves to them.  The arrays are built
     from a checked model, so the instance is made without running
@@ -156,7 +157,7 @@ def build_fusion_instance(model, tree, nodes, child_labelings):
     # the instance's checks: a child's labels lie in its cluster, whose
     # diameters are below the node's
     return PnPottsInstance.from_checked(
-        meta_unaries.reshape(m * n, h), kept.tile(m, n),
+        meta_unaries.reshape(m * n, h), kept,
         gamma.reshape(-1, h),
         np.repeat([tree.diameter(v) for v in nodes], len(kept)),
         np.array(counts, dtype=np.intp))
@@ -239,11 +240,19 @@ def solve_parsimonious(model, k=10, seed=0):
     t0 = time.perf_counter()
     metric = model.potential.induced_metric()
     t_embed = time.perf_counter()
-    mixture = hst.frt_embed(metric, k, seed)
+    if model.num_variables:
+        mixture = hst.frt_embed(metric, k, seed)
+    elif k < 1:
+        raise InvalidInputError("need at least one tree")
+    else:
+        # no tree is built, since an embedding takes H x H arrays: each of
+        # the k candidates is the empty labeling, of energy 0
+        mixture = ()
     t_solve = time.perf_counter()
 
-    candidates = []
-    energies = []
+    # the k empty labelings of a model without variables, else none
+    candidates = [np.zeros(0, dtype=np.intp)] * (k - len(mixture))
+    energies = [0.0] * len(candidates)
     for tree in mixture:
         lab, tree_report = solve_hierarchical(model, tree)
         candidates.append(lab)

@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from parsilab import cli, oracle
+from parsilab import cli, hst, oracle
 from parsilab.model import (Cliques, EnergyModel, PnPottsSpec, load_model,
                             save_model)
 from parsilab.oracle import exhaustive_minimize
@@ -52,6 +52,14 @@ HUGE_HEADER_RASTER = os.path.join(DATA, "huge_header.pgm")
 # also runs it through the script
 ZERO_ENERGY_PROBLEM = os.path.join(DATA, "zero_energy_problem.json")
 
+# no variables and 100000 labels, under a truncated linear metric and
+# under a uniform one; CI also runs them under an address-space limit
+ZERO_VARIABLE_PROBLEMS = ["zero_variable_problem.json",
+                          "zero_variable_uniform_problem.json"]
+# one variable with 40 labels, and with 65; CI also runs them
+ORACLE_H40_PROBLEM = os.path.join(DATA, "oracle_h40_problem.json")
+ORACLE_H65_PROBLEM = os.path.join(DATA, "oracle_h65_problem.json")
+
 # energy of the committed fixture at k=10, seed 0; equals the exhaustive
 # optimum of that instance (verified when the fixture was generated)
 GOLDEN_ENERGY = 10.7143
@@ -89,6 +97,43 @@ def test_oracle_ratio_of_zero_energies_is_one(capsys):
         assert cli.main(["solve", TINY_PROBLEM, "--oracle"]) \
             == cli.EXIT_SOLVER
     assert "E_opt=0 ratio=inf " in capsys.readouterr().out
+
+
+def test_oracle_takes_up_to_64_labels(capsys):
+    """The oracle values only the label sets its labelings meet, so 40
+    labels take no table of 2^40 sets; beyond 64 labels a set no longer
+    fits its 64-bit key, and the problem is refused."""
+    assert cli.main(["solve", ORACLE_H40_PROBLEM, "--oracle", "-k", "2"]) \
+        == cli.EXIT_OK
+    assert "E_alg=0 E_opt=0 ratio=1 " in capsys.readouterr().out
+    assert cli.main(["solve", ORACLE_H65_PROBLEM, "--oracle", "-k", "2"]) \
+        == cli.EXIT_INPUT
+    assert capsys.readouterr().err \
+        == "error: too many labels to enumerate (65, at most 64)\n"
+
+
+@pytest.mark.parametrize("problem", ZERO_VARIABLE_PROBLEMS)
+def test_zero_variable_problem_builds_no_tree(tmp_path, capsys, problem):
+    """A problem without variables has one labeling, the empty one: solve
+    builds no tree, whose embedding would take H x H arrays, and writes
+    the report written for the same problem with 3 labels, where trees
+    were built; -k 0 is still refused.  validate builds no H x H metric."""
+    problem = os.path.join(DATA, problem)
+    report = tmp_path / "report.json"
+    with mock.patch.object(hst, "frt_embed", side_effect=AssertionError):
+        assert cli.main(["solve", problem, "-k", "2", "--report",
+                         str(report)]) == cli.EXIT_OK
+        assert cli.main(["solve", problem, "-k", "0"]) == cli.EXIT_INPUT
+        assert cli.main(["validate", problem]) == cli.EXIT_OK
+    assert json.loads(report.read_text()) == {
+        "bounds": {"general_diversity": 0.0, "hierarchical": 0.0,
+                   "log_base": "natural"},
+        "component_energies": [0.0, 0.0], "energy": 0.0, "labeling": [],
+        "num_trees": 2, "seed": 0}
+    out, err = capsys.readouterr()
+    assert out == "energy 0\nproblem ok: 0 variables, 100000 labels, " \
+        "0 cliques\n"
+    assert err == "error: need at least one tree\n"
 
 
 def test_solve_reports_are_byte_identical(tmp_path):

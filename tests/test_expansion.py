@@ -257,24 +257,27 @@ def test_labels_out_of_range_are_rejected(labeling):
 
 
 @pytest.mark.parametrize("members,labels", [
-    ([[0, 1], [2, 3]], [2, 2, 2]),      # 3 components over 4 variables
-    ([[0, 1], [1, 2]], [2, 2]),         # the second clique spans both
-    ([[0, 1], [2, 3]], [2, 3]),         # more labels than the instance
-    ([[0, 1], [2, 3]], [2, 0]),         # a component without labels
-    ([[0, 1], [2, 3]], []),             # no component
+    ([[0, 1]], [2, 2, 2]),              # 3 components over 4 variables
+    ([[1, 2]], [2, 2]),                 # the clique leaves its component
+    ([[0, 1]], [2, 3]),                 # more labels than the instance
+    ([[0, 1]], [2, 0]),                 # a component without labels
+    ([[0, 1]], []),                     # no component
 ])
 def test_components_must_split_the_instance(members, labels):
-    cliques = Cliques.from_lists(members, [1.0, 1.0])
-    with pytest.raises(InvalidInputError):
-        PnPottsInstance(np.zeros((4, 2)), cliques, [0.0, 0.0], [1.0, 1.0],
-                        labels)
+    """The cliques are one component's, over its share of the variables,
+    and gamma_max has an entry per copy of each."""
+    cliques = Cliques.from_lists(members, [1.0])
+    with pytest.raises(InvalidInputError, match="components must split"
+                                                "|clique member out of range"):
+        PnPottsInstance(np.zeros((4, 2)), cliques, [0.0, 0.0],
+                        np.ones(len(labels)), labels)
 
 
 def _padded_batch():
-    """Two components of two variables, with 2 and 3 labels; component
-    0's pad label 2 costs 0 like the others, and component 1 prefers
-    label 2."""
-    cliques = Cliques.from_lists([[0, 1], [2, 3]], [1.0, 1.0])
+    """Two components of two variables, each with the clique {0, 1} of
+    its own, with 2 and 3 labels; component 0's pad label 2 costs 0 like
+    the others, and component 1 prefers label 2."""
+    cliques = Cliques.from_lists([[0, 1]], [1.0])
     unaries = [[0.0, 0.0, 0.0]] * 2 + [[1.0, 1.0, 0.0]] * 2
     return PnPottsInstance(unaries, cliques, [0.5, 0.5, 0.5], [1.0, 1.0],
                            [2, 3])

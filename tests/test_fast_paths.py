@@ -485,22 +485,19 @@ def fusion_batches(draw, constants=False):
 
 @st.composite
 def component_instances(draw):
-    """An instance of one to four components built directly, not tiled:
-    each component has its own cliques, as many as the others, and its
-    own label count.  gamma is one table shared by every clique or one
-    per clique."""
+    """An instance of one to four components built directly: copies of
+    one component's cliques, each copy with its own unaries and label
+    count.  gamma is one table shared by every clique or one per clique
+    of every copy."""
     m, size = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     labels = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
     h, width = max(labels), draw(st.integers(0, 3))
     unaries = np.reshape(draw(st.lists(
         costs, min_size=m * size * h, max_size=m * size * h)), (m * size, h))
-    members, clique_weights = [], []
-    for j in range(m):
-        for _ in range(width):
-            members.append([j * size + i for i in draw(st.lists(
-                st.integers(0, size - 1), min_size=1, max_size=size,
-                unique=True))])
-            clique_weights.append(draw(weights))
+    members = [draw(st.lists(st.integers(0, size - 1), min_size=1,
+                             max_size=size, unique=True))
+               for _ in range(width)]
+    clique_weights = [draw(weights) for _ in range(width)]
     rows = 1 if draw(st.booleans()) else m * width
     gamma = np.reshape(draw(st.lists(costs, min_size=rows * h,
                                      max_size=rows * h)), (rows, h))
@@ -594,11 +591,15 @@ def test_moves_on_slices_match_masked_moves(batch, data):
 
 
 def assert_passes_the_checks(instance):
-    """The instance, rebuilt through Cliques(...) and PnPottsInstance(...),
-    raises nothing and has the same arrays, dtype and bits."""
+    """The instance, rebuilt through Cliques(...) of its first component's
+    cliques and PnPottsInstance(...), raises nothing and has the same
+    arrays, dtype and bits: its cliques are copies of those."""
     c = instance.cliques
+    width = len(c) // instance.num_components
     again = expansion.PnPottsInstance(
-        instance.unaries, Cliques(c.offsets, c.members, c.weights),
+        instance.unaries,
+        Cliques(c.offsets[:width + 1], c.members[:c.offsets[width]],
+                c.weights[:width]),
         instance.gamma, instance.gamma_max, instance.component_labels)
     for owner, rebuilt, names in (
             (instance, again, ("unaries", "gamma", "gamma_max",

@@ -1,6 +1,7 @@
 """Energy model, metrics, diversities, axiom validation, problem files."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,6 +29,24 @@ def test_truncated_linear_metric():
     assert m.matrix[2, 4] == 2.0
     assert m.matrix[3, 3] == 0.0
     assert m.check() is None
+
+
+def test_uniform_metric_is_a_view_of_2h_distances():
+    """The uniform metric has the bits of scale * (1 - I), in a read-only
+    view of the truncated linear metric's 2H - 1 distances: 100000 labels
+    take no H x H array."""
+    small = LabelMetric.uniform(6, 0.3).matrix
+    assert small.tobytes() == (0.3 * (1.0 - np.eye(6))).tobytes()
+    tracemalloc.start()
+    try:
+        m = LabelMetric.uniform(100000, 1.0).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * 100000
+    assert m.shape == (100000, 100000) and not m.flags.writeable
+    assert np.shares_memory(m[0], m[-1])
+    assert (m[0, 0], m[0, 1], m[-1, 0]) == (0.0, 1.0, 1.0)
 
 
 def test_metric_rejects_asymmetry():

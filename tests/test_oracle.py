@@ -1,12 +1,14 @@
 """Brute-force reference solvers."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from conftest import pn_instance, random_pn_instance
 from parsilab.expansion import best_expansion_move
-from parsilab.model import (Cliques, EnergyModel, ExplicitTableDiversity,
-                            PnPottsSpec)
+from parsilab.model import (Cliques, DiameterDiversity, EnergyModel,
+                            ExplicitTableDiversity, LabelMetric, PnPottsSpec)
 from parsilab.oracle import SizeError, exhaustive_minimize
 from reference import exhaustive_expansion_move
 
@@ -53,6 +55,35 @@ def test_minimize_size_guard():
     model = EnergyModel(np.zeros((30, 4)), Cliques.from_lists([], []),
                         PnPottsSpec([0] * 4, 1.0))
     with pytest.raises(SizeError):
+        exhaustive_minimize(model)
+
+
+def test_minimum_values_each_label_set_it_meets_once():
+    """Only the label sets that the labelings give a clique are valued,
+    each once through the potential's value, also when two cliques meet
+    it; the clique term of every labeling is its energy less its unaries,
+    which the oracle checks on the minimum."""
+    rng = np.random.default_rng(3)
+    unaries = rng.uniform(0, 5, size=(2, 24))
+    potential = DiameterDiversity(LabelMetric.truncated_linear(24, 1.0, 5))
+    model = EnergyModel(unaries,
+                        Cliques.from_lists([[0, 1], [1], [0, 1]],
+                                           [0.5, 2.0, 1.5]), potential)
+    with mock.patch.object(DiameterDiversity, "value", autospec=True,
+                           side_effect=DiameterDiversity.value) as value:
+        result = exhaustive_minimize(model)
+    sets = [call.args[1] for call in value.call_args_list]
+    assert len(sets) == len(set(sets))
+    assert set(sets) == {tuple(sorted({a, b})) for a in range(24)
+                         for b in range(24)}
+    assert result.energy == model.evaluate_energy(result.labeling)
+
+
+def test_minimize_refuses_more_than_64_labels():
+    """A label set is keyed as a 64-bit mask."""
+    model = EnergyModel(np.zeros((1, 65)), Cliques.from_lists([[0]], [1.0]),
+                        PnPottsSpec([0] * 65, 1.0))
+    with pytest.raises(SizeError, match="at most 64"):
         exhaustive_minimize(model)
 
 
