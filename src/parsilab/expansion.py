@@ -310,20 +310,21 @@ def _move_network(instance, current, alpha, clique_gamma=None):
     np.add.at(switch_cost, first, pay_keep[small])
     np.add.at(keep_cost, last, pay_switch[small])
     base = np.minimum(keep_cost, switch_cost)  # offset keeps capacities >= 0
-    from_source = (switch_cost - base).tolist()
-    to_sink = (keep_cost - base).tolist()
-    for i in (keep_cost != switch_cost).nonzero()[0].tolist():
-        net.add_terminal_arc(i, from_source[i], to_sink[i])
+    from_source = switch_cost - base
+    to_sink = keep_cost - base
     pair = num_movers[small] == 2
-    pair_cap = (pay_keep[small] + pay_switch[small])[pair].tolist()
-    for i, j, cap in zip(first[pair].tolist(), last[pair].tolist(),
-                         pair_cap):
-        net.add_arc(i, j, cap)
-
+    pair_cap = (pay_keep[small] + pay_switch[small])[pair]
     # more than all finite capacities together, so no gadget arc limits a
     # path: it never saturates and is never a path's bottleneck
-    inf = (sum(from_source) + sum(to_sink) + sum(pair_cap)
-           + sum((pay_keep[gadgets] + pay_switch[gadgets]).tolist()) + 1.0)
+    inf = float(from_source.sum() + to_sink.sum() + pair_cap.sum()
+                + (pay_keep[gadgets] + pay_switch[gadgets]).sum() + 1.0)
+    from_source, to_sink = from_source.tolist(), to_sink.tolist()
+    for i in (keep_cost != switch_cost).nonzero()[0].tolist():
+        net.add_terminal_arc(i, from_source[i], to_sink[i])
+    for i, j, cap in zip(first[pair].tolist(), last[pair].tolist(),
+                         pair_cap.tolist()):
+        net.add_arc(i, j, cap)
+
     movers = movers.tolist()
     starts, ends = starts.tolist(), ends.tolist()
     pay_keep, pay_switch = pay_keep.tolist(), pay_switch.tolist()

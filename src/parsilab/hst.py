@@ -18,6 +18,9 @@ from .model import (InvalidInputError, LabelMetric, index_array,
                     require_finite)
 
 ROOT = 0
+# the most labels an embedding takes: its H x H arrays of doubles (the
+# scaled metric, each tree's metric) take 128 MiB each at 4096 labels
+MAX_EMBED_LABELS = 4096
 
 
 class RHst:
@@ -304,12 +307,16 @@ def frt_embed(metric, k, seed):
     Every returned tree metric dominates the input metric entrywise, and
     in expectation distorts it by an O(log H) factor.  The metric axioms
     are not checked again here: a LabelMetric was checked when it was
-    built, or is a metric by construction.
+    built, or is a metric by construction.  More than MAX_EMBED_LABELS
+    labels are refused before any H x H array is made.
     """
     if k < 1:
         raise InvalidInputError("need at least one tree")
     d = metric.matrix
     h = metric.num_labels
+    if h > MAX_EMBED_LABELS:
+        raise InvalidInputError("cannot embed: %d labels, at most %d"
+                                % (h, MAX_EMBED_LABELS))
     if h >= 2:
         dmin = float(d[~np.eye(h, dtype=bool)].min())
         if dmin <= 0:

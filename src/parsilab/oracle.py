@@ -11,20 +11,12 @@ from .expansion import PnPottsInstance
 from .model import InvalidInputError, PnPottsSpec, SolverError
 
 MAX_LABELINGS = 10 ** 7
+# labelings enumerated at a time, so memory stays small at MAX_LABELINGS
+BLOCK_LABELINGS = 1 << 16
 
 
 class SizeError(InvalidInputError):
     pass
-
-
-def _all_labelings(n, h):
-    """All h^n labelings, one per row, in lexicographic order."""
-    count = h ** n
-    rows = np.arange(count)
-    out = np.empty((count, n), dtype=np.intp)
-    for i in range(n):
-        out[:, i] = rows // h ** (n - 1 - i) % h
-    return out
 
 
 class ExhaustiveResult:
@@ -41,29 +33,39 @@ def exhaustive_minimize(model):
     # a label set is keyed as a 64-bit mask: more labels would merge sets
     if h > 64:
         raise SizeError("too many labels to enumerate (%d, at most 64)" % h)
-    if h ** n > MAX_LABELINGS:
+    count = h ** n
+    if count > MAX_LABELINGS:
         raise SizeError("instance too large to enumerate (%d^%d labelings)"
                         % (h, n))
-    labelings = _all_labelings(n, h)
-    unary = model.unaries[np.arange(n)[None, :], labelings].sum(axis=1)
-
-    clique = np.zeros(labelings.shape[0])
     c = model.cliques
+    weighted = np.flatnonzero(c.weights)        # zero weights add nothing
+    powers = h ** np.arange(n - 1, -1, -1)
     values = {}             # label-set mask -> potential value, each once
-    for k in np.flatnonzero(c.weights):         # zero weights add nothing
-        labs = labelings[:, c.members[c.offsets[k]:c.offsets[k + 1]]]
-        masks = np.bitwise_or.reduce(np.int64(1) << labs, axis=1)
-        sets, inverse = np.unique(masks, return_inverse=True)
-        for mask in set(sets.tolist()).difference(values):
-            values[mask] = model.potential.value(
-                tuple(l for l in range(h) if mask >> l & 1))
-        clique += c.weights[k] * np.array(
-            [values[mask] for mask in sets.tolist()])[inverse]
+    result = None
+    for start in range(0, count, BLOCK_LABELINGS):
+        # the block's labelings, one per row, in lexicographic order
+        stop = min(start + BLOCK_LABELINGS, count)
+        labelings = np.arange(start, stop)[:, None] // powers % h
+        unary = model.unaries[np.arange(n)[None, :], labelings].sum(axis=1)
+        clique = np.zeros(labelings.shape[0])
+        for k in weighted:
+            labs = labelings[:, c.members[c.offsets[k]:c.offsets[k + 1]]]
+            masks = np.bitwise_or.reduce(np.int64(1) << labs, axis=1)
+            sets, inverse = np.unique(masks, return_inverse=True)
+            for mask in set(sets.tolist()).difference(values):
+                values[mask] = model.potential.value(
+                    tuple(l for l in range(h) if mask >> l & 1))
+            clique += c.weights[k] * np.array(
+                [values[mask] for mask in sets.tolist()])[inverse]
 
-    energy = unary + clique
-    best = int(np.argmin(energy))   # first minimum = lexicographic tie-break
-    result = ExhaustiveResult(labelings[best].copy(), float(energy[best]),
-                              float(unary[best]), float(clique[best]))
+        energy = unary + clique
+        # first minimum, of the first block that has it: the lexicographic
+        # tie-break
+        best = int(np.argmin(energy))
+        if result is None or energy[best] < result.energy:
+            result = ExhaustiveResult(labelings[best].copy(),
+                                      float(energy[best]), float(unary[best]),
+                                      float(clique[best]))
     # sanity: the vectorized evaluation must agree with the reference one
     if not abs(model.evaluate_energy(result.labeling) - result.energy) <= 1e-9:
         raise SolverError("enumerated energy does not match the model's")

@@ -36,45 +36,28 @@ BATCH_VARIABLES = 1024
 
 @dataclass
 class SolveReport:
-    """A solve's result with the a-priori bounds of the solver that ran:
-    bound_expansion for a single alpha-expansion (expansion.pn_potts_bound),
-    otherwise the tree solvers' bounds (theorem_bounds)."""
+    """A solve's result with the a-priori bounds of the solver that ran.
+
+    bounds is the report's bounds object as written: {"expansion": b} for
+    a single alpha-expansion (expansion.pn_potts_bound, null when b is
+    infinite), otherwise the tree solvers' bounds (theorem_bounds).  bound
+    is the one that covers the solve: on one tree the hierarchical bound,
+    on a mixture the general diversity one."""
     labeling: list
     energy: float
     component_energies: list
-    bound_hierarchical: float = None
-    bound_general: float = None
-    bound_expansion: float = None
+    bounds: dict
+    bound: float
     seed: object = None
     num_trees: int = 1
     timings: dict = field(default_factory=dict)
 
-    @property
-    def bound(self):
-        """The multiplicative bound that covers the whole solve."""
-        if self.bound_expansion is not None:
-            return self.bound_expansion
-        return self.bound_general
-
     def to_json(self, include_timings=True):
-        if self.bound_expansion is not None:
-            # null when the expansion has no multiplicative guarantee
-            bounds = {"expansion": self.bound_expansion
-                      if math.isfinite(self.bound_expansion) else None}
-        else:
-            bounds = {"hierarchical": self.bound_hierarchical,
-                      "general_diversity": self.bound_general,
-                      "log_base": "natural"}
-        doc = {
-            "energy": self.energy,
-            "labeling": [int(x) for x in self.labeling],
-            "component_energies": self.component_energies,
-            "bounds": bounds,
-            "seed": self.seed,
-            "num_trees": self.num_trees,
-        }
-        if include_timings:
-            doc["timings"] = self.timings
+        """Every field as it is, but bound, which bounds already states."""
+        doc = dict(vars(self))
+        del doc["bound"]
+        if not include_timings:
+            del doc["timings"]
         return doc
 
 
@@ -222,8 +205,9 @@ def solve_hierarchical(model, tree):
     bound1, bound2 = theorem_bounds(model, tree.r)
     report = SolveReport(
         labeling=list(map(int, labeling)), energy=energy,
-        component_energies=[energy], bound_hierarchical=bound1,
-        bound_general=bound2,
+        component_energies=[energy],
+        bounds={"hierarchical": bound1, "general_diversity": bound2,
+                "log_base": "natural"}, bound=bound1,
         timings={"solve_s": time.perf_counter() - t0})
     return labeling, report
 
@@ -267,8 +251,10 @@ def solve_parsimonious(model, k=10, seed=0):
     bound1, bound2 = theorem_bounds(model, r=2.0)
     report = SolveReport(
         labeling=list(map(int, labeling)), energy=energy,
-        component_energies=energies, bound_hierarchical=bound1,
-        bound_general=bound2, seed=seed, num_trees=k,
+        component_energies=energies,
+        bounds={"hierarchical": bound1, "general_diversity": bound2,
+                "log_base": "natural"}, bound=bound2, seed=seed,
+        num_trees=k,
         timings={"metric_s": t_embed - t0,
                  "embed_s": t_solve - t_embed,
                  "solve_s": time.perf_counter() - t_solve})
@@ -290,8 +276,11 @@ def solve(model, k=10, seed=0):
     instance = model_to_pn_potts_instance(model)
     labeling, _ = alpha_expansion(instance)
     energy = model.evaluate_energy(labeling)
+    bound = pn_potts_bound(instance)
     report = SolveReport(
         labeling=list(map(int, labeling)), energy=energy,
         component_energies=[energy],
-        bound_expansion=pn_potts_bound(instance), seed=seed, num_trees=0)
+        # null when the expansion has no multiplicative guarantee
+        bounds={"expansion": bound if math.isfinite(bound) else None},
+        bound=bound, seed=seed, num_trees=0)
     return labeling, report

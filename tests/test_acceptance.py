@@ -90,7 +90,8 @@ def test_criterion_3_hierarchical_bound(verdict):
                             DiameterDiversity(tree.metric()))
         _, report = solve_hierarchical(model, tree)
         opt = exhaustive_minimize(model)
-        limit = opt.unary_term + report.bound_hierarchical * opt.clique_term
+        limit = (opt.unary_term
+                 + report.bounds["hierarchical"] * opt.clique_term)
         if report.energy > limit + TOL:
             violations += 1
     elapsed = time.perf_counter() - start
@@ -105,7 +106,8 @@ def test_criterion_4_general_diversity_bound(verdict):
         model = random_diversity_model(rng, n_max=8, h_max=4)
         _, report = solve_parsimonious(model, k=10, seed=t)
         opt = exhaustive_minimize(model)
-        limit = opt.unary_term + report.bound_general * opt.clique_term
+        limit = (opt.unary_term
+                 + report.bounds["general_diversity"] * opt.clique_term)
         if report.energy > limit + TOL:
             violations += 1
     verdict(4, violations == 0, "500 instances, k=10, %d violations"
@@ -213,7 +215,8 @@ def test_criterion_8_image_tasks(verdict):
     _, small_report = solve_parsimonious(small_model, k=4, seed=0)
     small_opt = exhaustive_minimize(small_model)
     small_limit = (small_opt.unary_term
-                   + small_report.bound_general * small_opt.clique_term)
+                   + small_report.bounds["general_diversity"]
+                   * small_opt.clique_term)
     stereo_bound_ok = small_report.energy <= small_limit + TOL
 
     # constant-image inpainting fills the hole exactly

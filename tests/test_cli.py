@@ -59,6 +59,9 @@ ZERO_VARIABLE_PROBLEMS = ["zero_variable_problem.json",
 # one variable with 40 labels, and with 65; CI also runs them
 ORACLE_H40_PROBLEM = os.path.join(DATA, "oracle_h40_problem.json")
 ORACLE_H65_PROBLEM = os.path.join(DATA, "oracle_h65_problem.json")
+# one variable with 4097 labels, one more than an embedding takes; CI also
+# runs it under an address-space limit
+EMBED_H4097_PROBLEM = os.path.join(DATA, "embed_h4097_problem.json")
 
 # energy of the committed fixture at k=10, seed 0; equals the exhaustive
 # optimum of that instance (verified when the fixture was generated)
@@ -110,6 +113,17 @@ def test_oracle_takes_up_to_64_labels(capsys):
         == cli.EXIT_INPUT
     assert capsys.readouterr().err \
         == "error: too many labels to enumerate (65, at most 64)\n"
+
+
+def test_embedding_refuses_more_than_4096_labels(capsys):
+    """An embedding builds H x H arrays: 4097 labels are an input error
+    of solve, though validate accepts the problem."""
+    assert cli.main(["solve", EMBED_H4097_PROBLEM, "-k", "1"]) \
+        == cli.EXIT_INPUT
+    assert cli.main(["validate", EMBED_H4097_PROBLEM]) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "error: cannot embed: 4097 labels, at most 4096\n"
+    assert out == "problem ok: 1 variables, 4097 labels, 1 cliques\n"
 
 
 @pytest.mark.parametrize("problem", ZERO_VARIABLE_PROBLEMS)

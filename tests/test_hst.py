@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -178,6 +179,21 @@ def test_embed_rejects_overflowing_distance_ratio(largest):
     np.fill_diagonal(d, 0.0)
     with pytest.raises(InvalidInputError, match="2\\^1023"):
         frt_embed(LabelMetric(d), k=1, seed=0)
+
+
+def test_embed_refuses_more_than_4096_labels_before_any_h_by_h_array():
+    """4097 labels are refused before the embedding builds an H x H array,
+    which would take 128 MiB of doubles."""
+    metric = LabelMetric.truncated_linear(hst.MAX_EMBED_LABELS + 1, 1.0, 4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError, match="4097 labels, at most "
+                           "4096"):
+            frt_embed(metric, k=1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_embed_trees_pass_invariants_and_dominate():

@@ -1,15 +1,18 @@
 """Brute-force reference solvers."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import pn_instance, random_pn_instance
+from conftest import (pn_instance, random_cliques, random_diversity_model,
+                      random_pn_instance, random_pn_potts_model)
+from parsilab import oracle
 from parsilab.expansion import best_expansion_move
 from parsilab.model import (Cliques, DiameterDiversity, EnergyModel,
                             ExplicitTableDiversity, LabelMetric, PnPottsSpec)
-from parsilab.oracle import SizeError, exhaustive_minimize
+from parsilab.oracle import MAX_LABELINGS, SizeError, exhaustive_minimize
 from reference import exhaustive_expansion_move
 
 
@@ -85,6 +88,63 @@ def test_minimize_refuses_more_than_64_labels():
                         PnPottsSpec([0] * 65, 1.0))
     with pytest.raises(SizeError, match="at most 64"):
         exhaustive_minimize(model)
+
+
+def _tied_model(rng, n_max):
+    """Integer costs under a truncated linear diameter: many labelings
+    share the least energy."""
+    n = int(rng.integers(2, n_max + 1))
+    h = int(rng.integers(1, 5))
+    return EnergyModel(
+        rng.integers(0, 2, size=(n, h)).astype(float),
+        random_cliques(n, rng),
+        DiameterDiversity(LabelMetric.truncated_linear(h, 1.0, 2)))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_blocks_of_any_size_give_the_one_block_result(block):
+    """The labelings are enumerated in lexicographic blocks and the first
+    block's first minimum is kept, so every block size gives the result
+    of one block that holds every labeling, ties included: with all costs
+    0, every block ties, and the answer is labeling 0."""
+    rng = np.random.default_rng(block)
+    zero = EnergyModel(np.zeros((4, 3)),
+                       Cliques.from_lists([[0, 1, 2], [2, 3]], [0.0, 0.0]),
+                       DiameterDiversity(LabelMetric.truncated_linear(
+                           3, 1.0, 2)))
+    models = [zero] + [make(rng, n_max=5) for make in (
+        random_diversity_model, random_pn_potts_model, _tied_model)
+        for _ in range(10)]
+    for model in models:
+        with mock.patch.object(oracle, "BLOCK_LABELINGS", MAX_LABELINGS):
+            whole = exhaustive_minimize(model)
+        with mock.patch.object(oracle, "BLOCK_LABELINGS", block):
+            blocked = exhaustive_minimize(model)
+        assert blocked.labeling.tobytes() == whole.labeling.tobytes()
+        assert blocked.labeling.dtype == whole.labeling.dtype
+        assert (blocked.energy, blocked.unary_term, blocked.clique_term) \
+            == (whole.energy, whole.unary_term, whole.clique_term)
+    assert exhaustive_minimize(zero).labeling.tolist() == [0, 0, 0, 0]
+
+
+def test_enumeration_takes_one_block_of_memory():
+    """10^6 labelings of 6 variables in blocks of 4096 keep no table of
+    every labeling (48 MB of labels alone): the peak stays within a few
+    blocks' arrays."""
+    rng = np.random.default_rng(5)
+    model = EnergyModel(
+        rng.uniform(0, 5, size=(6, 10)),
+        Cliques.from_lists([[0, 1, 2], [2, 3, 4, 5]], [1.0, 0.5]),
+        DiameterDiversity(LabelMetric.truncated_linear(10, 1.0, 4)))
+    with mock.patch.object(oracle, "BLOCK_LABELINGS", 1 << 12):
+        tracemalloc.start()
+        try:
+            result = exhaustive_minimize(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 << 20
+    assert result.energy == model.evaluate_energy(result.labeling)
 
 
 def test_move_single_variable():

@@ -119,9 +119,10 @@ def test_hierarchical_respects_bound(reference_tree):
         model = _tree_model(reference_tree, n, rng)
         labeling, report = solve_hierarchical(model, reference_tree)
         opt = exhaustive_minimize(model)
-        limit = opt.unary_term + report.bound_hierarchical * opt.clique_term
+        limit = opt.unary_term + report.bound * opt.clique_term
         assert report.energy <= limit + 1e-9
         assert report.energy >= opt.energy - 1e-9
+        assert report.bound == report.bounds["hierarchical"]
 
 
 def test_tree_label_mismatch_rejected(reference_tree):
@@ -195,8 +196,9 @@ def test_mixture_respects_general_bound():
                             random_table_diversity(h, rng))
         labeling, report = solve_parsimonious(model, k=10, seed=t)
         opt = exhaustive_minimize(model)
-        limit = opt.unary_term + report.bound_general * opt.clique_term
+        limit = opt.unary_term + report.bound * opt.clique_term
         assert report.energy <= limit + 1e-9
+        assert report.bound == report.bounds["general_diversity"]
 
 
 def test_pn_potts_potential_rejected_by_mixture():
@@ -221,8 +223,8 @@ def test_solve_runs_one_expansion_on_consistency_costs():
         np.testing.assert_array_equal(labeling, direct)
         assert report.energy == model.evaluate_energy(direct)
         assert report.component_energies == [report.energy]
-        assert report.bound_expansion == pn_potts_bound(instance)
-        assert report.bound == report.bound_expansion
+        assert report.bound == pn_potts_bound(instance)
+        assert report.bounds == {"expansion": report.bound}
         assert (report.seed, report.num_trees) == (seed, 0)
 
 
@@ -235,7 +237,7 @@ def test_solve_runs_the_mixture_on_diversities():
         np.testing.assert_array_equal(labeling, direct)
         assert report.to_json(include_timings=False) \
             == direct_report.to_json(include_timings=False)
-        assert report.bound_expansion is None
+        assert "expansion" not in report.bounds
 
 
 def test_every_exported_name_resolves():
