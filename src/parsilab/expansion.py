@@ -6,20 +6,21 @@ optimal expansion move for such an energy is a single min st-cut; the
 sweep over alpha labels then descends monotonically to a local minimum.
 A PnPottsInstance keeps its cliques as a model.Cliques, so energies and
 move networks are built from the CSR clique arrays.  An instance may be
-several copies of one component's cliques, each with its own costs,
-such as one height's fusion nodes of a tree solve; alpha_expansion
+several copies of one component, each with its own costs, such as one
+height's fusion nodes of a tree solve: it holds that component's
+cliques once, and its index arrays address every copy.  alpha_expansion
 sweeps it as if each component were swept alone, with one cut per move
 for all the components the move covers.  Each move, its clique costs
 and its energies are computed on the instance of those components alone
 (PnPottsInstance.select, slices of the checked arrays over the same
-component cliques), so a move does work only for the variables it can
-move.  Before a move's network is built, every variable whose costs
-decide it (it keeps, or switches, in every optimal move) is fixed, to a
-fixpoint; only the free variables get nodes, and on lattices most moves
-are left with none.  A move network's per-node arc lists hold no
-reference cycles, so each move is built, solved and read with the
-cyclic garbage collector paused: otherwise its allocations set off
-collections that traverse those lists for nothing.
+cliques), so a move does work only for the variables it can move.
+Before a move's network is built, every variable whose costs decide it
+(it keeps, or switches, in every optimal move) is fixed, to a fixpoint;
+only the free variables get nodes, and on lattices most moves are left
+with none.  A move network's per-node arc lists hold no reference
+cycles, so each move is built, solved and read with the cyclic garbage
+collector paused: otherwise its allocations set off collections that
+traverse those lists for nothing.
 """
 
 import gc
@@ -45,12 +46,13 @@ class PnPottsInstance:
 
     An instance may be m copies of one component (see
     solver.build_fusion_instance): with component_labels of m entries,
-    cliques are one component's, over N / m variables, and the instance
-    tiles them (Cliques.tile), copy j over the variables j * N / m
-    onward.  Unaries, gamma and gamma_max have a row per variable and
-    per tiled clique, and component j uses only the labels below
-    component_labels[j].  By default the instance is one component that
-    uses every label.
+    cliques are one component's, over N / m variables, and copy j of
+    clique c is c over the variables j * N / m onward.  The instance
+    keeps those cliques as it is given them, so len(cliques) counts one
+    copy's.  Unaries have a row per variable, gamma and gamma_max a row
+    per clique of every copy, copy j's rows j * len(cliques) onward, and
+    component j uses only the labels below component_labels[j].  By
+    default the instance is one component that uses every label.
     """
 
     def __init__(self, unaries, cliques, gamma, gamma_max,
@@ -93,9 +95,9 @@ class PnPottsInstance:
                      component_labels):
         """The instance of arrays that pass __init__'s checks as they are,
         such as the slices of a checked instance: cliques are one
-        component's, gamma is count x H (a broadcast view when one table
-        is shared), gamma_max and the component labels are arrays.
-        Nothing is checked again."""
+        component's, kept as they are, gamma has a row per clique of
+        every copy (a broadcast view when one table is shared), gamma_max
+        and the component labels are arrays.  Nothing is checked again."""
         instance = cls.__new__(cls)
         instance._set(unaries, cliques, gamma, gamma_max, component_labels)
         return instance
@@ -106,34 +108,40 @@ class PnPottsInstance:
         self.unaries = unaries
         self.num_variables = n
         self.num_labels = h
-        self._component_cliques = cliques
-        self.cliques = tiled = cliques.tile(m, n // m)
+        self.cliques = cliques
         self.gamma = gamma
         self.gamma_max = gamma_max
         self.component_labels = component_labels
         self.num_components = m
         # some component uses fewer than H labels
         self._padded = bool(component_labels.min() < h)
-        self._rows = np.arange(len(tiled))
-        # every clique entry twice, as the slots of a move's per-variable
-        # sums: member i at slot i with its clique's pay_keep (paid entry
-        # c), and at slot n + i with its pay_switch (paid entry count + c)
-        self._slot = np.concatenate((tiled.members, tiled.members + n))
-        self._paid = np.concatenate((tiled.owner, tiled.owner + len(tiled)))
+        self._rows = np.arange(m * len(cliques))
+        # every copy's clique entries, copy j's members shifted by j * n / m
+        # and its cliques numbered from j * len(cliques) on, twice, as the
+        # slots of a move's per-variable sums: member i at slot i with its
+        # clique's pay_keep (paid entry c), and at slot n + i with its
+        # pay_switch (paid entry count + c).  _offsets bounds each clique's
+        # entries in the first half
+        copies = np.arange(2 * m)[:, None]
+        self._slot = (cliques.members + copies * (n // m)).reshape(-1)
+        self._paid = (cliques.owner + copies * len(cliques)).reshape(-1)
+        self._offsets = np.append((cliques.offsets[:-1] + copies[:m]
+                                   * cliques.members.size).reshape(-1),
+                                  m * cliques.members.size)
 
     def select(self, components):
         """The instance made of the components that the boolean mask
         marks, at least one, in order: their unaries rows, gamma rows,
         gamma_max and label counts, over the same component cliques.
-        They are slices of checked arrays, so they are not checked again.
-        With every component marked it is the instance itself."""
+        They are slices of checked arrays, so they are not checked again,
+        and the slice holds this instance's cliques object.  With every
+        component marked it is the instance itself."""
         if components.all():
             return self
-        m = self.num_components
-        rows = np.repeat(components, self.num_variables // m)
-        keep = np.repeat(components, len(self.cliques) // m)
+        rows = np.repeat(components, self.num_variables // self.num_components)
+        keep = np.repeat(components, len(self.cliques))
         return PnPottsInstance.from_checked(
-            self.unaries[rows], self._component_cliques, self.gamma[keep],
+            self.unaries[rows], self.cliques, self.gamma[keep],
             self.gamma_max[keep], self.component_labels[components])
 
     def check_labeling(self, labeling):
@@ -149,10 +157,10 @@ class PnPottsInstance:
         return labeling
 
     def clique_gamma(self, labeling):
-        """Per clique: gamma of its label if uniformly labeled, else
-        gamma_max."""
-        uniform, low = uniform_label(labeling[self.cliques.members],
-                                     self.cliques.offsets)
+        """Per clique of every copy: gamma of its label if uniformly
+        labeled, else gamma_max."""
+        members = self._slot[:self._slot.size // 2]
+        uniform, low = uniform_label(labeling[members], self._offsets)
         return np.where(uniform, self.gamma[self._rows, low], self.gamma_max)
 
     def evaluate(self, labeling, clique_gamma=None):
@@ -168,11 +176,10 @@ class PnPottsInstance:
         if clique_gamma is None:
             clique_gamma = self.clique_gamma(labeling)
         m = self.num_components
-        width = len(self.cliques) // m
-        terms = np.empty((m, 1 + width))
+        terms = np.empty((m, 1 + len(self.cliques)))
         terms[:, 0] = self.unaries[np.arange(self.num_variables),
                                    labeling].reshape(m, -1).sum(axis=1)
-        terms[:, 1:] = (self.cliques.weights * clique_gamma).reshape(m, width)
+        terms[:, 1:] = self.cliques.weights * clique_gamma.reshape(m, -1)
         energy = terms.cumsum(axis=1)[:, -1]
         return float(energy[0]) if m == 1 else energy
 
@@ -251,20 +258,23 @@ def _move_network(instance, current, alpha, clique_gamma=None):
     made at its final size: a node per free mover, then per gadget its
     keep hub and its switch hub, those it needs.
     """
-    n = instance.num_variables
-    cliques = instance.cliques
-    count = len(cliques)
-    members, owner = cliques.members, cliques.owner
+    n, m = instance.num_variables, instance.num_components
+    weights = instance.cliques.weights
+    count = m * weights.size                # cliques over every copy
+    # every copy's clique entries, and the clique of each (see _set)
+    members = instance._slot[:instance._slot.size // 2]
+    owner = instance._paid[:members.size]
     if clique_gamma is None:
         clique_gamma = instance.clique_gamma(current)
     # pay[c] is clique c's pay_keep, what it pays unless every mover keeps
     # its label, and pay[count + c] its pay_switch
-    pay = np.empty(2 * count)
-    np.multiply(cliques.weights, instance.gamma_max - clique_gamma,
-                out=pay[:count])
-    np.multiply(cliques.weights,
-                instance.gamma_max - instance.gamma[:, alpha],
-                out=pay[count:])
+    pay = np.empty((2, m, weights.size))
+    np.multiply(weights, (instance.gamma_max - clique_gamma).reshape(m, -1),
+                out=pay[0])
+    np.multiply(weights, (instance.gamma_max
+                          - instance.gamma[:, alpha]).reshape(m, -1),
+                out=pay[1])
+    pay = pay.reshape(-1)
     # sums[i] is variable i's sum_keep and sums[n + i] its sum_switch
     sums = np.bincount(instance._slot, pay[instance._paid], 2 * n)
 
@@ -375,8 +385,9 @@ class MoveTrace:
     sweeps: int = 0
 
 
-def alpha_expansion(instance, init=None):
-    """Sweep alpha over labels in ascending order until no move improves.
+def alpha_expansion(instance):
+    """Sweep alpha over labels in ascending order, from the all-zero
+    labeling, until no move improves.
 
     Returns the local-minimum labeling and the trace of accepted moves.
     A move is accepted only if it lowers the energy by more than
@@ -387,10 +398,11 @@ def alpha_expansion(instance, init=None):
     changed since alpha was last tried: the move is deterministic, so it
     would be rejected again.  After an accepted alpha move the alpha move
     from the result is known to fail too, since its move space lies inside
-    the one the result was optimal in.  With two labels, the move from a
-    uniform labeling spans every labeling, so once it is accepted no move
-    can improve.  The skipped cuts are exactly the ones a plain sweep
-    would reject, so the labeling and the trace are those of a plain sweep.
+    the one the result was optimal in.  With two labels, the first move
+    that can be accepted is the one from the all-zero labeling, which
+    spans every labeling, so once it is accepted no move can improve.
+    The skipped cuts are exactly the ones a plain sweep would reject, so
+    the labeling and the trace are those of a plain sweep.
 
     An instance of several components (see PnPottsInstance) is swept as
     if each component were swept alone.  Each keeps its own energy,
@@ -405,13 +417,10 @@ def alpha_expansion(instance, init=None):
     union is the union of their least minimum cuts: each component gets
     the move it would get alone.
     """
-    if init is None:
-        labeling = np.zeros(instance.num_variables, dtype=np.intp)
-    else:
-        labeling = instance.check_labeling(init).copy()
+    labeling = np.zeros(instance.num_variables, dtype=np.intp)
     m = instance.num_components
     size = instance.num_variables // m             # variables per component
-    width = len(instance.cliques) // m             # cliques per component
+    width = len(instance.cliques)                  # cliques per component
     labels = instance.component_labels
     # each labeling's clique costs are computed once, for its energy and
     # every move from it.  Accepted parts are written in place, so parts
@@ -455,10 +464,7 @@ def alpha_expansion(instance, init=None):
             if not better.any():
                 continue
             moved = go.nonzero()[0][better]
-            # a two-label component moved from a uniform labeling is done
-            before = parts[moved]
-            done = moved[(labels[moved] == 2)
-                         & (before.min(axis=1) == before.max(axis=1))]
+            done = moved[labels[moved] == 2]    # moved from the all-zero start
             parts[moved] = proposal.reshape(e.size, size)[better]
             part_gamma[moved] = proposal_gamma.reshape(e.size, width)[better]
             energy[moved] = e[better]
@@ -482,8 +488,9 @@ def pn_potts_bound(instance):
     weighted = instance.cliques.weights > 0
     if not weighted.any():
         return 1.0
-    gamma_min = float(instance.gamma[weighted].min())
-    gamma_max = float(instance.gamma_max[weighted].max())
+    rows = np.tile(weighted, instance.num_components)    # of every copy
+    gamma_min = float(instance.gamma[rows].min())
+    gamma_max = float(instance.gamma_max[rows].max())
     if gamma_min == 0:
         return math.inf
     lam = gamma_max / gamma_min

@@ -512,24 +512,6 @@ class Cliques:
                     np.repeat(np.arange(sizes.size), sizes))
         return subset
 
-    def tile(self, copies, num_variables):
-        """The cliques repeated copies times, copy j over the variables
-        j * num_variables onward: clique j * len(self) + c is clique c
-        shifted by j * num_variables."""
-        if copies == 1:
-            return self
-        count = len(self)
-        shift = np.arange(copies)[:, None]
-        sizes = np.tile(self.sizes, copies)
-        offsets = np.zeros(sizes.size + 1, dtype=np.intp)
-        np.cumsum(sizes, out=offsets[1:])
-        tiled = Cliques.__new__(Cliques)
-        tiled._set(offsets,
-                   (self.members + shift * num_variables).reshape(-1),
-                   np.tile(self.weights, copies), sizes,
-                   (self.owner + shift * count).reshape(-1))
-        return tiled
-
     def __len__(self):
         return self.weights.size
 

@@ -91,9 +91,10 @@ def build_fusion_instance(model, tree, nodes, child_labelings):
     diversity of child k's labels on it when all members choose k, and
     the diameter of the node's whole cluster (tree.diameter) otherwise.
     Cliques of weight 0 are dropped (model.weighted_cliques, selected
-    once per model), and the kept ones are every component's cliques,
-    which the instance tiles.  They are read once for every child of
-    every node whose labeling is not constant.
+    once per model), and the instance holds the kept ones, that one
+    object, as every component's cliques; gamma and gamma_max have a
+    row per clique of every component.  The cliques are read once for
+    every child of every node whose labeling is not constant.
     A node with fewer children than another pads its meta-labels with
     unaries and gamma 0; it never moves to them.  The arrays are built
     from a checked model, so the instance is made without running
@@ -225,20 +226,21 @@ def solve_parsimonious(model, k=10, seed=0):
     metric = model.potential.induced_metric()
     t_embed = time.perf_counter()
     if model.num_variables:
-        mixture = hst.frt_embed(metric, k, seed)
+        trees = list(hst.frt_embed(metric, k, seed))
     elif k < 1:
         raise InvalidInputError("need at least one tree")
     else:
         # no tree is built, since an embedding takes H x H arrays: each of
         # the k candidates is the empty labeling, of energy 0
-        mixture = ()
+        trees = []
     t_solve = time.perf_counter()
 
     # the k empty labelings of a model without variables, else none
-    candidates = [np.zeros(0, dtype=np.intp)] * (k - len(mixture))
+    candidates = [np.zeros(0, dtype=np.intp)] * (k - len(trees))
     energies = [0.0] * len(candidates)
-    for tree in mixture:
-        lab, tree_report = solve_hierarchical(model, tree)
+    while trees:
+        # popped, so each tree and its H x H metric are freed once fused
+        lab, tree_report = solve_hierarchical(model, trees.pop(0))
         candidates.append(lab)
         energies.append(tree_report.energy)
     best = int(np.argmin(energies))

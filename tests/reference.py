@@ -25,6 +25,29 @@ def clique_list(cliques):
             zip(bounds[:-1], bounds[1:], cliques.weights.tolist())]
 
 
+def tile(cliques, copies, num_variables):
+    """The cliques repeated copies times, copy j over the variables
+    j * num_variables onward: clique j * len(cliques) + c is clique c
+    shifted by j * num_variables."""
+    shift = np.arange(copies)[:, None]
+    sizes = np.tile(cliques.sizes, copies)
+    offsets = np.zeros(sizes.size + 1, dtype=np.intp)
+    np.cumsum(sizes, out=offsets[1:])
+    tiled = Cliques.__new__(Cliques)
+    tiled._set(offsets,
+               (cliques.members + shift * num_variables).reshape(-1),
+               np.tile(cliques.weights, copies), sizes,
+               (cliques.owner + shift * len(cliques)).reshape(-1))
+    return tiled
+
+
+def instance_cliques(instance):
+    """The cliques of every copy of a PnPottsInstance's component, one
+    row of its gamma and gamma_max each (tile)."""
+    m = instance.num_components
+    return tile(instance.cliques, m, instance.num_variables // m)
+
+
 def unique_labels(labeling, members):
     """The sorted set of unique labels the labeling assigns to a clique's
     members."""
@@ -67,7 +90,8 @@ def evaluate(instance, labeling):
     labeling = check_labeling(labeling, instance.unaries)
     e = float(instance.unaries[np.arange(instance.num_variables),
                                labeling].sum())
-    for c, (members, weight) in enumerate(clique_list(instance.cliques)):
+    for c, (members, weight) in enumerate(
+            clique_list(instance_cliques(instance))):
         if weight == 0.0:
             continue
         labs = labeling[members]
@@ -83,7 +107,8 @@ def best_expansion_move(instance, current, alpha):
     cut read node by node."""
     current = check_labeling(current, instance.unaries)
     gadgets = []
-    for c, (members, weight) in enumerate(clique_list(instance.cliques)):
+    for c, (members, weight) in enumerate(
+            clique_list(instance_cliques(instance))):
         if weight == 0.0:
             continue
         movers = [int(i) for i in members if current[i] != alpha]
@@ -146,7 +171,8 @@ def forced_movers(instance, current, alpha):
     current = check_labeling(current, instance.unaries)
     n = instance.num_variables
     sum_keep, sum_switch = np.zeros(n), np.zeros(n)
-    for c, (members, weight) in enumerate(clique_list(instance.cliques)):
+    for c, (members, weight) in enumerate(
+            clique_list(instance_cliques(instance))):
         gamma, gamma_max = instance.gamma[c], instance.gamma_max[c]
         labs = current[members]
         gamma_keep = gamma[labs[0]] if np.all(labs == labs[0]) else gamma_max
@@ -183,9 +209,11 @@ def masked_move(instance, current, alpha, components):
     """
     n = instance.num_variables
     movable = np.repeat(components, n // instance.num_components)
-    cliques = instance.cliques
+    cliques = instance_cliques(instance)
     count = len(cliques)
     members, owner = cliques.members, cliques.owner
+    slot = np.concatenate((members, members + n))
+    paid = np.concatenate((owner, owner + count))
     clique_gamma = instance.clique_gamma(current)
     pay = np.empty(2 * count)
     np.multiply(cliques.weights, instance.gamma_max - clique_gamma,
@@ -193,7 +221,7 @@ def masked_move(instance, current, alpha, components):
     np.multiply(cliques.weights,
                 instance.gamma_max - instance.gamma[:, alpha],
                 out=pay[count:])
-    sums = np.bincount(instance._slot, pay[instance._paid], 2 * n)
+    sums = np.bincount(slot, pay[paid], 2 * n)
 
     keep_cost = instance.unaries[np.arange(n), current]
     switch_cost = instance.unaries[:, alpha]
@@ -203,7 +231,7 @@ def masked_move(instance, current, alpha, components):
     below = np.concatenate((gap - margin, -gap - margin))
     below[:n][~movable] = -np.inf
     below[n:][~movable] = -np.inf
-    forced = fix_forced(instance._slot, instance._paid, pay, sums, below)
+    forced = fix_forced(slot, paid, pay, sums, below)
     switch = forced[:n]
     loose = (current != alpha) & ~(switch | forced[n:]) & movable
     free = loose.nonzero()[0]
@@ -262,12 +290,9 @@ def masked_move(instance, current, alpha, components):
     return np.where(switch, alpha, current), net
 
 
-def alpha_expansion(instance, init=None):
+def alpha_expansion(instance):
     """alpha_expansion as full sweeps that cut every move of every sweep."""
-    if init is None:
-        labeling = np.zeros(instance.num_variables, dtype=np.intp)
-    else:
-        labeling = check_labeling(init, instance.unaries).copy()
+    labeling = np.zeros(instance.num_variables, dtype=np.intp)
     energy = evaluate(instance, labeling)
     trace = MoveTrace()
     improved = True

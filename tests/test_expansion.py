@@ -252,8 +252,6 @@ def test_labels_out_of_range_are_rejected(labeling):
         inst.evaluate(labeling)
     with pytest.raises(InvalidInputError):
         best_expansion_move(inst, labeling, 1)
-    with pytest.raises(InvalidInputError):
-        alpha_expansion(inst, init=labeling)
 
 
 @pytest.mark.parametrize("members,labels", [
@@ -292,8 +290,6 @@ def test_labels_outside_a_components_range_are_refused(labeling):
         inst.evaluate(labeling)
     with pytest.raises(InvalidInputError, match="component"):
         best_expansion_move(inst, labeling, 1)
-    with pytest.raises(InvalidInputError, match="component"):
-        alpha_expansion(inst, init=labeling)
 
 
 def test_move_covers_only_the_components_that_have_alpha():

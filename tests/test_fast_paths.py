@@ -326,9 +326,8 @@ def test_diversity_values_each_distinct_set_once(case):
 @given(st.data())
 def test_expansion_matches_full_sweeps(data):
     inst = data.draw(pn_instances())
-    init = data.draw(st.none() | labelings(inst))
-    labeling, trace = alpha_expansion(inst, init)
-    ref_labeling, ref_trace = reference.alpha_expansion(inst, init)
+    labeling, trace = alpha_expansion(inst)
+    ref_labeling, ref_trace = reference.alpha_expansion(inst)
     np.testing.assert_array_equal(labeling, ref_labeling)
     assert trace == ref_trace
 
@@ -354,27 +353,13 @@ def test_expansion_computes_each_labelings_clique_costs_once(data):
     """A labeling's clique costs serve its energy and every move from it,
     so the sweep computes them once per labeling it evaluates."""
     inst = data.draw(pn_instances())
-    init = data.draw(labelings(inst))
     cls = expansion.PnPottsInstance
     with mock.patch.object(cls, "clique_gamma", autospec=True,
                            side_effect=cls.clique_gamma) as gamma, \
             mock.patch.object(cls, "evaluate", autospec=True,
                               side_effect=cls.evaluate) as evaluate:
-        alpha_expansion(inst, init)
+        alpha_expansion(inst)
     assert gamma.call_count == evaluate.call_count
-
-
-@SETTINGS
-@given(st.data())
-def test_two_label_expansion_from_mixed_start_matches_full_sweeps(data):
-    """Only a move from a uniform labeling spans {0,1}^N: from a mixed
-    start the sweep must go on after its first accepted move."""
-    inst = data.draw(pn_instances(labels=2))
-    init = data.draw(labelings(inst))
-    labeling, trace = alpha_expansion(inst, init)
-    ref_labeling, ref_trace = reference.alpha_expansion(inst, init)
-    np.testing.assert_array_equal(labeling, ref_labeling)
-    assert trace == ref_trace
 
 
 @st.composite
@@ -542,7 +527,7 @@ def slice_masks(instance, components):
     """The variables and the cliques of the marked components."""
     m = instance.num_components
     return (np.repeat(components, instance.num_variables // m),
-            np.repeat(components, len(instance.cliques) // m))
+            np.repeat(components, len(instance.cliques)))
 
 
 def slice_move(instance, current, alpha, components):
@@ -591,20 +576,17 @@ def test_moves_on_slices_match_masked_moves(batch, data):
 
 
 def assert_passes_the_checks(instance):
-    """The instance, rebuilt through Cliques(...) of its first component's
-    cliques and PnPottsInstance(...), raises nothing and has the same
-    arrays, dtype and bits: its cliques are copies of those."""
+    """The instance, rebuilt through Cliques(...) of its cliques and
+    PnPottsInstance(...), raises nothing and has the same arrays, dtype
+    and bits: its cliques are copies of those."""
     c = instance.cliques
-    width = len(c) // instance.num_components
     again = expansion.PnPottsInstance(
-        instance.unaries,
-        Cliques(c.offsets[:width + 1], c.members[:c.offsets[width]],
-                c.weights[:width]),
+        instance.unaries, Cliques(c.offsets, c.members, c.weights),
         instance.gamma, instance.gamma_max, instance.component_labels)
     for owner, rebuilt, names in (
             (instance, again, ("unaries", "gamma", "gamma_max",
                                "component_labels", "_rows", "_slot",
-                               "_paid")),
+                               "_paid", "_offsets")),
             (c, again.cliques, ("offsets", "members", "weights", "sizes",
                                 "owner"))):
         for name in names:
@@ -628,6 +610,42 @@ def test_unchecked_batches_and_slices_pass_the_checks(batch, data):
         component_masks(batch, alpha))))
 
 
+def assert_tiles_the_cliques(instance):
+    """The instance's index arrays are those of its cliques tiled once
+    per component (reference.tile), dtype and bits alike."""
+    m, n = instance.num_components, instance.num_variables
+    tiled = reference.tile(instance.cliques, m, n // m)
+    count = len(tiled)
+    want = {"_slot": np.concatenate((tiled.members, tiled.members + n)),
+            "_paid": np.concatenate((tiled.owner, tiled.owner + count)),
+            "_offsets": tiled.offsets, "_rows": np.arange(count)}
+    for name, a in want.items():
+        b = getattr(instance, name)
+        assert (a.dtype, a.shape, a.tobytes()) \
+            == (b.dtype, b.shape, b.tobytes()), name
+
+
+@SETTINGS
+@given(st.data())
+def test_batches_and_slices_share_one_copy_of_the_cliques(data):
+    """A fusion batch holds the model's weighted cliques object itself,
+    and the instance of some of its components holds the batch's; the
+    index arrays derived from that one copy address every component as
+    its tiled cliques would."""
+    if data.draw(st.booleans()):
+        model, tree, nodes, children = data.draw(
+            fusion_batches(constants=True))
+        batch = build_fusion_instance(model, tree, nodes, children)
+        assert batch.cliques is model.weighted_cliques
+    else:
+        batch = data.draw(component_instances())
+    alpha = data.draw(st.integers(0, int(batch.component_labels.max()) - 1))
+    part = batch.select(data.draw(component_masks(batch, alpha)))
+    assert part.cliques is batch.cliques
+    assert_tiles_the_cliques(batch)
+    assert_tiles_the_cliques(part)
+
+
 @SETTINGS
 @given(case=fusion_batches(constants=True))
 def test_fusion_batch_with_constant_children_matches_clique_loop(case):
@@ -636,7 +654,7 @@ def test_fusion_batch_with_constant_children_matches_clique_loop(case):
     and the padding is 0."""
     model, tree, nodes, children = case
     batch = build_fusion_instance(model, tree, nodes, children)
-    width = len(batch.cliques) // len(nodes)
+    width = len(batch.cliques)
     for j, (node, kids) in enumerate(zip(nodes, children)):
         slow = reference.build_fusion_instance(model, tree, node, kids)
         rows = slice(j * width, (j + 1) * width)

@@ -1,11 +1,14 @@
 """Hierarchical tree solve, mixture driver, and bound formulas."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import parsilab
+from parsilab import solver
 from conftest import (random_cliques, random_diversity_model,
                       random_pn_potts_model, random_table_diversity)
 from parsilab.expansion import alpha_expansion, pn_potts_bound
@@ -170,6 +173,27 @@ def test_truncated_linear_solve_never_checks_the_metric(monkeypatch):
                         random_cliques(6, rng), DiameterDiversity(metric))
     labeling, report = solve_parsimonious(model, k=3, seed=0)
     assert report.energy == model.evaluate_energy(labeling)
+
+
+def test_mixture_solve_holds_one_tree_at_a_time(monkeypatch):
+    """Each tree, with its H x H metric, is freed once it is fused: when a
+    tree is fused, no earlier one is still alive."""
+    fuse = solver.solve_hierarchical
+    trees, alive = [], []
+
+    def fuse_and_count(model, tree):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in trees))
+        trees.append(weakref.ref(tree))
+        return fuse(model, tree)
+
+    monkeypatch.setattr(solver, "solve_hierarchical", fuse_and_count)
+    metric = LabelMetric.truncated_linear(32, 1.0, 8)
+    model = EnergyModel(np.random.default_rng(3).uniform(0, 3, size=(4, 32)),
+                        Cliques.from_lists([range(4)], [1.0]),
+                        DiameterDiversity(metric))
+    solve_parsimonious(model, k=4, seed=0)
+    assert alive == [0, 0, 0, 0]
 
 
 def test_report_invariants():
