@@ -124,11 +124,12 @@ class FlowNetwork:
             tree, queue = self._source_tree
             self._source_tree = None
             head, to, res = self._head, self._to, self._res
+            tol = FLOW_TOL
             seen = [side > 0 for side in tree]
             for u in queue:
                 for a in head[u]:
                     v = to[a]
-                    if res[a] > FLOW_TOL and not seen[v]:
+                    if not seen[v] and res[a] > tol:
                         seen[v] = True
                         queue.append(v)
             self._reachable = seen

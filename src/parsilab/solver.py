@@ -13,12 +13,20 @@ gets the labeling it would get alone, while a batch needs far fewer
 cuts than its nodes one by one.  solve_parsimonious embeds the induced
 metric of a general diversity into k random 2-HSTs, runs the
 hierarchical solve per tree, and keeps the candidate with the least
-energy under the original potential.  solve picks the solver for a
-model's potential.
+energy under the original potential.  The trees are independent, so
+where the process can fork (Linux) they are fused in one worker per
+CPU it may run on: this process and forked children, each fusing its
+share of the trees one at a time.  solve picks the solver for a model's
+potential.
 """
 
 import math
+import os
+import pickle
+import signal
 import time
+import traceback
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,12 +221,149 @@ def solve_hierarchical(model, tree):
     return labeling, report
 
 
+_SIGNAL_NAMES = {sig.value: sig.name for sig in signal.Signals}
+
+
+def _cpus():
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _fuse_share(model, share):
+    """Fuse a worker's (tree index, tree) pairs in order.
+
+    Each tree is popped, so it is freed once fused.  Returns (results,
+    failure): {index: (labeling, energy)} of the trees fused, and the
+    (index, error) of the first typed error, which ends the share, or
+    None."""
+    results = {}
+    while share:
+        t, tree = share.pop(0)
+        try:
+            labeling, report = solve_hierarchical(model, tree)
+        except (InvalidInputError, SolverError) as e:
+            return results, (t, e)
+        results[t] = (labeling, report.energy)
+    return results, None
+
+
+def _fork():
+    # Python 3.12 warns when a process with threads forks.  The solve's
+    # own other threads are numpy's BLAS pool, which no worker calls, so
+    # no lock that pool may hold is taken in a child
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", r"This process \(pid=\d+\) is multi-threaded, use of "
+            r"fork\(\) may lead to deadlocks", DeprecationWarning)
+        return os.fork()
+
+
+def _run_child(model, share, write, pipes):
+    """A forked worker: fuse the share, send _fuse_share's result through
+    the write end of its pipe, and exit, never returning to the caller.
+    pipes are the parent's read ends, of its own pipe and its elder
+    siblings', which it closes.  Any other exception exits 1 without a
+    result, printed unless it is an interrupt, which the parent sees
+    too."""
+    code = 1
+    try:
+        for pipe in pipes:
+            pipe.close()
+        result = _fuse_share(model, share)
+        with open(write, "wb") as pipe:
+            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    except Exception:
+        # written to the descriptor, so no buffer inherited from the
+        # parent is flushed twice
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
+
+
+def _fuse_trees(model, trees):
+    """[(labeling, energy)] of every tree, in order; empties trees.
+
+    Tree t goes to worker t % w, with w the number of CPUs this process
+    may run on (_cpus), at most one per tree.  Worker 0 is this process;
+    it forks the others, which inherit the model and their trees, so no
+    input is copied.  Each worker fuses its trees in order with
+    solve_hierarchical and frees each once fused, so it holds one tree's
+    working set at a time; a child sends its results back through a pipe
+    and exits.  Every pipe is read to its end before its child is reaped.
+    On the first typed error of each worker the one of the lowest tree
+    index is raised, the one a serial loop over the trees would raise.
+    A child that dies without a result raises SolverError.  Whatever goes
+    wrong, no child outlives the call.  With one worker no child is made.
+    """
+    w = max(1, min(len(trees), _cpus()))
+    shares = [[(t, trees[t]) for t in range(i, len(trees), w)]
+              for i in range(w)]
+    trees.clear()
+    children = {}                   # pid -> (read end, its tree indices)
+    try:
+        for i in range(1, w):
+            read, write = os.pipe()
+            pipe = os.fdopen(read, "rb")
+            try:
+                pid = _fork()
+            except BaseException:
+                pipe.close()
+                os.close(write)
+                raise
+            if pid == 0:
+                _run_child(model, shares[i], write,
+                           [pipe] + [p for p, _ in children.values()])
+            os.close(write)
+            children[pid] = (pipe, [t for t, _ in shares[i]])
+        own = shares[0]
+        shares = None               # the children's trees are theirs
+        results, failure = _fuse_share(model, own)
+        failures = [failure] if failure else []
+        for pid in list(children):
+            pipe, indices = children[pid]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            # a child exits 0 only once it has sent its whole result
+            if code:
+                why = ("exited with code %d" % code if code > 0 else
+                       "was killed by %s" % _SIGNAL_NAMES.get(
+                           -code, "signal %d" % -code))
+                raise SolverError("the worker fusing trees %s %s without "
+                                  "a result" % (indices, why))
+            done, failure = pickle.loads(data)
+            results.update(done)
+            if failure:
+                failures.append(failure)
+    finally:
+        for pid, (pipe, _) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return [results[t] for t in sorted(results)]
+
+
 def solve_parsimonious(model, k=10, seed=0):
     """Mixture-of-trees solve of a general diversity energy.
 
     Embeds the potential's induced metric into k random 2-HSTs, runs the
     hierarchical solve on each surrogate, evaluates every candidate under
     the original potential, and returns the best.
+
+    The trees are fused in parallel where the process can fork: on Linux,
+    in one worker per CPU the process may run on (os.sched_getaffinity,
+    so taskset limits them), at most k.  Tree t goes to worker t % w;
+    worker 0 is this process and the others are forked children, on
+    every Python version.  Each worker holds one tree's working set at a
+    time, so peak memory is about one tree's per worker.  Elsewhere, or
+    with one CPU or one tree, every tree is fused here, one at a time.
+    The result is the same either way.
     """
     if not isinstance(model.potential, Diversity):
         raise InvalidInputError("parsimonious solve needs a diversity")
@@ -235,14 +380,10 @@ def solve_parsimonious(model, k=10, seed=0):
         trees = []
     t_solve = time.perf_counter()
 
-    # the k empty labelings of a model without variables, else none
-    candidates = [np.zeros(0, dtype=np.intp)] * (k - len(trees))
-    energies = [0.0] * len(candidates)
-    while trees:
-        # popped, so each tree and its H x H metric are freed once fused
-        lab, tree_report = solve_hierarchical(model, trees.pop(0))
-        candidates.append(lab)
-        energies.append(tree_report.energy)
+    fused = (_fuse_trees(model, trees) if trees
+             else [(np.zeros(0, dtype=np.intp), 0.0)] * k)
+    candidates = [labeling for labeling, _ in fused]
+    energies = [energy for _, energy in fused]
     best = int(np.argmin(energies))
     labeling = candidates[best]
     energy = energies[best]

@@ -1,5 +1,7 @@
 """Shared fixtures and random-instance helpers."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,11 @@ from parsilab.expansion import PnPottsInstance
 from parsilab.hst import RHst
 from parsilab.model import (Cliques, EnergyModel, ExplicitTableDiversity,
                             PnPottsSpec)
+
+# tests that need the mixture solve's forked workers
+forks = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="the trees are fused in forked workers only on Linux")
 
 
 @pytest.fixture

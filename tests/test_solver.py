@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import parsilab
-from parsilab import solver
-from conftest import (random_cliques, random_diversity_model,
+from parsilab import hst, solver
+from conftest import (forks, random_cliques, random_diversity_model,
                       random_pn_potts_model, random_table_diversity)
 from parsilab.expansion import alpha_expansion, pn_potts_bound
 from parsilab.hst import RHst, frt_embed
@@ -177,7 +177,9 @@ def test_truncated_linear_solve_never_checks_the_metric(monkeypatch):
 
 def test_mixture_solve_holds_one_tree_at_a_time(monkeypatch):
     """Each tree, with its H x H metric, is freed once it is fused: when a
-    tree is fused, no earlier one is still alive."""
+    tree is fused, no earlier one is still alive.  One worker fuses them
+    all, in this process."""
+    monkeypatch.setattr(solver, "_cpus", lambda: 1)
     fuse = solver.solve_hierarchical
     trees, alive = [], []
 
@@ -194,6 +196,36 @@ def test_mixture_solve_holds_one_tree_at_a_time(monkeypatch):
                         DiameterDiversity(metric))
     solve_parsimonious(model, k=4, seed=0)
     assert alive == [0, 0, 0, 0]
+
+
+@forks
+def test_two_workers_each_hold_their_own_trees_only(monkeypatch):
+    """With two workers this process fuses trees 0 and 2.  By then it has
+    dropped the child's trees 1 and 3, and tree 0 is freed once fused."""
+    monkeypatch.setattr(solver, "_cpus", lambda: 2)
+    embed, fuse = hst.frt_embed, solver.solve_hierarchical
+    refs, fused, alive = [], [], []
+
+    def embed_and_watch(*args):
+        trees = embed(*args)
+        refs.extend(weakref.ref(tree) for tree in trees)
+        return trees
+
+    def fuse_and_look(model, tree):
+        gc.collect()
+        fused.append([ref() for ref in refs].index(tree))
+        alive.append([t for t, ref in enumerate(refs) if ref() is not None])
+        return fuse(model, tree)
+
+    monkeypatch.setattr(hst, "frt_embed", embed_and_watch)
+    monkeypatch.setattr(solver, "solve_hierarchical", fuse_and_look)
+    metric = LabelMetric.truncated_linear(32, 1.0, 8)
+    model = EnergyModel(np.random.default_rng(3).uniform(0, 3, size=(4, 32)),
+                        Cliques.from_lists([range(4)], [1.0]),
+                        DiameterDiversity(metric))
+    solve_parsimonious(model, k=4, seed=0)
+    assert fused == [0, 2]
+    assert alive == [[0, 2], [2]]
 
 
 def test_report_invariants():
