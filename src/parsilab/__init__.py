@@ -2,12 +2,12 @@
 whose clique potentials are diversities of the used label set."""
 
 from .expansion import (MoveTrace, PnPottsInstance, alpha_expansion,
-                        best_expansion_move, pn_potts_bound)
+                        best_expansion_move)
 from .hst import RHst, frt_embed
 from .model import (Cliques, DiameterDiversity, EnergyModel,
                     ExplicitTableDiversity, InvalidInputError, LabelMetric,
                     PnPottsSpec, validate_diversity_axioms)
-from .solver import (SolveReport, solve, solve_hierarchical,
+from .solver import (SolveReport, pn_potts_bound, solve, solve_hierarchical,
                      solve_parsimonious, theorem_bounds)
 
 __version__ = "0.1.0"

@@ -25,7 +25,6 @@ traverse those lists for nothing.
 
 import gc
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -476,23 +475,3 @@ def alpha_expansion(instance):
                                for j in moved.tolist())
         sweeping = improved
     return labeling, trace
-
-
-def pn_potts_bound(instance):
-    """Multiplicative bound of the expansion sweep on this instance family.
-
-    lambda * min(M, H) where lambda is gamma_max / gamma_min, with the
-    extrema taken across all weighted cliques.  With gamma_min zero there
-    is no multiplicative guarantee, and the bound is infinite.
-    """
-    weighted = instance.cliques.weights > 0
-    if not weighted.any():
-        return 1.0
-    rows = np.tile(weighted, instance.num_components)    # of every copy
-    gamma_min = float(instance.gamma[rows].min())
-    gamma_max = float(instance.gamma_max[rows].max())
-    if gamma_min == 0:
-        return math.inf
-    lam = gamma_max / gamma_min
-    m = int(instance.cliques.sizes[weighted].max())
-    return lam * min(m, instance.num_labels)

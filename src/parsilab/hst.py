@@ -327,5 +327,6 @@ def frt_embed(metric, k, seed):
                                     "over the smallest exceeds 2^1023")
     else:
         dmin = 1.0
-    return tuple(_frt_tree(d / dmin, np.random.default_rng(seq), dmin)
+    scaled = d / dmin                   # once: every tree only reads it
+    return tuple(_frt_tree(scaled, np.random.default_rng(seq), dmin)
                  for seq in np.random.SeedSequence(seed).spawn(k))

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hst
-from .expansion import PnPottsInstance, alpha_expansion, pn_potts_bound
+from .expansion import PnPottsInstance, alpha_expansion
 from .model import (DiameterDiversity, Diversity, InvalidInputError,
                     PnPottsSpec, SolverError, per_clique)
 from .oracle import model_to_pn_potts_instance
@@ -47,10 +47,10 @@ class SolveReport:
     """A solve's result with the a-priori bounds of the solver that ran.
 
     bounds is the report's bounds object as written: {"expansion": b} for
-    a single alpha-expansion (expansion.pn_potts_bound, null when b is
-    infinite), otherwise the tree solvers' bounds (theorem_bounds).  bound
-    is the one that covers the solve: on one tree the hierarchical bound,
-    on a mixture the general diversity one."""
+    a single alpha-expansion (b = pn_potts_bound(model), null when it is
+    infinite), otherwise theorem_bounds(model, r) as it is.  bound is the
+    one that covers the solve: b, on one tree the hierarchical bound, on
+    a mixture the general diversity one."""
     labeling: list
     energy: float
     component_energies: list
@@ -69,22 +69,41 @@ class SolveReport:
         return doc
 
 
-def theorem_bounds(model, r=2.0):
-    """Multiplicative bounds of the two solvers for this model shape.
+def pn_potts_bound(model):
+    """Multiplicative bound of one alpha-expansion on a consistency-cost
+    model: lambda * min(M, H), lambda = gamma_max / min(gamma), with M the
+    largest weighted clique's size; 1.0 without a weighted clique, and
+    infinite (no multiplicative guarantee) with a zero gamma."""
+    spec = model.potential
+    if not isinstance(spec, PnPottsSpec):
+        raise InvalidInputError("model potential is not a consistency cost")
+    m = model.weighted_cliques.max_size
+    if not m:
+        return 1.0
+    gamma_min = float(spec.gamma.min())
+    if gamma_min == 0:
+        return math.inf
+    return spec.gamma_max / gamma_min * min(m, model.num_labels)
 
-    The hierarchical bound is (r/(r-1)) * min(M, H); the general-diversity
-    bound multiplies in (H-1) * ln(H), where the (H-1) factor is dropped
-    when the potential already is a diameter diversity.  The log is
-    natural (the underlying guarantee is order-of-magnitude in log H).
+
+def theorem_bounds(model, r=2.0):
+    """The tree solvers' bounds object, as their reports write it.
+
+    "hierarchical" is (r/(r-1)) * min(M, H), with M the size of the
+    largest weighted clique (0 without one: the cliques of weight 0 are
+    never solved); "general_diversity" multiplies in (H-1) * ln(H), where
+    the (H-1) factor is dropped when the potential already is a diameter
+    diversity.  The log is natural (the underlying guarantee is
+    order-of-magnitude in log H).
     """
     if r <= 1:
         raise InvalidInputError("separation parameter r must exceed 1")
     h = model.num_labels
-    m = model.cliques.max_size
-    bound1 = r / (r - 1.0) * min(m, h)
-    shrink = isinstance(model.potential, DiameterDiversity)
-    bound2 = bound1 * math.log(h) * (1 if shrink else h - 1)
-    return bound1, bound2
+    bound = r / (r - 1.0) * min(model.weighted_cliques.max_size, h)
+    factor = 1 if isinstance(model.potential, DiameterDiversity) else h - 1
+    return {"hierarchical": bound,
+            "general_diversity": bound * math.log(h) * factor,
+            "log_base": "natural"}
 
 
 def build_fusion_instance(model, tree, nodes, child_labelings):
@@ -211,12 +230,11 @@ def solve_hierarchical(model, tree):
 
     labeling = labeling_of(hst.ROOT)
     energy = model.evaluate_energy(labeling)
-    bound1, bound2 = theorem_bounds(model, tree.r)
+    bounds = theorem_bounds(model, tree.r)
     report = SolveReport(
         labeling=list(map(int, labeling)), energy=energy,
-        component_energies=[energy],
-        bounds={"hierarchical": bound1, "general_diversity": bound2,
-                "log_base": "natural"}, bound=bound1,
+        component_energies=[energy], bounds=bounds,
+        bound=bounds["hierarchical"],
         timings={"solve_s": time.perf_counter() - t0})
     return labeling, report
 
@@ -391,13 +409,11 @@ def solve_parsimonious(model, k=10, seed=0):
         raise SolverError("best candidate's energy does not match its "
                           "labeling")
 
-    bound1, bound2 = theorem_bounds(model, r=2.0)
+    bounds = theorem_bounds(model, r=2.0)
     report = SolveReport(
         labeling=list(map(int, labeling)), energy=energy,
-        component_energies=energies,
-        bounds={"hierarchical": bound1, "general_diversity": bound2,
-                "log_base": "natural"}, bound=bound2, seed=seed,
-        num_trees=k,
+        component_energies=energies, bounds=bounds,
+        bound=bounds["general_diversity"], seed=seed, num_trees=k,
         timings={"metric_s": t_embed - t0,
                  "embed_s": t_solve - t_embed,
                  "solve_s": time.perf_counter() - t_solve})
@@ -409,8 +425,9 @@ def solve(model, k=10, seed=0):
     (labeling, SolveReport).
 
     A consistency-cost (P^n Potts) model is solved by one alpha-expansion,
-    which needs no trees: k is unused and seed only goes into the report.
-    Any other potential goes to the mixture-of-trees solve.
+    which needs no trees: k is unused, seed only goes into the report, and
+    the bound is pn_potts_bound(model).  Any other potential goes to the
+    mixture-of-trees solve, whose bounds are theorem_bounds(model).
     """
     if seed < 0:
         raise InvalidInputError("seed must be non-negative")
@@ -419,7 +436,7 @@ def solve(model, k=10, seed=0):
     instance = model_to_pn_potts_instance(model)
     labeling, _ = alpha_expansion(instance)
     energy = model.evaluate_energy(labeling)
-    bound = pn_potts_bound(instance)
+    bound = pn_potts_bound(model)
     report = SolveReport(
         labeling=list(map(int, labeling)), energy=energy,
         component_energies=[energy],

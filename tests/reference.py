@@ -5,6 +5,8 @@ or cut-skipping implementation in parsilab.  The property tests compare
 the two on random small instances and require identical results.
 """
 
+import math
+
 import numpy as np
 
 from conftest import pn_instance
@@ -307,6 +309,23 @@ def alpha_expansion(instance):
                 trace.moves.append((trace.sweeps, alpha, e))
                 improved = True
     return labeling, trace
+
+
+def pn_potts_bound(instance):
+    """solver.pn_potts_bound read off an instance: lambda * min(M, H),
+    lambda = gamma_max / gamma_min, the extrema taken over the gamma rows
+    of every copy of every weighted clique."""
+    weighted = instance.cliques.weights > 0
+    if not weighted.any():
+        return 1.0
+    rows = np.tile(weighted, instance.num_components)    # of every copy
+    gamma_min = float(instance.gamma[rows].min())
+    gamma_max = float(instance.gamma_max[rows].max())
+    if gamma_min == 0:
+        return math.inf
+    lam = gamma_max / gamma_min
+    m = int(instance.cliques.sizes[weighted].max())
+    return lam * min(m, instance.num_labels)
 
 
 def exhaustive_expansion_move(instance, current, alpha):

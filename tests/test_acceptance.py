@@ -13,14 +13,13 @@ import pytest
 from conftest import (random_diversity_model, random_pn_instance,
                       random_pn_potts_model, random_table_diversity)
 from parsilab import cli
-from parsilab.expansion import alpha_expansion, best_expansion_move, \
-    pn_potts_bound
+from parsilab.expansion import alpha_expansion, best_expansion_move
 from parsilab.hst import frt_embed
 from parsilab.model import (Cliques, DiameterDiversity, EnergyModel,
                             LabelMetric, save_model)
 from parsilab.oracle import exhaustive_minimize, model_to_pn_potts_instance
-from parsilab.solver import solve_hierarchical, solve_parsimonious, \
-    theorem_bounds
+from parsilab.solver import (pn_potts_bound, solve_hierarchical,
+                             solve_parsimonious)
 from parsilab.tasks import (GridSpec, ImageTask, block_partition,
                             build_inpaint, build_stereo, generate_synthetic)
 from reference import exhaustive_expansion_move, random_rhst
@@ -65,7 +64,7 @@ def test_criterion_2_consistency_cost_bound(verdict):
         inst = model_to_pn_potts_instance(model)
         labeling, _ = alpha_expansion(inst)
         opt = exhaustive_minimize(model)
-        limit = opt.unary_term + pn_potts_bound(inst) * opt.clique_term
+        limit = opt.unary_term + pn_potts_bound(model) * opt.clique_term
         if inst.evaluate(labeling) > limit + TOL:
             violations += 1
     verdict(2, violations == 0, "500 instances, %d violations" % violations)

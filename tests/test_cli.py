@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import warnings
 from pathlib import Path
@@ -253,9 +254,10 @@ def test_report_carries_the_bound_of_the_solver_that_ran(tmp_path, capsys):
 
     assert cli.main(["solve", TINY_PROBLEM, "--report",
                      str(report)]) == cli.EXIT_OK
-    hierarchical, general = theorem_bounds(load_model(TINY_PROBLEM))
+    bounds = theorem_bounds(load_model(TINY_PROBLEM))
     assert json.loads(report.read_text())["bounds"] == {
-        "hierarchical": hierarchical, "general_diversity": general,
+        "hierarchical": bounds["hierarchical"],
+        "general_diversity": bounds["general_diversity"],
         "log_base": "natural"}
 
 
@@ -457,11 +459,12 @@ def test_overflowing_distance_ratio_exits_2(capsys):
     assert cli.main(["validate", OVERFLOW_RATIO_PROBLEM]) == cli.EXIT_OK
 
 
-def test_zero_weight_cliques_over_a_wide_metric_solve(tmp_path):
+def test_zero_weight_cliques_over_a_wide_metric_solve(tmp_path, capsys):
     """Cliques of weight 0 cost nothing, however large the potential's
     values: the energy bound does not read 0 * inf as nan, the metric
     check's overflowing sums raise no warning, and the solve returns the
-    unary minimum."""
+    unary minimum.  No clique counts towards the bounds, which read 0, and
+    the oracle's bound is the unary minimum."""
     report = tmp_path / "report.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -469,10 +472,31 @@ def test_zero_weight_cliques_over_a_wide_metric_solve(tmp_path):
             == cli.EXIT_OK
         assert cli.main(["solve", ZERO_WEIGHT_WIDE_METRIC_PROBLEM,
                          "--report", str(report)]) == cli.EXIT_OK
+        assert cli.main(["solve", ZERO_WEIGHT_WIDE_METRIC_PROBLEM,
+                         "--oracle"]) == cli.EXIT_OK
+    assert "ratio=1 bound_rhs=" in capsys.readouterr().out
     model = load_model(ZERO_WEIGHT_WIDE_METRIC_PROBLEM)
     doc = json.loads(report.read_text())
     assert doc["labeling"] == model.unaries.argmin(axis=1).tolist()
     assert doc["energy"] == model.unaries.min(axis=1).sum()
+    assert doc["bounds"] == {"hierarchical": 0.0, "general_diversity": 0.0,
+                             "log_base": "natural"}
+
+
+def test_stereo_bounds_skip_superpixels_of_weight_zero(tmp_path):
+    """At --sigma 1 every 16-pixel superpixel clique of the 12x12 pair
+    weighs 0 (its exp underflows), so M is the pairs' 2, not 16."""
+    report = tmp_path / "report.json"
+    with pytest.warns(UserWarning, match="no superpixel map"):
+        assert cli.main([
+            "stereo", os.path.join(DATA, "stereo12_left.ppm"),
+            os.path.join(DATA, "stereo12_right.ppm"), "--labels", "8",
+            "--block", "4", "--sigma", "1", "-k", "2",
+            "--out", str(tmp_path / "out.pgm"),
+            "--report", str(report)]) == cli.EXIT_OK
+    bounds = json.loads(report.read_text())["bounds"]
+    assert bounds["hierarchical"] == 4.0
+    assert bounds["general_diversity"] == pytest.approx(4.0 * math.log(8))
 
 
 def test_failed_energy_recheck_exits_1(monkeypatch, capsys):

@@ -10,10 +10,12 @@ import reference
 from conftest import pn_instance, random_pn_instance, random_pn_potts_model
 from parsilab import expansion
 from parsilab.expansion import (PnPottsInstance, alpha_expansion,
-                                best_expansion_move, pn_potts_bound)
+                                best_expansion_move)
 from parsilab.maxflow import FLOW_TOL, FlowNetwork
-from parsilab.model import Cliques, InvalidInputError
+from parsilab.model import (Cliques, DiameterDiversity, EnergyModel,
+                            InvalidInputError, LabelMetric, PnPottsSpec)
 from parsilab.oracle import exhaustive_minimize, model_to_pn_potts_instance
+from parsilab.solver import pn_potts_bound
 from reference import exhaustive_expansion_move
 
 
@@ -364,7 +366,7 @@ def test_sweep_satisfies_multiplicative_bound():
         inst = model_to_pn_potts_instance(model)
         labeling, trace = alpha_expansion(inst)
         opt = exhaustive_minimize(model)
-        bound = pn_potts_bound(inst)
+        bound = pn_potts_bound(model)
         limit = opt.unary_term + bound * opt.clique_term
         assert inst.evaluate(labeling) <= limit + 1e-9
         # accepted moves strictly decrease the energy
@@ -373,26 +375,43 @@ def test_sweep_satisfies_multiplicative_bound():
         assert all(b < a for a, b in zip(energies, energies[1:]))
 
 
+def _pn_model(num_variables, cliques, gamma, gamma_max):
+    """A consistency-cost model with zero unaries; cliques are (members,
+    weight) pairs."""
+    members, weights = zip(*cliques) if cliques else ((), ())
+    return EnergyModel(np.zeros((num_variables, len(gamma))),
+                       Cliques.from_lists(members, weights),
+                       PnPottsSpec(gamma, gamma_max))
+
+
 def test_bound_formula():
-    unaries = np.zeros((4, 5))
-    clique = ([0, 1, 2], [2.0] * 5, 6.0, 1.0)
-    assert pn_potts_bound(pn_instance(unaries, [clique])) == 9.0
+    assert pn_potts_bound(_pn_model(4, [([0, 1, 2], 1.0)], [2.0] * 5,
+                                    6.0)) == 9.0
 
 
 def test_bound_clique_size_factor():
-    unaries = np.zeros((4, 20))
-    clique = ([0, 1], [1.0] * 20, 3.0, 1.0)
-    # min(M, H) = 2, lambda = 3
-    assert pn_potts_bound(pn_instance(unaries, [clique])) == 6.0
+    # min(M, H) = 2, lambda = 3; M counts only the weighted cliques
+    assert pn_potts_bound(_pn_model(4, [([0, 1], 1.0), ([0, 1, 2, 3], 0.0)],
+                                    [1.0] * 20, 3.0)) == 6.0
 
 
 def test_bound_is_infinite_when_some_gamma_is_zero():
     # lambda = gamma_max / gamma_min has no finite value; a finite stand-in
     # would depend on the scale of the costs
-    unaries = np.zeros((2, 2))
-    clique = ([0, 1], [0.0, 1.0], 3.0, 1.0)
-    assert pn_potts_bound(pn_instance(unaries, [clique])) == np.inf
+    assert pn_potts_bound(_pn_model(2, [([0, 1], 1.0)], [0.0, 1.0],
+                                    3.0)) == np.inf
 
 
 def test_bound_without_weighted_cliques():
-    assert pn_potts_bound(pn_instance(np.zeros((2, 2)), [])) == 1.0
+    assert pn_potts_bound(_pn_model(2, [], [0.5, 0.5], 1.0)) == 1.0
+    # a zero gamma promises nothing only where a clique costs something
+    assert pn_potts_bound(_pn_model(2, [([0, 1], 0.0)], [0.0, 0.5],
+                                    1.0)) == 1.0
+
+
+def test_bound_refuses_other_potentials():
+    model = EnergyModel(np.zeros((2, 2)), Cliques.from_lists([], []),
+                        DiameterDiversity(LabelMetric.truncated_linear(
+                            2, 1.0, 1)))
+    with pytest.raises(InvalidInputError, match="not a consistency cost"):
+        pn_potts_bound(model)

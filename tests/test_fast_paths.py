@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 import reference
 from parsilab import expansion, hst, solver, tasks
-from conftest import pn_instance
+from conftest import pn_instance, random_pn_potts_model
 from parsilab.expansion import alpha_expansion, best_expansion_move
 from parsilab.model import (Cliques, DiameterDiversity, Diversity,
                             EnergyModel, ExplicitTableDiversity,
                             InvalidInputError, LabelMetric, PnPottsSpec)
+from parsilab.oracle import model_to_pn_potts_instance
 from parsilab.solver import build_fusion_instance
 from reference import exhaustive_expansion_move, random_rhst
 
@@ -360,6 +361,27 @@ def test_expansion_computes_each_labelings_clique_costs_once(data):
                               side_effect=cls.evaluate) as evaluate:
         alpha_expansion(inst)
     assert gamma.call_count == evaluate.call_count
+
+
+@SETTINGS
+@given(st.data())
+def test_model_bound_matches_instance_bound(data):
+    """pn_potts_bound reads the model's spec and its weighted cliques, and
+    gives the float that scanning its instance's gamma rows gives, also
+    with cliques of weight 0 and with zero gammas."""
+    model = random_pn_potts_model(
+        np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))))
+    c, spec = model.cliques, model.potential
+    unweighted = data.draw(st.lists(st.booleans(), min_size=len(c),
+                                    max_size=len(c)))
+    zero = data.draw(st.lists(st.booleans(), min_size=spec.num_labels,
+                              max_size=spec.num_labels))
+    model = EnergyModel(
+        model.unaries,
+        Cliques(c.offsets, c.members, np.where(unweighted, 0.0, c.weights)),
+        PnPottsSpec(np.where(zero, 0.0, spec.gamma), spec.gamma_max))
+    assert solver.pn_potts_bound(model) == reference.pn_potts_bound(
+        model_to_pn_potts_instance(model))
 
 
 @st.composite

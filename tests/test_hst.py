@@ -210,6 +210,23 @@ def test_embed_trees_pass_invariants_and_dominate():
             assert np.all(tree.metric().matrix >= d - 1e-9)
 
 
+def test_embed_scales_the_metric_once_for_all_trees():
+    """Every tree reads the one scaled H x H array, built before the
+    first tree: at H = 4096 another would take 128 MiB per tree."""
+    seen = []
+
+    def recorder(dist, rng, scale):
+        seen.append(dist)
+        return frt_tree(dist, rng, scale)
+
+    frt_tree = hst._frt_tree
+    metric = LabelMetric.truncated_linear(9, 2.0, 6)
+    with mock.patch.object(hst, "_frt_tree", recorder):
+        frt_embed(metric, k=4, seed=5)
+    assert len(seen) == 4 and all(d is seen[0] for d in seen)
+    np.testing.assert_array_equal(seen[0], metric.matrix / 2.0)
+
+
 def test_embed_determinism():
     m = LabelMetric.truncated_linear(7, 1.0, 4)
     a = frt_embed(m, k=4, seed=42)

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 import parsilab
+import reference
 from parsilab import hst, solver
 from conftest import (forks, random_cliques, random_diversity_model,
                       random_pn_potts_model, random_table_diversity)
-from parsilab.expansion import alpha_expansion, pn_potts_bound
+from parsilab.expansion import alpha_expansion
 from parsilab.hst import RHst, frt_embed
 from parsilab.model import (Cliques, DiameterDiversity, EnergyModel,
                             InvalidInputError, LabelMetric)
 from parsilab.oracle import exhaustive_minimize, model_to_pn_potts_instance
-from parsilab.solver import (build_fusion_instance, solve,
+from parsilab.solver import (build_fusion_instance, pn_potts_bound, solve,
                              solve_hierarchical, solve_parsimonious,
                              theorem_bounds)
 
@@ -36,9 +37,10 @@ def test_bound_formula_small_clique():
                         Cliques.from_lists([range(4)], [1.0]),
                         DiameterDiversity(
                             LabelMetric.truncated_linear(20, 1.0, 5)))
-    b1, b2 = theorem_bounds(model, r=2.0)
-    assert b1 == 8.0
-    assert b2 == pytest.approx(8.0 * math.log(20))
+    bounds = theorem_bounds(model, r=2.0)
+    assert bounds["hierarchical"] == 8.0
+    assert bounds["general_diversity"] == pytest.approx(8.0 * math.log(20))
+    assert bounds["log_base"] == "natural" and len(bounds) == 3
 
 
 def test_bound_formula_large_clique():
@@ -46,8 +48,7 @@ def test_bound_formula_large_clique():
                         Cliques.from_lists([range(100)], [1.0]),
                         DiameterDiversity(
                             LabelMetric.truncated_linear(20, 1.0, 5)))
-    b1, _ = theorem_bounds(model, r=2.0)
-    assert b1 == 40.0
+    assert theorem_bounds(model, r=2.0)["hierarchical"] == 40.0
 
 
 def test_bound_formula_general_diversity():
@@ -55,8 +56,39 @@ def test_bound_formula_general_diversity():
     model = EnergyModel(np.zeros((5, 4)),
                         Cliques.from_lists([range(3)], [1.0]),
                         random_table_diversity(4, rng))
-    _, b2 = theorem_bounds(model, r=2.0)
-    assert b2 == pytest.approx(2.0 * 3 * math.log(4) * 3)
+    assert theorem_bounds(model, r=2.0)["general_diversity"] \
+        == pytest.approx(2.0 * 3 * math.log(4) * 3)
+
+
+def test_bounds_count_only_weighted_cliques():
+    """A clique of weight 0 costs nothing and no solver sees it, so the
+    bounds are those of the model without it, however large it is."""
+    for potential in (DiameterDiversity(
+            LabelMetric.truncated_linear(20, 1.0, 5)),
+            random_table_diversity(4, np.random.default_rng(1))):
+        def bounds(members, weights):
+            return theorem_bounds(EnergyModel(
+                np.zeros((10, potential.num_labels)),
+                Cliques.from_lists(members, weights), potential))
+        with_zero = bounds([range(3), range(10)], [1.0, 0.0])
+        assert with_zero == bounds([range(3)], [1.0])
+        assert with_zero["hierarchical"] == 6.0
+
+
+def test_bounds_without_weighted_cliques_read_zero():
+    """Only cliques of weight 0: both tree bounds read 0, and every tree
+    solve returns the unary optimum."""
+    rng = np.random.default_rng(3)
+    unaries = rng.uniform(0, 3, size=(6, 5))
+    model = EnergyModel(unaries, Cliques.from_lists([range(6)], [0.0]),
+                        DiameterDiversity(
+                            LabelMetric.truncated_linear(5, 1.0, 3)))
+    labeling, report = solve_parsimonious(model, k=3, seed=0)
+    assert report.bounds == {"hierarchical": 0.0, "general_diversity": 0.0,
+                             "log_base": "natural"}
+    assert report.bound == 0.0
+    np.testing.assert_array_equal(labeling, unaries.argmin(axis=1))
+    assert report.component_energies == [unaries.min(axis=1).sum()] * 3
 
 
 def test_bound_requires_separation():
@@ -279,7 +311,8 @@ def test_solve_runs_one_expansion_on_consistency_costs():
         np.testing.assert_array_equal(labeling, direct)
         assert report.energy == model.evaluate_energy(direct)
         assert report.component_energies == [report.energy]
-        assert report.bound == pn_potts_bound(instance)
+        assert report.bound == pn_potts_bound(model) \
+            == reference.pn_potts_bound(instance)
         assert report.bounds == {"expansion": report.bound}
         assert (report.seed, report.num_trees) == (seed, 0)
 
